@@ -25,7 +25,6 @@ from .contention import (
     lambda_max,
     q_poly,
     q_poly_scaled,
-    throughput_grid_max,
     throughput_max,
 )
 from .linalg import SINGULAR, SingularIndication, cholesky, project_out, quadratic_form_inverse, solve

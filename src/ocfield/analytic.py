@@ -88,17 +88,85 @@ def delta_const(alpha: float) -> float:
     return 2.0 * math.pi**2 / (alpha * math.sin(2.0 * math.pi / alpha))
 
 
-def _poisson_cdf(x: float, count: int) -> float:
-    # P(Poisson(x) < count).  Terms built by the multiplicative recurrence
-    # anchored at exp(-x), so x**i and i! never overflow separately.  With
-    # x = 0 the i = 0 term is exp(0) = 1, which encodes the 0**0 = 1
-    # convention.
-    term = math.exp(-x)
-    total = term
-    for i in range(1, count):
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# A term below this fraction of the running sum ends the sum: past the
+# largest term the Poisson terms fall off faster than geometrically, so for
+# x up to 1e8 the dropped tail stays under an ulp of the sum.
+_NEGLIGIBLE = 2.0**-64
+
+
+def _stirling_error(n: int) -> float:
+    # log(n!) - (n + 1/2) log(n) + n - log(sqrt(2 pi)) for n >= 1: direct for
+    # small n, else the asymptotic series, which is exact to an ulp past 15
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+
+
+def _deviance(k: int, x: float) -> float:
+    # k log(k/x) + x - k >= 0, by its series in v = (k-x)/(k+x) near k = x,
+    # where the direct form cancels
+    if abs(k - x) >= 0.1 * (k + x):
+        return k * math.log(k / x) + x - k
+    v = (k - x) / (k + x)
+    total = (k - x) * v
+    term = 2.0 * k * v
+    j = 1
+    while True:
+        term *= v * v
+        j += 2
+        grown = total + term / j
+        if grown == total:
+            return total
+        total = grown
+
+
+def _log_pmf(k: int, x: float) -> float:
+    """log P(Poisson(x) = k) for x > 0, in the saddle-point form of C. Loader,
+    "Fast and accurate computation of binomial probabilities" (2000).
+
+    Accurate to a few ulps for every k and x, where the naive
+    k log(x) - x - log(k!) loses the digits its large terms cancel.
+    """
+    if k == 0:
+        return -x
+    return -_stirling_error(k) - _deviance(k, x) - _LOG_SQRT_2PI - 0.5 * math.log(k)
+
+
+def _poisson_window(x: float, count: int) -> tuple[int, float]:
+    """(m, s) with m = min(floor(x), count - 1), the largest term's index in
+    range, and s = sum_{i<count} pmf(i; x) / pmf(m; x) >= 1, for x > 0.
+
+    Summed outward from m, so every ratio lies in (0, 1] and nothing
+    overflows; the terms negligible beside s are skipped, which makes the
+    cost O(sqrt(x)) rather than O(count).
+    """
+    m = min(int(x), count - 1)
+    total = term = 1.0
+    for i in range(m, 0, -1):  # pmf(i-1)/pmf(i) = i/x
+        term *= i / x
+        total += term
+        if term < _NEGLIGIBLE * total:
+            break
+    term = 1.0
+    for i in range(m + 1, count):  # pmf(i)/pmf(i-1) = x/i
         term *= x / i
         total += term
-    return total
+        if term < _NEGLIGIBLE * total:
+            break
+    return m, total
+
+
+def _poisson_cdf(x: float, count: int) -> float:
+    # P(Poisson(x) < count), count >= 1, anchored at the largest term in
+    # range so that it neither underflows nor overflows for any x.
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    m, s = _poisson_window(x, count)
+    return s * math.exp(_log_pmf(m, x))
 
 
 def _interference_exponent(lam: float, alpha: float, gamma: float) -> float:

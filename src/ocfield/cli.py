@@ -9,13 +9,21 @@ linear once, at the parser.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, replace
 
-from .analytic import SystemParams, delta_const, gamma_from_beta, outage_cdf, throughput_density
-from .contention import BracketViolation, contention_optimum, throughput_grid_max
+from .analytic import (
+    SystemParams,
+    _poisson_cdf,
+    delta_const,
+    gamma_from_beta,
+    outage_cdf,
+    throughput_density,
+)
+from .contention import BracketViolation, contention_optimum
 from .simulate import RECEIVERS, estimate_outage, receiver_label
 
 __all__ = [
@@ -129,20 +137,20 @@ def derive_row_seed(master_seed: int, row_index: int) -> int:
 
 def _poisson_tail_exponent(L: int, target_outage: float) -> float:
     # x with 1 - P(Poisson(x) < L) = target, bisected on the monotone tail
-    from .analytic import _poisson_cdf
-
+    # until no double lies strictly between the bracket ends
     lo, hi = 0.0, 1.0
     while 1.0 - _poisson_cdf(hi, L) < target_outage:
         hi *= 2.0
         if hi > 1e9:  # pragma: no cover
             raise InternalCheckError("outage target unreachable")
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         if 1.0 - _poisson_cdf(mid, L) < target_outage:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def default_lambda_grid(config: ScenarioConfig) -> tuple[float, ...]:
@@ -224,20 +232,18 @@ def run_simulation(config: ScenarioConfig) -> list[tuple]:
 
 
 def run_optimize(config: ScenarioConfig) -> list[tuple]:
-    """Optimum contention density per antenna count.
+    """Optimum contention density per antenna count, all from one root solver.
 
-    sigma2 = 0 uses the closed form (root of the contention polynomial);
-    sigma2 > 0 has no closed form and switches to a labeled grid search.
+    sigma2 = 0 rows are labeled closed-form (g is the root of the contention
+    polynomial); sigma2 > 0 rows are labeled root (g is the optimum
+    normalized load lambda_max * Delta * gamma**(2/alpha)).
     """
     gamma = config.gamma
+    mode = "closed-form" if config.sigma2 == 0.0 else "root"
     rows = []
     for L in config.antennas:
-        if config.sigma2 == 0.0:
-            opt = contention_optimum(L, config.alpha, gamma)
-            rows.append((L, opt.g, opt.lambda_max, opt.t_max, "closed-form"))
-        else:
-            lam_best, t_best = throughput_grid_max(L, config.alpha, gamma, config.sigma2)
-            rows.append((L, math.nan, lam_best, t_best, "grid-search"))
+        opt = contention_optimum(L, config.alpha, gamma, config.sigma2)
+        rows.append((L, opt.g, opt.lambda_max, opt.t_max, mode))
     return rows
 
 
@@ -260,7 +266,7 @@ def figure_preset(number: int) -> tuple[str, ScenarioConfig]:
     if number == 3:
         config = ScenarioConfig(sigma2=db_to_linear(-57.0), antennas=(1, 2, 3, 4, 5))
         optima = [
-            throughput_grid_max(L, config.alpha, config.gamma, config.sigma2)[0]
+            contention_optimum(L, config.alpha, config.gamma, config.sigma2).lambda_max
             for L in config.antennas
         ]
         lo, hi, n = 0.2 * min(optima), 5.0 * max(optima), 50
@@ -433,7 +439,9 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ocfield",
         description="Outage, throughput and contention optimization for optimum "

@@ -1,13 +1,25 @@
 """Slotted-ALOHA contention density optimization for the optimum combiner.
 
-In the interference-limited regime the spatial throughput lam * (1 - F) is
-maximized in closed form: the optimum sits at g(L) / (Delta * gamma**(2/alpha))
-where g(L) is the unique positive root of
+The spatial throughput lam * P(Poisson(x) < L), with x = u + sigma2 * gamma
+and the normalized load u = lam * Delta * gamma**(2/alpha), peaks where its
+derivative in u vanishes:
 
-    Q(t) = sum_{i<L} t**i / i!  -  t**L / (L-1)!
+    P(Poisson(x) < L) = u * pmf(L-1; x).
 
-and always lies in [L/2, L].  With noise there is no closed form; a labeled
-grid maximizer is provided for that case.
+Dividing by the pmf leaves r(x) = u with
+
+    r(x) = P(Poisson(x) < L) / pmf(L-1; x) = sum_{j<L} (L-1)!/(L-1-j)! * x**-j,
+
+a polynomial in 1/x with positive coefficients: no exponential, so nothing
+to underflow, and strictly decreasing in x.  Hence log r(sigma2*gamma + u)
+- log u has exactly one root u* in [1, L], which one safeguarded Newton
+solver finds with or without noise.  In the interference-limited regime
+(sigma2 = 0) u* is g(L), the unique positive root of
+
+    Q(t) = sum_{i<L} t**i / i!  -  t**L / (L-1)!  =  exp(t) * pmf(L-1; t) * (r(t) - t),
+
+which always lies in [L/2, L]; the optimum density is u* / (Delta *
+gamma**(2/alpha)).
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import _poisson_cdf, delta_const
+from .analytic import _log_pmf, _poisson_cdf, _poisson_window, delta_const
 
 __all__ = [
     "BracketViolation",
@@ -25,20 +37,26 @@ __all__ = [
     "lambda_max",
     "q_poly",
     "q_poly_scaled",
-    "throughput_grid_max",
     "throughput_max",
 ]
 
+# Newton converges in under ten steps at realistic noise levels; the bound
+# only turns a runaway iteration into a loud failure.
+_MAX_STEPS = 100
+
 
 class BracketViolation(RuntimeError):
-    """The guaranteed sign pattern of Q on [L/2, L] failed: implementation bug."""
+    """The guaranteed sign pattern of the optimality condition failed, or the
+    root solver did not converge: implementation bug."""
 
 
 @dataclass(frozen=True)
 class ContentionOptimum:
-    """Closed-form optimum for one antenna count.
+    """Throughput optimum for one antenna count.
 
-    g lies in [L/2, L]; lambda_max and t_max are per unit area.
+    g is the optimum normalized load lambda_max * Delta * gamma**(2/alpha):
+    the root g(L) in [L/2, L] when sigma2 = 0, smaller with noise.
+    lambda_max and t_max are per unit area.
     """
 
     L: int
@@ -56,7 +74,7 @@ def q_poly(L: int, t: float) -> float:
     """Q(t) = sum_{i<L} t**i/i! - t**L/(L-1)!, by the multiplicative recurrence.
 
     Direct evaluation; cancellation grows with L, so the root finder works on
-    `q_poly_scaled` instead.
+    the ratio r instead.
     """
     _check_antennas(L)
     if not t >= 0.0:
@@ -70,53 +88,73 @@ def q_poly(L: int, t: float) -> float:
 
 
 def q_poly_scaled(L: int, t: float) -> float:
-    """exp(-t) * Q(t): same sign and same roots, O(1) magnitudes for any L."""
-    return _q_scaled_with_derivative(L, t)[0]
-
-
-def _q_scaled_with_derivative(L: int, t: float) -> tuple[float, float]:
-    # Anchoring the recurrence at exp(-t) keeps every term a Poisson pmf
-    # value.  d/dt [exp(-t) Q(t)] collapses to pmf(L-1; t) * (t - L - 1).
-    term = math.exp(-t)
-    total = term
-    for i in range(1, L):
-        term *= t / i
-        total += term
-    return total - term * t, term * (t - (L + 1.0))
-
-
-def g_of_l(L: int, rel_tol: float = 1e-12) -> float:
-    """Unique positive root of Q, bisected on the guaranteed bracket [L/2, L].
-
-    Endpoint roots are returned exactly (L = 1 gives 1.0); otherwise bisection
-    to `rel_tol` is polished with one Newton step on the scaled form.
-    """
+    """exp(-t) * Q(t) = P(Poisson(t) < L) - t * pmf(L-1; t): same sign and
+    same roots as Q, O(1) magnitudes for any L."""
     _check_antennas(L)
-    lo, hi = 0.5 * L, float(L)
-    q_lo = q_poly_scaled(L, lo)
-    q_hi = q_poly_scaled(L, hi)
-    if q_hi == 0.0:
-        return hi
-    if q_lo == 0.0:
-        return lo
-    if q_lo < 0.0 or q_hi > 0.0:
+    if not t >= 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if t == 0.0:
+        return 1.0
+    return _poisson_cdf(t, L) - t * math.exp(_log_pmf(L - 1, t))
+
+
+def _log_ratio(L: int, x: float) -> float:
+    # log r(x), from the Poisson sum anchored at its largest term m:
+    # r = s * pmf(m; x) / pmf(L-1; x)
+    m, s = _poisson_window(x, L)
+    return math.log(s) + _log_pmf(m, x) - _log_pmf(L - 1, x)
+
+
+def _solve(L: int, noise: float) -> tuple[float, float]:
+    """(u*, x*): the root of log r(noise + u) - log u, and x* = noise + u*.
+
+    The condition decreases strictly in u, is >= 0 at u = 1 (r >= 1) and
+    <= 0 at u = L (r(L) <= L), and at noise = 0 is >= 0 at u = L/2.  Both
+    ends are checked; Newton steps from u = L keep to the bracket the signs
+    maintain and fall back to bisection when they would leave it.
+    """
+
+    def condition(u: float) -> tuple[float, float]:
+        # the condition and its u-derivative, using
+        # d log r / dx = 1 - (L-1)/x - 1/r since d/dx P(Poisson(x) < L) = -pmf(L-1; x)
+        x = noise + u
+        log_r = _log_ratio(L, x)
+        return log_r - math.log(u), 1.0 - (L - 1) / x - math.exp(-log_r) - 1.0 / u
+
+    lo, hi = (0.5 * L if noise == 0.0 else 1.0), float(L)
+    f_lo = condition(lo)[0]
+    f, slope = condition(hi)
+    if not f_lo >= 0.0 >= f:
         raise BracketViolation(
-            f"expected Q(L/2) > 0 and Q(L) < 0, got Q({lo}) = {q_lo}, Q({hi}) = {q_hi}"
+            f"expected the optimality condition >= 0 at u = {lo} and <= 0 at u = {hi}, "
+            f"got {f_lo} and {f} (L = {L}, noise = {noise})"
         )
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        q_mid = q_poly_scaled(L, mid)
-        if q_mid > 0.0:
-            lo = mid
-        elif q_mid < 0.0:
-            hi = mid
+    u = hi
+    for _ in range(_MAX_STEPS):
+        if f > 0.0:
+            lo = u
+        elif f < 0.0:
+            hi = u
+        elif f == 0.0:
+            return u, noise + u
         else:
-            return mid
-    g = 0.5 * (lo + hi)
-    value, slope = _q_scaled_with_derivative(L, g)
-    if slope != 0.0:
-        g = min(max(g - value / slope, 0.5 * L), float(L))
-    return g
+            raise BracketViolation(
+                f"optimality condition is {f} at u = {u} (L = {L}, noise = {noise})"
+            )
+        step = u - f / slope
+        if abs(step - u) <= 4.0 * math.ulp(u):
+            return step, noise + step
+        u = step if lo < step < hi else 0.5 * (lo + hi)
+        if hi - lo <= 4.0 * math.ulp(hi):
+            return u, noise + u
+        f, slope = condition(u)
+    raise BracketViolation(f"no convergence in {_MAX_STEPS} steps (L = {L}, noise = {noise})")
+
+
+def g_of_l(L: int) -> float:
+    """Unique positive root of Q, in [L/2, L]; L = 1 gives exactly 1.0."""
+    _check_antennas(L)
+    return _solve(L, 0.0)[0]
 
 
 def lambda_max(L: int, alpha: float, gamma: float) -> float:
@@ -124,15 +162,12 @@ def lambda_max(L: int, alpha: float, gamma: float) -> float:
 
     Interference-limited result (sigma2 = 0 assumed).
     """
-    return g_of_l(L) / _normalized_area(alpha, gamma)
+    return contention_optimum(L, alpha, gamma).lambda_max
 
 
 def throughput_max(L: int, alpha: float, gamma: float) -> float:
     """Peak spatial throughput g**(L+1) * exp(-g) / ((L-1)! * Delta * gamma**(2/alpha))."""
-    g = g_of_l(L)
-    # log-domain numerator: g**(L+1)/(L-1)! overflows on its own near L ~ 150
-    peak = math.exp((L + 1) * math.log(g) - math.lgamma(L) - g)
-    return peak / _normalized_area(alpha, gamma)
+    return contention_optimum(L, alpha, gamma).t_max
 
 
 def _normalized_area(alpha: float, gamma: float) -> float:
@@ -141,47 +176,19 @@ def _normalized_area(alpha: float, gamma: float) -> float:
     return delta_const(alpha) * gamma ** (2.0 / alpha)
 
 
-def contention_optimum(L: int, alpha: float, gamma: float) -> ContentionOptimum:
-    """Bundle g(L), lambda_max and t_max for one antenna count."""
-    g = g_of_l(L)
-    area = _normalized_area(alpha, gamma)
-    peak = math.exp((L + 1) * math.log(g) - math.lgamma(L) - g)
-    return ContentionOptimum(L=L, g=g, lambda_max=g / area, t_max=peak / area)
+def contention_optimum(
+    L: int, alpha: float, gamma: float, sigma2: float = 0.0
+) -> ContentionOptimum:
+    """Optimum load g, density lambda_max and throughput t_max for one antenna count.
 
-
-def throughput_grid_max(
-    L: int,
-    alpha: float,
-    gamma: float,
-    sigma2: float,
-    points: int = 400,
-    refinements: int = 4,
-) -> tuple[float, float]:
-    """Grid maximizer of lam * (1 - F) when sigma2 > 0 (no closed form).
-
-    Log grid between generous brackets around the noise-free optimum, then a
-    few zoom passes around the running argmax.  Returns (lambda, throughput).
+    At the optimum P(Poisson(x*) < L) = u* * pmf(L-1; x*), so the peak
+    throughput is (u*)**2 * pmf(L-1; x*) / (Delta * gamma**(2/alpha)).
     """
     _check_antennas(L)
     if not sigma2 >= 0.0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
     area = _normalized_area(alpha, gamma)
-    noise = sigma2 * gamma
-
-    def objective(lam: float) -> float:
-        return lam * _poisson_cdf(lam * area + noise, L)
-
-    # the optimum exponent lam*area + noise sits right of g(L) and below
-    # noise + L + a few standard deviations of the Poisson peak
-    x_hi = noise + g_of_l(L) + 4.0 * L + 10.0
-    lo, hi = g_of_l(L) / area * 1e-3, x_hi / area
-    best_lam, best_val = lo, objective(lo)
-    for _ in range(refinements):
-        grid = [lo * (hi / lo) ** (k / (points - 1)) for k in range(points)]
-        for lam in grid:
-            val = objective(lam)
-            if val > best_val:
-                best_lam, best_val = lam, val
-        step = (hi / lo) ** (1.0 / (points - 1))
-        lo, hi = best_lam / step, best_lam * step
-    return best_lam, best_val
+    u, x = _solve(L, sigma2 * gamma)
+    # log-domain numerator: u**2 * x**(L-1) / (L-1)! overflows on its own near L ~ 150
+    peak = math.exp(2.0 * math.log(u) + (L - 1) * math.log(x) - x - math.lgamma(L))
+    return ContentionOptimum(L=L, g=u, lambda_max=u / area, t_max=peak / area)

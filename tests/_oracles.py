@@ -8,6 +8,7 @@ use adaptive quadrature.
 import math
 
 import numpy as np
+from scipy import optimize, special
 from scipy.integrate import quad
 
 
@@ -138,3 +139,20 @@ def finite_disk_outage(lam, L, alpha, sigma2, gamma, expected_count):
         term *= x / i
         total += term
     return 1.0 - total
+
+
+def throughput_optimum(L, noise):
+    """(u*, t*) maximizing t(u) = u * P(Poisson(u + noise) < L) over u > 0.
+
+    brentq on the first-order condition P(Poisson(x) < L) = u * pmf(L-1; x),
+    x = u + noise, compared in logs through scipy's regularized incomplete
+    gamma function, so large L neither underflows nor overflows.
+    """
+
+    def condition(u):
+        x = u + noise
+        log_pmf = (L - 1) * math.log(x) - x - special.gammaln(L)
+        return math.log(special.gammaincc(L, x)) - math.log(u) - log_pmf
+
+    u = optimize.brentq(condition, 1e-9, 2.0 * L, xtol=1e-15 * L, rtol=1e-15, maxiter=500)
+    return u, u * float(special.gammaincc(L, u + noise))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
+from scipy.stats import poisson
 
 from ocfield import (
     SystemParams,
@@ -18,6 +19,7 @@ from ocfield import (
     sir_variance,
     throughput_density,
 )
+from ocfield.analytic import _poisson_cdf
 
 from _oracles import delta_quadrature, sir_moment_quadrature
 
@@ -241,3 +243,23 @@ def test_special_case_identities_everywhere(params):
 @settings(max_examples=100)
 def test_sir_variance_positive(L, alpha, lam, d_r):
     assert sir_variance(L, alpha, lam, d_r) > 0.0
+
+
+@st.composite
+def poisson_cases(draw):
+    L = draw(st.integers(1, 10_000))
+    # half the draws land where the outage is neither 0 nor 1
+    x = draw(st.one_of(st.floats(0.0, 1e4), st.floats(0.8, 1.2).map(lambda r: min(r * L, 1e4))))
+    return L, x
+
+
+@given(poisson_cases())
+@settings(max_examples=300, deadline=None)
+def test_poisson_cdf_matches_scipy(case):
+    L, x = case
+    assert _poisson_cdf(x, L) == approx(poisson.cdf(L - 1, x), rel=1e-9, abs=1e-300)
+    # gamma = 1 and unit area: the exponent is x itself, up to one rounding
+    params = SystemParams(lam=x / delta_const(4.0), alpha=4.0, sigma2=0.0, d_r=1.0, L=L, beta=1.0)
+    reference = poisson.sf(L - 1, x)
+    # the outage is 1 - (a sum of up to L terms), so its absolute error grows with L
+    assert outage_cdf(params) == approx(reference, rel=1e-9, abs=5e-14 * (L + 1))

@@ -1,11 +1,20 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 from pytest import approx
+from scipy.stats import poisson
 
-from ocfield import SystemParams, g_of_l, outage_cdf, throughput_density, throughput_max
+from ocfield import (
+    SystemParams,
+    delta_const,
+    g_of_l,
+    outage_cdf,
+    throughput_density,
+    throughput_max,
+)
 from ocfield.cli import (
     ANALYTIC_HEADER,
     OPTIMIZE_HEADER,
@@ -216,9 +225,37 @@ class TestOptimizeCommand:
 
     def test_grid_search_mode_labeled(self, tmp_path):
         header, rows = run_main(tmp_path, "optimize", "--sigma2-db", "-57", "--L", "2")
-        assert rows[0][4] == "grid-search"
-        assert rows[0][1] == "nan"
+        assert rows[0][4] == "root"
+        gamma = 10.0**0.3 * 10.0**3.5
+        area = delta_const(3.5) * gamma ** (2.0 / 3.5)
+        assert float(rows[0][1]) == approx(float(rows[0][2]) * area, rel=1e-15)
         assert float(rows[0][2]) > 0.0
+
+
+    def test_large_l_noisy_optimum(self, tmp_path):
+        # exp(-x) underflows at this L; the optimum is still found
+        header, rows = run_main(tmp_path, "optimize", "--L", "1000")
+        lam, t = float(rows[0][2]), float(rows[0][3])
+        assert lam == approx(1.0836, abs=1e-4)
+        assert 0.0 < t <= lam
+        assert rows[0][4] == "root"
+
+
+class TestLargeL:
+    def test_analytic_outage_past_exp_underflow(self, tmp_path):
+        header, rows = run_main(tmp_path, "analytic", "--L", "1000", "--lambda-grid", "0.93,1.05")
+        gamma = 10.0**0.3 * 10.0**3.5
+        area = delta_const(3.5) * gamma ** (2.0 / 3.5)
+        outages = []
+        for row in rows:
+            x = float(row[0]) * area + 1e-5 * gamma
+            reference = poisson.sf(999, x)
+            value = float(row[2])
+            # the benchmark's tolerance on analytic rows
+            assert abs(value - reference) <= 1e-9 * reference + 5e-14 * 1001
+            outages.append(value)
+        assert outages[0] == approx(3.7e-12, rel=0.05)
+        assert outages[1] == approx(6.5e-4, rel=0.05)
 
 
 class TestFigurePresets:
@@ -308,3 +345,10 @@ class TestErrorPaths:
 
         monkeypatch.setattr(cli_module, "contention_optimum", boom)
         assert main(["optimize", "--sigma2", "0", "--L", "2"]) == 3
+
+    def test_solver_failure_exits_three(self, monkeypatch, capsys):
+        import ocfield.contention as contention_module
+
+        monkeypatch.setattr(contention_module, "_log_ratio", lambda L, x: math.nan)
+        assert main(["optimize", "--L", "2"]) == 3
+        assert "internal invariant violated" in capsys.readouterr().err

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+import ocfield.contention as contention_module
 from ocfield import (
+    BracketViolation,
     contention_optimum,
     delta_const,
     g_of_l,
@@ -13,9 +15,10 @@ from ocfield import (
     outage_interference_limited,
     q_poly,
     q_poly_scaled,
-    throughput_grid_max,
     throughput_max,
 )
+
+from _oracles import throughput_optimum
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -76,6 +79,13 @@ class TestGofL:
 
     def test_three_antennas_vs_bisection_oracle(self):
         assert g_of_l(3) == approx(bisect_cubic_root(), abs=1e-10)
+
+    def test_large_l_root_is_interior(self):
+        # the root stays strictly inside (L/2, L) where exp(-t) underflows
+        g = g_of_l(900)
+        assert 450.0 < g < 900.0
+        assert g == approx(834.6333, abs=1e-4)
+        assert 1000.0 < g_of_l(2000) < 2000.0
 
     def test_bracket_and_residual_through_200(self):
         previous = 0.0
@@ -145,14 +155,16 @@ class TestOptimum:
 class TestGridSearchExtension:
     def test_recovers_closed_form_when_noise_vanishes(self):
         alpha, gamma = 3.5, 100.0
-        lam, t = throughput_grid_max(2, alpha, gamma, sigma2=1e-300)
+        opt = contention_optimum(2, alpha, gamma, sigma2=1e-300)
+        lam, t = opt.lambda_max, opt.t_max
         assert lam == approx(lambda_max(2, alpha, gamma), rel=1e-6)
         assert t == approx(throughput_max(2, alpha, gamma), rel=1e-9)
 
     def test_noise_lowers_the_peak(self):
         alpha, gamma = 3.5, 6309.573444801933
-        _, t_clean = throughput_grid_max(3, alpha, gamma, sigma2=1e-300)
-        lam_noisy, t_noisy = throughput_grid_max(3, alpha, gamma, sigma2=2e-6)
+        t_clean = contention_optimum(3, alpha, gamma, sigma2=1e-300).t_max
+        noisy = contention_optimum(3, alpha, gamma, sigma2=2e-6)
+        lam_noisy, t_noisy = noisy.lambda_max, noisy.t_max
         assert t_noisy < t_clean
         assert lam_noisy > 0.0
 
@@ -161,11 +173,53 @@ class TestGridSearchExtension:
 
         alpha, gamma, sigma2, L = 3.5, 6309.573444801933, 2e-6, 4
         area = delta_const(alpha) * gamma ** (2.0 / alpha)
-        lam_star, t_star = throughput_grid_max(L, alpha, gamma, sigma2)
+        opt = contention_optimum(L, alpha, gamma, sigma2)
+        lam_star, t_star = opt.lambda_max, opt.t_max
         for k in range(600):
             lam = lam_star * (0.05 + 4.0 * k / 599.0)
             t = lam * _poisson_cdf(lam * area + sigma2 * gamma, L)
             assert t <= t_star * (1.0 + 1e-9)
+
+
+class TestNoisyOptimum:
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 64, 256, 1000])
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-7, 2e-6, 1e-5, 1e-4])
+    def test_matches_first_order_condition_oracle(self, L, sigma2):
+        alpha, gamma = 3.5, 6309.573444801933
+        area = delta_const(alpha) * gamma ** (2.0 / alpha)
+        u_ref, t_ref = throughput_optimum(L, sigma2 * gamma)
+        opt = contention_optimum(L, alpha, gamma, sigma2)
+        assert opt.g == approx(u_ref, rel=1e-9)
+        assert opt.lambda_max == approx(u_ref / area, rel=1e-9)
+        assert opt.t_max == approx(t_ref / area, rel=1e-9)
+        assert 0.0 < opt.t_max <= opt.lambda_max
+
+    def test_noise_only_lowers_the_load(self):
+        clean = g_of_l(16)
+        loads = [contention_optimum(16, 3.5, 100.0, s).g for s in (1e-4, 1e-3, 1e-2, 1e-1)]
+        assert clean > loads[0] > loads[1] > loads[2] > loads[3] > 1.0
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ValueError):
+            contention_optimum(2, 3.5, 100.0, -1e-9)
+
+
+class TestSolverFailures:
+    def test_undefined_condition(self, monkeypatch):
+        monkeypatch.setattr(contention_module, "_log_ratio", lambda L, x: math.nan)
+        with pytest.raises(BracketViolation):
+            g_of_l(4)
+
+    def test_wrong_sign_at_bracket_end(self, monkeypatch):
+        # the condition must be <= 0 at u = L
+        monkeypatch.setattr(contention_module, "_log_ratio", lambda L, x: 50.0)
+        with pytest.raises(BracketViolation):
+            contention_optimum(4, 3.5, 100.0, 1e-3)
+
+    def test_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(contention_module, "_MAX_STEPS", 1)
+        with pytest.raises(BracketViolation):
+            g_of_l(64)
 
 
 @given(st.integers(1, 150))
