@@ -29,17 +29,17 @@ from .contention import (
 )
 from .linalg import SINGULAR, SingularIndication, cholesky, project_out, quadratic_form_inverse, solve
 from .simulate import (
+    BLOCK,
     ChannelDraw,
     NetworkRealization,
     OutageEstimate,
-    SinrSample,
     SirMomentsEstimate,
     TrialStream,
+    block_sinr,
     build_covariance,
     combiner_sinr,
     combiner_weights,
     conditional_outage_cdf,
-    covariance_from_powers,
     default_pzf_k,
     draw_channels,
     estimate_outage,
@@ -48,7 +48,6 @@ from .simulate import (
     oc_sinr,
     receiver_label,
     sample_ppp,
-    sinr_sample,
     trial_generator,
 )
 

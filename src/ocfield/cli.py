@@ -83,10 +83,10 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         checks = (
-            (self.alpha > 2.0, f"alpha must be > 2 (got {self.alpha})"),
-            (self.beta > 0.0, f"beta must be > 0 linear (got {self.beta})"),
-            (self.d_r > 0.0, f"d_r must be > 0 (got {self.d_r})"),
-            (self.sigma2 >= 0.0, f"sigma2 must be >= 0 (got {self.sigma2})"),
+            (2.0 < self.alpha < math.inf, f"alpha must be finite and > 2 (got {self.alpha})"),
+            (0.0 < self.beta < math.inf, f"beta must be finite and > 0 linear (got {self.beta})"),
+            (0.0 < self.d_r < math.inf, f"d_r must be finite and > 0 (got {self.d_r})"),
+            (0.0 <= self.sigma2 < math.inf, f"sigma2 must be finite and >= 0 (got {self.sigma2})"),
             (len(self.antennas) > 0, "L must list at least one antenna count"),
             (
                 all(isinstance(l, int) and l >= 1 for l in self.antennas),
@@ -102,8 +102,8 @@ class ScenarioConfig:
                 f"pzf_k must be an integer >= 0 (got {self.pzf_k})",
             ),
             (
-                all(x > 0.0 for x in self.lambda_grid),
-                f"lambda_grid entries must be > 0 (got {self.lambda_grid})",
+                all(0.0 < x < math.inf for x in self.lambda_grid),
+                f"lambda_grid entries must be finite and > 0 (got {self.lambda_grid})",
             ),
             (self.lambda_points >= 2, f"lambda_points must be >= 2 (got {self.lambda_points})"),
             (self.n_trials >= 1, f"n_trials must be >= 1 (got {self.n_trials})"),
@@ -431,8 +431,8 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
     )
     if not config.lambda_grid and args.lambda_min is not None and args.lambda_max is not None:
         lo, hi = args.lambda_min, args.lambda_max
-        if not 0.0 < lo < hi:
-            raise ConfigError(f"need 0 < lambda-min < lambda-max (got {lo}, {hi})")
+        if not 0.0 < lo < hi < math.inf:
+            raise ConfigError(f"need 0 < lambda-min < lambda-max < inf (got {lo}, {hi})")
         n = config.lambda_points
         config.lambda_grid = tuple(lo * (hi / lo) ** (k / (n - 1)) for k in range(n))
     config.validate()

@@ -2,7 +2,10 @@
 
 Hand-rolled, unblocked routines: the matrices here are antenna-sized
 (L <= ~16), and keeping the numeric core free of LAPACK keeps it auditable.
-Only the lower triangle of a Hermitian input is ever read.
+Only the lower triangle of a Hermitian input is ever read.  The `batch_`
+routines loop over the n columns and vectorize over a stack of B matrices
+(one block of Monte Carlo trials); the single-matrix forms are their B = 1
+case.
 
 Rank deficiency is expected, not exceptional: with zero noise and fewer
 interferers than antennas the covariance is singular, and the quadratic form
@@ -18,6 +21,8 @@ import numpy as np
 __all__ = [
     "SINGULAR",
     "SingularIndication",
+    "batch_project_out",
+    "batch_quadratic_form_inverse",
     "cholesky",
     "project_out",
     "quadratic_form_inverse",
@@ -39,9 +44,9 @@ class SingularIndication:
 SINGULAR = SingularIndication()
 
 
-def _pivot_tolerance(diag_max: float, n: int) -> float:
+def _pivot_tolerance(diag_max, n: int):
     # pivots at or below n * eps * max-diagonal count as collapsed
-    return n * _EPS * max(diag_max, 0.0)
+    return n * _EPS * np.maximum(diag_max, 0.0)
 
 
 def _cholesky_psd(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -92,93 +97,105 @@ def solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def quadratic_form_inverse(c: np.ndarray, m: np.ndarray) -> float:
-    """c^H m^{-1} c for Hermitian PSD m; pseudo-inverse semantics when singular.
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(v, v).real)
 
-    If m is rank deficient and c has a component outside its column space the
-    form is math.inf; if c stays inside, the value on the pseudo-inverse is
-    returned.  Fused scalar Cholesky + forward substitution (this sits in the
-    per-trial hot path, so no intermediate matrices are built).
+
+def batch_quadratic_form_inverse(c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """c_b^H m_b^{-1} c_b for a stack of Hermitian PSD matrices m (B, n, n).
+
+    Pseudo-inverse semantics per matrix: if m_b is rank deficient and c_b has
+    a component outside its column space the entry is inf; if c_b stays
+    inside, the value on the pseudo-inverse is returned.  Fused Cholesky +
+    forward substitution, left-looking over the n columns and vectorized over
+    the stack; only the lower triangle of each m_b is read.
     """
-    a = np.asarray(m)
-    n = a.shape[0]
-    rows = a.tolist()
-    y = np.asarray(c, dtype=np.complex128).tolist()  # python scalars: faster loops
-    if len(y) != n:
-        raise ValueError(f"vector length {len(y)} does not match matrix order {n}")
-    tol = _pivot_tolerance(max((rows[j][j].real for j in range(n)), default=0.0), n)
-    g = [[0j] * n for _ in range(n)]
-    residual = 0.0
-    deficient = False
+    m = np.asarray(m)
+    c = np.array(c, dtype=np.complex128)
+    size, n = c.shape
+    if m.shape != (size, n, n):
+        raise ValueError(f"vectors {c.shape} do not match matrices {m.shape}")
+    diag = m.diagonal(axis1=1, axis2=2).real
+    tol = _pivot_tolerance(diag.max(axis=1, initial=0.0), n)
+    g = np.zeros((size, n, n), dtype=np.complex128)  # lower factor, zero columns where collapsed
+    y = c.copy()
+    residual = np.zeros(size)
+    deficient = np.zeros(size, dtype=bool)
     for j in range(n):
-        gj = g[j]
-        pivot = rows[j][j].real
-        r = y[j]
-        for k in range(j):
-            v = gj[k]
-            pivot -= v.real * v.real + v.imag * v.imag
-            r -= v * y[k]
-        if pivot <= tol:
-            # zero the column; row j of the factor then only constrains
-            # consistency of c with the column space
-            deficient = True
-            y[j] = 0j
-            residual = max(residual, abs(r))
-            continue
-        d = math.sqrt(pivot)
-        gj[j] = d
-        y[j] = r / d
-        for i in range(j + 1, n):
-            gi = g[i]
-            v = rows[i][j]
-            for k in range(j):
-                v -= gi[k] * gj[k].conjugate()
-            gi[j] = v / d
-    if deficient:
-        c_norm = math.sqrt(
-            sum(v.real * v.real + v.imag * v.imag for v in np.asarray(c).ravel().tolist())
-        )
-        if residual > tol * c_norm:
-            return math.inf
-    return sum(v.real * v.real + v.imag * v.imag for v in y)
+        gj = g[:, j, :j]
+        pivot = diag[:, j] - np.vecdot(gj, gj).real
+        r = y[:, j] - np.vecdot(gj.conj(), y[:, :j])
+        ok = pivot > tol
+        # a collapsed column is zeroed; row j of the factor then only
+        # constrains consistency of c with the column space
+        d = np.sqrt(np.where(ok, pivot, 1.0))
+        y[:, j] = np.where(ok, r / d, 0.0)
+        if not ok.all():
+            deficient |= ~ok
+            residual = np.where(ok, residual, np.maximum(residual, np.abs(r)))
+        if j + 1 < n:
+            col = m[:, j + 1 :, j] - np.vecdot(gj[:, None, :], g[:, j + 1 :, :j])
+            g[:, j + 1 :, j] = np.where(ok[:, None], col / d[:, None], 0.0)
+    value = np.vecdot(y, y).real
+    value[deficient & (residual > tol * _norms(c))] = np.inf
+    return value
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(float(v.real @ v.real + v.imag @ v.imag))
+def quadratic_form_inverse(c: np.ndarray, m: np.ndarray) -> float:
+    """c^H m^{-1} c for one Hermitian PSD m: `batch_quadratic_form_inverse`
+    on a stack of one, with the same pseudo-inverse and inf semantics."""
+    c = np.asarray(c, dtype=np.complex128)
+    m = np.asarray(m)
+    if m.shape != (c.shape[0], c.shape[0]):
+        raise ValueError(f"vector length {c.shape[0]} does not match matrix order {m.shape[0]}")
+    return float(batch_quadratic_form_inverse(c[None], m[None])[0])
+
+
+def batch_project_out(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Component of each c_b (B, n) orthogonal to the span of basis_b (B, k, n).
+
+    Modified Gram-Schmidt, vectorized over the stack: each basis vector is
+    re-orthogonalized twice against the accepted ones and kept when more than
+    1e-10 of its norm survives (zero rows, such as padding, are never kept);
+    then projection passes on c_b repeat, at most four, until a pass removes
+    less than 1 - 0.7071 of its norm.  A row comes back as the zero vector
+    when c_b lies in the span (callers read that as zero SINR).
+    """
+    w = np.array(c, dtype=np.complex128)
+    vectors = np.asarray(basis, dtype=np.complex128)
+    k = vectors.shape[1]
+    ortho = np.zeros_like(vectors)  # accepted unit vectors; rejected slots stay zero
+    rank = np.zeros(w.shape[0], dtype=np.int64)
+    for j in range(k):
+        v = vectors[:, j].copy()
+        scale = _norms(v)
+        for _ in range(2):
+            for u in ortho[:, :j].swapaxes(0, 1):
+                v -= np.vecdot(u, v)[:, None] * u
+        size = _norms(v)
+        keep = size > 1e-10 * scale
+        ortho[:, j] = np.where(keep[:, None], v / np.where(keep, size, 1.0)[:, None], 0.0)
+        rank += keep
+    c_scale = _norms(w)
+    size = c_scale
+    active = rank > 0
+    for _ in range(4):
+        if not active.any():
+            break
+        before = size
+        projected = w.copy()
+        for u in ortho.swapaxes(0, 1):
+            projected -= np.vecdot(u, projected)[:, None] * u
+        w = np.where(active[:, None], projected, w)
+        size = np.where(active, _norms(w), size)
+        active &= size <= 0.7071 * before
+    w[(rank > 0) & (size <= 4.0 * rank * _EPS * c_scale)] = 0.0
+    return w
 
 
 def project_out(c: np.ndarray, basis) -> np.ndarray:
-    """Component of c orthogonal to span(basis).
-
-    Modified Gram-Schmidt with re-orthogonalization on the basis, then
-    repeated projection passes on c until no further mass is removed.
-    Returns the zero vector when c lies in the span (callers read that as
-    zero SINR).
-    """
-    w = np.array(c, dtype=np.complex128)
-    ortho: list[np.ndarray] = []
-    for b in basis:
-        v = np.array(b, dtype=np.complex128)
-        scale = _norm(v)
-        if scale == 0.0:
-            continue
-        for _ in range(2):
-            for u in ortho:
-                v -= (u.conj() @ v) * u
-        size = _norm(v)
-        if size > 1e-10 * scale:
-            ortho.append(v / size)
-    if not ortho:
-        return w
-    c_scale = _norm(w)
-    size = c_scale
-    for _ in range(4):
-        before = size
-        for u in ortho:
-            w -= (u.conj() @ w) * u
-        size = _norm(w)
-        if size > 0.7071 * before:
-            break
-    if size <= 4.0 * len(ortho) * _EPS * c_scale:
-        return np.zeros_like(w)
-    return w
+    """Component of c orthogonal to span(basis): `batch_project_out` on a
+    stack of one.  Returns the zero vector when c lies in the span."""
+    c = np.asarray(c, dtype=np.complex128)
+    vectors = np.array(list(basis), dtype=np.complex128).reshape(1, -1, c.shape[0])
+    return batch_project_out(c[None], vectors)[0]

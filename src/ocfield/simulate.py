@@ -2,10 +2,17 @@
 
 Each trial draws a fresh Poisson field and fresh Rayleigh channels, builds the
 interference-plus-noise covariance, and evaluates the post-combining SINR of
-the chosen receiver.  Estimates are reproducible by construction: trial i
-draws exclusively from a Philox substream addressed by (master_seed, i), and
-reductions are order-independent, so results are bit-identical for any worker
-count (OC_FIELD_THREADS) and any scheduling.
+the chosen receiver.  Trials run in fixed blocks of BLOCK = 64, and every
+step inside a block is vectorized over its trials (`block_sinr`).  Block b
+draws exclusively from the Philox substream addressed by (master_seed, b), in
+this order: the node counts of its trials, then their radii and azimuths,
+then their channel normals (desired vectors first).  Worker spans fall on
+block boundaries and reductions are order-independent, so results are
+bit-identical for any worker count (OC_FIELD_THREADS) and any scheduling.
+
+The single-trial functions (`sample_ppp`, `draw_channels`, `oc_sinr`,
+`combiner_weights`, `combiner_sinr`) are the one-trial case of the same code,
+and their draws from a substream match a block of one trial.
 """
 
 from __future__ import annotations
@@ -18,21 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SystemParams
-from .linalg import project_out, quadratic_form_inverse
+from .analytic import SystemParams, outage_noise_limited
+from .linalg import batch_project_out, batch_quadratic_form_inverse, quadratic_form_inverse
 
 __all__ = [
+    "BLOCK",
     "ChannelDraw",
     "NetworkRealization",
     "OutageEstimate",
-    "SinrSample",
     "SirMomentsEstimate",
     "TrialStream",
+    "block_sinr",
     "build_covariance",
     "combiner_sinr",
     "combiner_weights",
     "conditional_outage_cdf",
-    "covariance_from_powers",
     "default_pzf_k",
     "draw_channels",
     "estimate_outage",
@@ -41,21 +48,23 @@ __all__ = [
     "oc_sinr",
     "receiver_label",
     "sample_ppp",
-    "sinr_sample",
     "trial_generator",
 ]
 
 RECEIVERS = ("oc", "mrc", "zf", "pzf")
 
+BLOCK = 64  # trials per block, and per substream
+
 _MASK64 = (1 << 64) - 1
 
 
 class TrialStream:
-    """Philox generator repositionable onto the substream of any trial.
+    """Philox generator repositionable onto any substream.
 
-    The key carries the master seed; the trial index is written into a high
-    counter word, giving every trial a disjoint 2**128-tick block.  Seeking is
-    a counter write, far cheaper than constructing a Generator per trial.
+    The key carries the master seed; the substream index (a block of trials
+    in the estimators) is written into a high counter word, giving every
+    substream a disjoint 2**128-tick range.  Seeking is a counter write, far
+    cheaper than constructing a Generator per substream.
     """
 
     def __init__(self, master_seed: int):
@@ -64,10 +73,10 @@ class TrialStream:
         self._bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
         self.generator = np.random.Generator(self._bitgen)
 
-    def at(self, trial_index: int) -> np.random.Generator:
-        """Position on trial `trial_index` and return the shared Generator."""
+    def at(self, index: int) -> np.random.Generator:
+        """Position on substream `index` and return the shared Generator."""
         state = self._bitgen.state
-        state["state"]["counter"] = np.array([0, 0, trial_index, 0], dtype=np.uint64)
+        state["state"]["counter"] = np.array([0, 0, index, 0], dtype=np.uint64)
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         state["uinteger"] = 0
@@ -75,9 +84,9 @@ class TrialStream:
         return self.generator
 
 
-def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Standalone generator on the (master_seed, trial_index) substream."""
-    return TrialStream(master_seed).at(trial_index)
+def trial_generator(master_seed: int, index: int) -> np.random.Generator:
+    """Standalone generator on the (master_seed, index) substream."""
+    return TrialStream(master_seed).at(index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,15 +118,6 @@ class ChannelDraw:
 
 
 @dataclass(frozen=True)
-class SinrSample:
-    """Post-combining SINR of one receiver in one trial (math.inf allowed)."""
-
-    receiver: str
-    value: float
-    trial_index: int
-
-
-@dataclass(frozen=True)
 class OutageEstimate:
     """Monte Carlo outage estimate with its binomial standard error."""
 
@@ -138,6 +138,29 @@ class SirMomentsEstimate:
     master_seed: int
 
 
+def _draw_fields(
+    lam: float, expected_count: int, size: int, rng: np.random.Generator
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(disk_radius, counts, u) for `size` fields drawn in one go.
+
+    counts are Poisson(expected_count); u holds 2 * sum(counts) uniforms, the
+    radial ones of every field first (r = disk_radius * sqrt(u)), then the
+    azimuthal ones, fields in order.
+    """
+    if not lam > 0.0:
+        raise ValueError(f"lam must be > 0, got {lam}")
+    if not expected_count >= 1:
+        raise ValueError(f"expected_count must be >= 1, got {expected_count}")
+    counts = rng.poisson(expected_count, size)
+    return math.sqrt(expected_count / (lam * math.pi)), counts, rng.random(2 * int(counts.sum()))
+
+
+def _draw_normals(rows: int, L: int, rng: np.random.Generator) -> np.ndarray:
+    """(rows, 2L) standard normals: the interleaved real and imaginary parts
+    of `rows` channel vectors with L entries each, before scaling."""
+    return rng.standard_normal(2 * rows * L).reshape(rows, 2 * L)
+
+
 def sample_ppp(lam: float, expected_count: int, rng: np.random.Generator) -> NetworkRealization:
     """Draw one field: disk sized for `expected_count` nodes on average.
 
@@ -145,13 +168,8 @@ def sample_ppp(lam: float, expected_count: int, rng: np.random.Generator) -> Net
     Poisson(expected_count); positions are uniform on the disk via
     r = disk_radius * sqrt(u).
     """
-    if not lam > 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    if not expected_count >= 1:
-        raise ValueError(f"expected_count must be >= 1, got {expected_count}")
-    radius = math.sqrt(expected_count / (lam * math.pi))
-    n = int(rng.poisson(expected_count))
-    u = rng.random(2 * n)
+    radius, counts, u = _draw_fields(lam, expected_count, 1, rng)
+    n = int(counts[0])
     return NetworkRealization(
         disk_radius=radius,
         radii=radius * np.sqrt(u[:n]),
@@ -160,22 +178,34 @@ def sample_ppp(lam: float, expected_count: int, rng: np.random.Generator) -> Net
 
 
 def draw_channels(L: int, n: int, rng: np.random.Generator) -> ChannelDraw:
-    """n+1 independent channel vectors with i.i.d. CN(0,1) entries.
+    """n+1 independent channel vectors with i.i.d. CN(0,1) entries, the
+    desired one first.
 
     Real and imaginary parts carry variance 1/2 each, so |entry|^2 is a unit-
     mean exponential (Rayleigh power).
     """
-    z = rng.standard_normal(2 * (n + 1) * L).view(np.complex128)
+    z = _draw_normals(n + 1, L, rng).view(np.complex128)
     z *= math.sqrt(0.5)
-    return ChannelDraw(desired=z[:L], interferers=z[L:].reshape(n, L))
+    return ChannelDraw(desired=z[0], interferers=z[1:])
 
 
-def covariance_from_powers(powers: np.ndarray, ch: ChannelDraw, sigma2: float) -> np.ndarray:
-    """sum_k P_k c_k c_k^H + sigma2 I for given received powers P_k."""
-    L = ch.desired.shape[0]
-    cov = (ch.interferers.T * powers) @ ch.interferers.conj()
-    cov[np.arange(L), np.arange(L)] += sigma2
+def _covariance(a: np.ndarray, sigma2: float) -> np.ndarray:
+    """sum_k a_k a_k^H + sigma2 I per trial, for amplitude-weighted channel
+    rows a (B, N, L), as one real batched Gram of the interleaved
+    real/imaginary view of a."""
+    size, _, L = a.shape
+    real = a.view(np.float64)
+    gram = real.swapaxes(1, 2) @ real  # (B, 2L, 2L)
+    cov = np.empty((size, L, L), dtype=np.complex128)
+    cov.real = gram[:, ::2, ::2] + gram[:, 1::2, 1::2]
+    cov.imag = gram[:, 1::2, ::2] - gram[:, ::2, 1::2]
+    cov.real[:, np.arange(L), np.arange(L)] += sigma2
     return cov
+
+
+def _amplitudes(radii: np.ndarray, alpha: float) -> np.ndarray:
+    # square roots of the received powers |X_k|**-alpha
+    return radii ** (-0.5 * alpha)
 
 
 def build_covariance(
@@ -187,7 +217,8 @@ def build_covariance(
     sigma2 I term (the SINR statistic depends on the noise vector through its
     covariance alone, so it is never sampled).
     """
-    return covariance_from_powers(net.radii ** (-alpha), ch, sigma2)
+    a = ch.interferers * _amplitudes(net.radii, alpha)[:, None]
+    return _covariance(a[None], sigma2)[0]
 
 
 def oc_sinr(
@@ -206,33 +237,60 @@ def oc_sinr(
     return params.d_r ** (-params.alpha) * quadratic_form_inverse(ch.desired, cov)
 
 
+def _combining_ratio(w: np.ndarray, desired: np.ndarray, a: np.ndarray, sigma2: float) -> np.ndarray:
+    """|w^H c_r|^2 / (sum_k |w^H a_k|^2 + sigma2 |w|^2) per trial.
+
+    The denominator is accumulated per interferer (all terms nonnegative), so
+    comparisons against the optimum combiner stay clean even when projection
+    has nulled the dominant interferers.  Zero weights give 0; a zero
+    denominator with signal present is a legitimately infinite ratio.
+    """
+    z = (a @ w.conj()[:, :, None])[:, :, 0]
+    den = np.vecdot(z, z).real + sigma2 * np.vecdot(w, w).real
+    s = np.vecdot(w, desired)
+    num = s.real**2 + s.imag**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0))
+
+
 def combiner_sinr(
     w: np.ndarray, net: NetworkRealization, ch: ChannelDraw, params: SystemParams
 ) -> float:
-    """SINR of an arbitrary combining vector w.
-
-    The denominator is accumulated per interferer (all terms nonnegative), so
-    comparisons against `oc_sinr` stay clean even when projection has nulled
-    the dominant interferers.  A zero denominator with signal present is a
-    legitimately infinite SINR.
-    """
+    """SINR of an arbitrary combining vector w (not identically zero)."""
     w = np.asarray(w, dtype=np.complex128)
-    w_norm2 = float(w.real @ w.real + w.imag @ w.imag)
-    if w_norm2 == 0.0:
+    if not w.any():
         raise ValueError("combining weights are identically zero")
-    z = ch.interferers @ w.conj()
-    powers = net.radii ** (-params.alpha)
-    den = float(powers @ (z.real**2 + z.imag**2)) + params.sigma2 * w_norm2
-    s = complex(w.conj() @ ch.desired)
-    num = params.d_r ** (-params.alpha) * (s.real**2 + s.imag**2)
-    if den > 0.0:
-        return num / den
-    return math.inf if num > 0.0 else 0.0
+    a = ch.interferers * _amplitudes(net.radii, params.alpha)[:, None]
+    ratio = _combining_ratio(w[None], ch.desired[None], a[None], params.sigma2)[0]
+    return float(ratio) * params.d_r ** (-params.alpha)
 
 
 def default_pzf_k(L: int) -> int:
     """Default partial zero-forcing cancellation count: ceil(L/2)."""
     return (L + 1) // 2
+
+
+def _weights(
+    receiver: str, desired: np.ndarray, a: np.ndarray, radii: np.ndarray, pzf_k: int | None
+) -> np.ndarray:
+    """Weights (B, L) of mrc / zf / pzf for channel rows a (B, N, L) whose
+    nodes sit at radii (B, N); padding rows are zero and sit at +inf."""
+    if receiver == "mrc":
+        return desired
+    L = desired.shape[1]
+    if receiver == "zf":
+        k = L - 1
+    elif receiver == "pzf":
+        k = default_pzf_k(L) if pzf_k is None else pzf_k
+        if k < 0:
+            raise ValueError(f"pzf cancellation count must be >= 0, got {k}")
+    else:
+        raise ValueError(f"unknown combiner {receiver!r}; expected one of {RECEIVERS[1:]}")
+    k = min(a.shape[1], k)
+    if k == 0:
+        return desired
+    strongest = np.argsort(radii, axis=1, kind="stable")[:, :k]
+    return batch_project_out(desired, np.take_along_axis(a, strongest[:, :, None], axis=1))
 
 
 def combiner_weights(
@@ -249,22 +307,7 @@ def combiner_weights(
     zero vector comes back when the desired channel lies in the cancelled
     span; callers read that as zero SINR.
     """
-    if receiver == "mrc":
-        return ch.desired
-    L = ch.desired.shape[0]
-    if receiver == "zf":
-        k = L - 1
-    elif receiver == "pzf":
-        k = default_pzf_k(L) if pzf_k is None else pzf_k
-        if k < 0:
-            raise ValueError(f"pzf cancellation count must be >= 0, got {k}")
-    else:
-        raise ValueError(f"unknown combiner {receiver!r}; expected one of {RECEIVERS[1:]}")
-    k = min(net.node_count, k)
-    if k == 0:
-        return ch.desired
-    strongest = np.argsort(net.radii, kind="stable")[:k]
-    return project_out(ch.desired, list(ch.interferers[strongest]))
+    return _weights(receiver, ch.desired[None], ch.interferers[None], net.radii[None], pzf_k)[0]
 
 
 def receiver_label(receiver: str, L: int, pzf_k: int | None = None) -> str:
@@ -274,40 +317,60 @@ def receiver_label(receiver: str, L: int, pzf_k: int | None = None) -> str:
     return receiver
 
 
-def _trial_sinr(
+def _channel_block(
+    counts: np.ndarray, amplitudes: np.ndarray, L: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(desired, a) for one block of trials with `counts` nodes each.
+
+    desired is (B, L) CN(0,1).  a is (B, N_max, L): the CN(0,1) channel rows
+    of each trial, weighted by their node amplitudes (square roots of the
+    received powers), then zero rows as padding.  The rows are drawn straight
+    into the head of a's buffer, weighted there and spread out trial by
+    trial, last trial first, so the block holds one copy of them.
+    """
+    size = counts.shape[0]
+    desired = _draw_normals(size, L, rng).view(np.complex128)
+    desired *= math.sqrt(0.5)
+    a = np.empty((size, int(counts.max(initial=0)), 2 * L))
+    flat = a.reshape(-1, 2 * L)
+    end = amplitudes.shape[0]
+    drawn = flat[:end]
+    rng.standard_normal(out=drawn)
+    drawn *= math.sqrt(0.5)  # the CN(0,1) rows `draw_channels` returns
+    drawn *= amplitudes[:, None]
+    for b, n in reversed(list(enumerate(counts.tolist()))):
+        a[b, :n] = flat[end - n : end]
+        a[b, n:] = 0.0
+        end -= n
+    return desired, a.view(np.complex128)
+
+
+def block_sinr(
+    params: SystemParams,
+    receiver: str,
     rng: np.random.Generator,
-    params: SystemParams,
-    expected_count: int,
-    receiver: str,
-    pzf_k: int | None,
-) -> float:
-    net = sample_ppp(params.lam, expected_count, rng)
-    ch = draw_channels(params.L, net.node_count, rng)
-    if receiver == "oc":
-        return oc_sinr(net, ch, params)
-    w = combiner_weights(receiver, net, ch, pzf_k)
-    if not w.any():
-        return 0.0
-    return combiner_sinr(w, net, ch, params)
-
-
-def sinr_sample(
-    params: SystemParams,
-    receiver: str,
-    trial_index: int,
-    master_seed: int,
+    size: int = BLOCK,
     expected_count: int = 100,
     pzf_k: int | None = None,
-) -> SinrSample:
-    """One reproducible SINR draw on the (master_seed, trial_index) substream."""
+) -> np.ndarray:
+    """Post-combining SINRs of `size` trials drawn from `rng`, vectorized.
+
+    Each trial has its own field and channels; rng draws the node counts,
+    then the radial and azimuthal uniforms, then the channel normals.  The
+    distance gain d_r**-alpha is the last factor applied.
+    """
     _check_receiver(receiver)
-    rng = trial_generator(master_seed, trial_index)
-    value = _trial_sinr(rng, params, expected_count, receiver, pzf_k)
-    return SinrSample(
-        receiver=receiver_label(receiver, params.L, pzf_k),
-        value=value,
-        trial_index=trial_index,
-    )
+    radius, counts, u = _draw_fields(params.lam, expected_count, size, rng)
+    radii = radius * np.sqrt(u[: u.shape[0] // 2])
+    desired, a = _channel_block(counts, _amplitudes(radii, params.alpha), params.L, rng)
+    if receiver == "oc":
+        ratio = batch_quadratic_form_inverse(desired, _covariance(a, params.sigma2))
+    else:
+        padded_radii = np.full(a.shape[:2], np.inf)
+        padded_radii[np.arange(a.shape[1]) < counts[:, None]] = radii
+        w = _weights(receiver, desired, a, padded_radii, pzf_k)
+        ratio = _combining_ratio(w, desired, a, params.sigma2)
+    return ratio * params.d_r ** (-params.alpha)
 
 
 def _check_receiver(receiver: str) -> None:
@@ -323,23 +386,38 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _spans(n: int, parts: int) -> list[tuple[int, int]]:
-    parts = min(parts, n) if n else 1
-    base, rem = divmod(n, parts)
-    spans, start = [], 0
-    for i in range(parts):
-        stop = start + base + (1 if i < rem else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
+def _map_blocks(sinr_of_block, reduce, n_trials: int, master_seed: int, workers: int | None) -> list:
+    """reduce(sinr_of_block(rng, size)) for every block of trials, in block order.
+
+    Block b covers trials [b * BLOCK, min((b + 1) * BLOCK, n_trials)) and
+    draws from substream (master_seed, b); workers take contiguous runs of
+    whole blocks, so the result does not depend on the worker count.
+    """
+    n_blocks = -(-n_trials // BLOCK)
+    parts = min(_resolve_workers(workers), n_blocks)
+    bounds = [n_blocks * i // parts for i in range(parts + 1)]
+
+    def run(part: int) -> list:
+        stream = TrialStream(master_seed)
+        return [
+            reduce(sinr_of_block(stream.at(b), min(BLOCK, n_trials - b * BLOCK)))
+            for b in range(bounds[part], bounds[part + 1])
+        ]
+
+    if parts == 1:
+        return run(0)
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        return [value for chunk in pool.map(run, range(parts)) for value in chunk]
 
 
-def _run_spans(worker, n_trials: int, workers: int) -> list:
-    spans = _spans(n_trials, workers)
-    if len(spans) == 1:
-        return [worker(*spans[0])]
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        return list(pool.map(lambda span: worker(*span), spans))
+def _outage_estimate(failures: int, n_trials: int, master_seed: int) -> OutageEstimate:
+    p = failures / n_trials
+    return OutageEstimate(
+        p_hat=p,
+        stderr=math.sqrt(p * (1.0 - p) / n_trials),
+        n_trials=n_trials,
+        master_seed=master_seed,
+    )
 
 
 def estimate_outage(
@@ -354,30 +432,20 @@ def estimate_outage(
     """Monte Carlo outage probability: fraction of trials with SINR < beta.
 
     Infinite SINR counts as success for any finite threshold.  Bit-identical
-    for a given master_seed under any worker count: trial i depends only on
-    (master_seed, i) and the reduction is a commutative count.
+    for a given master_seed under any worker count: block b depends only on
+    (master_seed, b) and the reduction is a commutative count.
     """
     _check_receiver(receiver)
     if not n_trials >= 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    workers = _resolve_workers(workers)
-    beta = params.beta
-
-    def count_span(start: int, stop: int) -> int:
-        stream = TrialStream(master_seed)
-        count = 0
-        for i in range(start, stop):
-            count += _trial_sinr(stream.at(i), params, expected_count, receiver, pzf_k) < beta
-        return count
-
-    total = sum(_run_spans(count_span, n_trials, workers))
-    p = total / n_trials
-    return OutageEstimate(
-        p_hat=p,
-        stderr=math.sqrt(p * (1.0 - p) / n_trials),
-        n_trials=n_trials,
-        master_seed=master_seed,
+    counts = _map_blocks(
+        lambda rng, size: block_sinr(params, receiver, rng, size, expected_count, pzf_k),
+        lambda sinr: int(np.count_nonzero(sinr < params.beta)),
+        n_trials,
+        master_seed,
+        workers,
     )
+    return _outage_estimate(sum(counts), n_trials, master_seed)
 
 
 def estimate_outage_conditional(
@@ -396,27 +464,21 @@ def estimate_outage_conditional(
     """
     if not n_trials >= 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    powers = np.asarray(powers, dtype=np.float64)
-    n = powers.shape[0]
-    workers = _resolve_workers(workers)
+    amplitudes = np.sqrt(np.asarray(powers, dtype=np.float64))
 
-    def count_span(start: int, stop: int) -> int:
-        stream = TrialStream(master_seed)
-        count = 0
-        for i in range(start, stop):
-            ch = draw_channels(L, n, stream.at(i))
-            cov = covariance_from_powers(powers, ch, sigma2)
-            count += quadratic_form_inverse(ch.desired, cov) < gamma
-        return count
+    def sinr_of_block(rng, size):
+        counts = np.full(size, amplitudes.shape[0])
+        desired, a = _channel_block(counts, np.tile(amplitudes, size), L, rng)
+        return batch_quadratic_form_inverse(desired, _covariance(a, sigma2))
 
-    total = sum(_run_spans(count_span, n_trials, workers))
-    p = total / n_trials
-    return OutageEstimate(
-        p_hat=p,
-        stderr=math.sqrt(p * (1.0 - p) / n_trials),
-        n_trials=n_trials,
-        master_seed=master_seed,
+    counts = _map_blocks(
+        sinr_of_block,
+        lambda sinr: int(np.count_nonzero(sinr < gamma)),
+        n_trials,
+        master_seed,
+        workers,
     )
+    return _outage_estimate(sum(counts), n_trials, master_seed)
 
 
 def estimate_sir_moments(
@@ -439,15 +501,15 @@ def estimate_sir_moments(
         raise ValueError("SIR moments are defined for sigma2 = 0")
     if not n_trials >= 2:
         raise ValueError(f"n_trials must be >= 2, got {n_trials}")
-    workers = _resolve_workers(workers)
-    values = np.empty(n_trials, dtype=np.float64)
-
-    def fill_span(start: int, stop: int) -> None:
-        stream = TrialStream(master_seed)
-        for i in range(start, stop):
-            values[i] = _trial_sinr(stream.at(i), params, expected_count, receiver, pzf_k)
-
-    _run_spans(fill_span, n_trials, workers)
+    values = np.concatenate(
+        _map_blocks(
+            lambda rng, size: block_sinr(params, receiver, rng, size, expected_count, pzf_k),
+            lambda sinr: sinr,
+            n_trials,
+            master_seed,
+            workers,
+        )
+    )
     finite = values[np.isfinite(values)]
     n_infinite = n_trials - finite.shape[0]
     if n_infinite:
@@ -469,12 +531,16 @@ def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float
 
     Fading-only CDF of the optimum-combiner SINR given interferer powers P_j:
 
-        1 - (sum_{i<L} a_i) / (exp(sigma2*gamma) * prod_j (1 + P_j*gamma))
+        P(sum_j Bernoulli(s_j / (1 + s_j)) + Poisson(sigma2 * gamma) >= L),
 
-    where a_i are the leading Taylor coefficients of the denominator,
-    assembled from elementary symmetric polynomials of {P_j * gamma} (the
-    gamma**i factors are absorbed into the symmetric polynomials).  The
-    denominator is accumulated in the log domain so any node count is safe.
+    with s_j = P_j * gamma.  Each interferer independently takes one of the
+    L degrees of freedom with probability s_j / (1 + s_j), and the noise adds
+    a Poisson count.  Averaged over a Poisson field, this thinning leaves the
+    interferer count Poisson with mean lam * Delta * gamma**(2/alpha), which
+    is the closed form of `analytic.outage_cdf`.  The Bernoulli count runs
+    through a dynamic program over probabilities, truncated at L (the top
+    state collects every count >= L), so it costs O(nL) and cannot overflow
+    for any node count or L.
     """
     if not (isinstance(L, int) and L >= 1):
         raise ValueError(f"L must be an integer >= 1, got {L}")
@@ -485,26 +551,20 @@ def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float
     powers = np.asarray(powers, dtype=np.float64)
     if powers.size and not (powers > 0.0).all():
         raise ValueError("received powers must be positive")
+
+    # dist[i] = P(Bernoulli count = i) for i < L; dist[L] = P(count >= L)
     scaled = powers * gamma
-    noise = sigma2 * gamma
-
-    # elementary symmetric polynomials e_0..e_{L-1} of the scaled powers
-    sym = [0.0] * L
-    sym[0] = 1.0
-    cap = min(L - 1, scaled.size)
-    for v in scaled.tolist():
-        for k in range(cap, 0, -1):
-            sym[k] += sym[k - 1] * v
-
-    numerator = 0.0
-    for i in range(L):
-        a_i = 0.0
-        factor = 1.0  # noise**(i-k) / (i-k)! walking k downward from i
-        for k in range(i, -1, -1):
-            a_i += factor * sym[k]
-            factor *= noise / (i - k + 1)
-        numerator += a_i
-
-    log_denominator = noise + float(np.sum(np.log1p(scaled)))
-    value = -math.expm1(math.log(numerator) - log_denominator)
+    miss = 1.0 / (1.0 + scaled)
+    dist = [1.0] + [0.0] * L
+    for hit, stay in zip((scaled * miss).tolist(), miss.tolist()):
+        below = 0.0
+        for i in range(L):
+            here = dist[i]
+            dist[i] = here * stay + below * hit
+            below = here
+        dist[L] += below * hit
+    value = dist[L]
+    if sigma2 * gamma > 0.0:
+        for i in range(L):
+            value += dist[i] * outage_noise_limited(L - i, sigma2, gamma)
     return min(1.0, max(0.0, value))

@@ -8,7 +8,7 @@ use adaptive quadrature.
 import math
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize, special, stats
 from scipy.integrate import quad
 
 
@@ -119,6 +119,35 @@ def conditional_outage_bruteforce(powers, sigma2, L, gamma):
         np.prod([1.0 + p * gamma for p in np.asarray(powers, dtype=float)])
     )
     return 1.0 - numerator / denominator
+
+
+def conditional_outage_poisson_binomial(powers, sigma2, L, gamma):
+    """Conditional outage law as a Poisson-binomial count plus a Poisson count.
+
+    P(sum_j Bernoulli(s_j / (1 + s_j)) + Poisson(sigma2 * gamma) >= L) with
+    s_j = P_j * gamma: scipy's Poisson-binomial pmf convolved with scipy's
+    Poisson pmf, no recurrence shared with the code under test.
+    """
+    scaled = np.asarray(powers, dtype=float) * gamma
+    counts = np.arange(min(scaled.size, L - 1) + 1)
+    if scaled.size:
+        bernoulli = stats.poisson_binom(scaled / (1.0 + scaled)).pmf(counts)
+    else:
+        bernoulli = np.ones(1)
+    below = float(np.sum(bernoulli * stats.poisson.cdf(L - 1 - counts, sigma2 * gamma)))
+    return 1.0 - below
+
+
+def project_out_qr(c, basis):
+    """c minus its projection onto the span of the nonzero rows of basis,
+    through numpy's (LAPACK) QR factorization of those rows."""
+    rows = np.asarray(basis, dtype=np.complex128)
+    rows = rows[np.any(rows != 0.0, axis=1)]
+    c = np.asarray(c, dtype=np.complex128)
+    if rows.shape[0] == 0:
+        return c.copy()
+    q, _ = np.linalg.qr(rows.T)
+    return c - q @ (q.conj().T @ c)
 
 
 def finite_disk_outage(lam, L, alpha, sigma2, gamma, expected_count):

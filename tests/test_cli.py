@@ -322,6 +322,24 @@ class TestErrorPaths:
     def test_negative_density_rejected(self):
         assert main(["analytic", "--lambda-grid=-1e-3"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--sigma2", "inf", "--L", "2"],
+            ["analytic", "--alpha", "inf", "--L", "2", "--lambda-grid", "1e-3"],
+            ["analytic", "--beta", "inf", "--L", "2", "--lambda-grid", "1e-3"],
+            ["analytic", "--d-r", "inf", "--L", "2", "--lambda-grid", "1e-3"],
+            ["analytic", "--lambda-grid", "inf", "--L", "2"],
+            ["analytic", "--lambda-min", "1e-4", "--lambda-max", "inf", "--L", "2"],
+        ],
+        ids=["sigma2", "alpha", "beta", "d_r", "lambda_grid", "lambda_max"],
+    )
+    def test_non_finite_value_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
     def test_bad_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

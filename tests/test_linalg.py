@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from ocfield import SINGULAR, cholesky, project_out, quadratic_form_inverse, solve
+from ocfield.linalg import batch_project_out, batch_quadratic_form_inverse
 
-from _oracles import quadratic_form_pseudo_inverse_oracle
+from _oracles import project_out_qr, quadratic_form_pseudo_inverse_oracle
 
 
 def random_hermitian_pd(rng, n):
@@ -186,6 +187,29 @@ class TestProjectOut:
         b = np.array([1.0, 2.0j, 0.0])
         w = project_out(np.array([0j, 0.0, 1.0]), [b, 2.0 * b, 0.0 * b])
         assert np.allclose(w, [0.0, 0.0, 1.0], atol=1e-14)
+
+
+class TestBatched:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_quadratic_form_matches_numpy_solve(self, n):
+        rng = np.random.default_rng(500 + n)
+        m = np.stack([random_hermitian_pd(rng, n) for _ in range(64)])
+        c = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
+        got = batch_quadratic_form_inverse(c, m)
+        for b in range(64):
+            expected = float(np.vdot(c[b], np.linalg.solve(m[b], c[b])).real)
+            assert got[b] == approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (4, 3), (8, 7), (8, 4)])
+    def test_projection_matches_qr_oracle(self, n, k):
+        rng = np.random.default_rng(600 + 10 * n + k)
+        basis = rng.standard_normal((64, k, n)) + 1j * rng.standard_normal((64, k, n))
+        basis[rng.random((64, k)) < 0.3] = 0.0  # padding rows, as in a block
+        c = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
+        got = batch_project_out(c, basis)
+        for b in range(64):
+            expected = project_out_qr(c[b], basis[b])
+            assert np.linalg.norm(got[b] - expected) <= 1e-10 * np.linalg.norm(c[b])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))

@@ -5,8 +5,10 @@ import pytest
 from pytest import approx
 
 from ocfield import (
+    BLOCK,
     SystemParams,
     TrialStream,
+    block_sinr,
     build_covariance,
     combiner_sinr,
     combiner_weights,
@@ -22,10 +24,10 @@ from ocfield import (
     outage_noise_limited,
     receiver_label,
     sample_ppp,
-    sinr_sample,
     solve,
     trial_generator,
 )
+from ocfield.linalg import batch_quadratic_form_inverse
 from ocfield.simulate import NetworkRealization
 
 FIG_PARAMS = dict(alpha=3.5, sigma2=1e-5, d_r=10.0, beta=10.0**0.3)
@@ -339,6 +341,29 @@ class TestConditionalOutage:
                 expected, rel=1e-10, abs=1e-12
             )
 
+    def test_many_strong_nodes_at_large_l(self):
+        from _oracles import conditional_outage_poisson_binomial
+
+        # the elementary-symmetric recurrence overflowed here and returned 0
+        value = conditional_outage_cdf([1.0] * 300, 0.0, 200, 1e3)
+        assert value == 1.0
+        assert value == approx(conditional_outage_poisson_binomial([1.0] * 300, 0.0, 200, 1e3))
+
+    def test_matches_poisson_binomial_oracle(self):
+        from _oracles import conditional_outage_poisson_binomial
+
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            n = int(rng.integers(0, 60))
+            powers = rng.uniform(0.01, 3.0, size=n)
+            sigma2 = float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
+            L = int(rng.integers(1, 12))
+            gamma = float(rng.uniform(0.0, 4.0))
+            expected = conditional_outage_poisson_binomial(powers, sigma2, L, gamma)
+            assert conditional_outage_cdf(powers, sigma2, L, gamma) == approx(
+                expected, rel=1e-10, abs=1e-13
+            )
+
     def test_matches_fading_monte_carlo(self):
         rng = np.random.default_rng(31)
         for L, sigma2 in ((1, 0.0), (2, 1e-3), (4, 0.0)):
@@ -372,10 +397,12 @@ class TestEstimateOutage:
 
     def test_worker_count_does_not_change_result(self):
         params = make_params(lam=2e-3, L=2)
-        results = [
-            estimate_outage(params, n_trials=4000, master_seed=35, workers=w) for w in (1, 2, 8)
-        ]
-        assert results[0] == results[1] == results[2]
+        for n_trials in (1, 63, 64, 65, 4000):
+            results = [
+                estimate_outage(params, n_trials=n_trials, master_seed=35, workers=w)
+                for w in (1, 2, 3, 8)
+            ]
+            assert all(r == results[0] for r in results), n_trials
 
     def test_env_var_controls_workers(self, monkeypatch):
         params = make_params(lam=2e-3, L=2)
@@ -402,13 +429,6 @@ class TestEstimateOutage:
             assert gap >= 0.0
             assert gap > 3.0 * joint
 
-    def test_sample_record_type(self):
-        params = make_params(lam=1e-3, L=3)
-        s = sinr_sample(params, "pzf", trial_index=5, master_seed=39)
-        assert s.receiver == "pzf2"
-        assert s.trial_index == 5
-        assert s.value >= 0.0
-
 
 class TestPerTrialDominance:
     @pytest.mark.parametrize("sigma2", [1e-5, 0.0])
@@ -425,6 +445,49 @@ class TestPerTrialDominance:
                 w = combiner_weights(receiver, net, ch)
                 value = combiner_sinr(w, net, ch, params) if w.any() else 0.0
                 assert value <= best * (1.0 + 1e-9)
+
+
+class TestBlockEngine:
+    def test_rank_deficient_blocks_are_infinite_where_single_trials_are(self):
+        # sigma2 = 0 and about one node per field: most trials have fewer
+        # nodes than antennas, and blocks of one trial are often empty
+        params = make_params(lam=1e-3, L=3, sigma2=0.0)
+        stream = TrialStream(48)
+        for b in range(200):
+            block = block_sinr(params, "oc", stream.at(b), size=1, expected_count=1)
+            rng = stream.at(b)  # a block of one draws what one trial draws
+            net = sample_ppp(params.lam, 1, rng)
+            single = oc_sinr(net, draw_channels(params.L, net.node_count, rng), params)
+            assert math.isinf(block[0]) == math.isinf(single)
+            if math.isfinite(single):
+                assert block[0] == approx(single, rel=1e-10)
+
+        desired, covs, expected = [], [], []
+        for i in range(BLOCK):
+            rng = stream.at(1000 + i)
+            net = sample_ppp(params.lam, 1, rng)
+            ch = draw_channels(params.L, net.node_count, rng)
+            desired.append(ch.desired)
+            covs.append(build_covariance(net, ch, 0.0, params.alpha))
+            expected.append(oc_sinr(net, ch, params, cov=covs[-1]))
+        got = batch_quadratic_form_inverse(np.array(desired), np.array(covs))
+        got *= params.d_r ** (-params.alpha)
+        expected = np.array(expected)
+        assert np.isinf(expected).any() and np.isfinite(expected).any()
+        assert np.array_equal(np.isinf(got), np.isinf(expected))
+        finite = np.isfinite(expected)
+        assert got[finite] == approx(expected[finite], rel=1e-10)
+
+    @pytest.mark.parametrize("sigma2", [1e-5, 0.0])
+    def test_oc_dominates_every_combiner_on_two_blocks(self, sigma2):
+        params = make_params(lam=1.5e-3, L=4, sigma2=sigma2)
+        stream = TrialStream(49)
+        for b in (0, 1):
+            best = block_sinr(params, "oc", stream.at(b))
+            assert best.shape == (BLOCK,)
+            for receiver in ("mrc", "zf", "pzf"):
+                value = block_sinr(params, receiver, stream.at(b))
+                assert np.all(value <= best * (1.0 + 1e-9)), receiver
 
 
 class TestSirMoments:
@@ -448,10 +511,14 @@ class TestSirMoments:
         assert math.isfinite(est.mean)
 
     def test_worker_determinism(self):
+        # n_trials = 1 is outside the domain (a variance needs two samples)
         params = make_params(lam=1e-3, L=1, sigma2=0.0)
-        a = estimate_sir_moments(params, n_trials=2000, master_seed=44, workers=1)
-        b = estimate_sir_moments(params, n_trials=2000, master_seed=44, workers=8)
-        assert a == b
+        for n_trials in (63, 64, 65, 2000):
+            results = [
+                estimate_sir_moments(params, n_trials=n_trials, master_seed=44, workers=w)
+                for w in (1, 2, 3, 8)
+            ]
+            assert all(r == results[0] for r in results), n_trials
 
 
 class TestNearestNeighborIdentity:
