@@ -27,7 +27,7 @@ from .contention import (
     q_poly_scaled,
     throughput_max,
 )
-from .linalg import SINGULAR, SingularIndication, cholesky, project_out, quadratic_form_inverse, solve
+from .linalg import project_out, quadratic_form_inverse
 from .simulate import (
     BLOCK,
     ChannelDraw,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import _log_pmf, _poisson_cdf, _poisson_window, delta_const
+from .analytic import _check_antennas, _log_pmf, _poisson_cdf, _poisson_window, delta_const
 
 __all__ = [
     "BracketViolation",
@@ -63,11 +63,6 @@ class ContentionOptimum:
     g: float
     lambda_max: float
     t_max: float
-
-
-def _check_antennas(L: int) -> None:
-    if not (isinstance(L, int) and L >= 1):
-        raise ValueError(f"L must be an integer >= 1, got {L}")
 
 
 def q_poly(L: int, t: float) -> float:

@@ -14,87 +14,16 @@ on its inverse is legitimately infinite for a generic vector.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
-    "SINGULAR",
-    "SingularIndication",
     "batch_project_out",
     "batch_quadratic_form_inverse",
-    "cholesky",
     "project_out",
     "quadratic_form_inverse",
-    "solve",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-
-
-class SingularIndication:
-    """Marker for a pivot collapse in `cholesky` (rank-deficient input)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "SINGULAR"
-
-
-SINGULAR = SingularIndication()
-
-
-def _pivot_tolerance(diag_max, n: int):
-    # pivots at or below n * eps * max-diagonal count as collapsed
-    return n * _EPS * np.maximum(diag_max, 0.0)
-
-
-def _cholesky_psd(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Lower factor of a Hermitian PSD matrix, zeroing collapsed columns.
-
-    Returns (g, deficient): g is lower triangular with g @ g.conj().T
-    reproducing m on its numerical range; deficient lists the zeroed pivots.
-    """
-    a = np.array(m, dtype=np.complex128)
-    n = a.shape[0]
-    tol = _pivot_tolerance(max((a[j, j].real for j in range(n)), default=0.0), n)
-    deficient: list[int] = []
-    for j in range(n):
-        if j:
-            a[j:, j] -= a[j:, :j] @ a[j, :j].conj()
-        pivot = a[j, j].real
-        if pivot <= tol:
-            deficient.append(j)
-            a[j:, j] = 0.0
-        else:
-            a[j:, j] /= math.sqrt(pivot)
-    return np.tril(a), deficient
-
-
-def cholesky(m: np.ndarray) -> np.ndarray | SingularIndication:
-    """Lower triangular G with G @ G^H = m, or SINGULAR on a pivot collapse.
-
-    A SINGULAR return is information, not an error; callers that need the
-    pseudo-inverse quadratic form go through `quadratic_form_inverse`.
-    """
-    g, deficient = _cholesky_psd(m)
-    return SINGULAR if deficient else g
-
-
-def solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with m @ x = b for Hermitian positive definite m."""
-    g = cholesky(m)
-    if g is SINGULAR:
-        raise ValueError("matrix is singular to working precision")
-    b = np.asarray(b, dtype=np.complex128)
-    n = b.shape[0]
-    y = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
-        y[i] = (b[i] - g[i, :i] @ y[:i]) / g[i, i]
-    x = np.zeros(n, dtype=np.complex128)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - g[i + 1 :, i].conj() @ x[i + 1 :]) / g[i, i].real
-    return x
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -116,7 +45,8 @@ def batch_quadratic_form_inverse(c: np.ndarray, m: np.ndarray) -> np.ndarray:
     if m.shape != (size, n, n):
         raise ValueError(f"vectors {c.shape} do not match matrices {m.shape}")
     diag = m.diagonal(axis1=1, axis2=2).real
-    tol = _pivot_tolerance(diag.max(axis=1, initial=0.0), n)
+    # pivots at or below n * eps * max-diagonal count as collapsed
+    tol = n * _EPS * np.maximum(diag.max(axis=1, initial=0.0), 0.0)
     g = np.zeros((size, n, n), dtype=np.complex128)  # lower factor, zero columns where collapsed
     y = c.copy()
     residual = np.zeros(size)

@@ -4,10 +4,12 @@ Each trial draws a fresh Poisson field and fresh Rayleigh channels, builds the
 interference-plus-noise covariance, and evaluates the post-combining SINR of
 the chosen receiver.  Trials run in fixed blocks of BLOCK = 64, and every
 step inside a block is vectorized over its trials (`block_sinr`).  Block b
-draws exclusively from the Philox substream addressed by (master_seed, b), in
-this order: the node counts of its trials, then their radii and azimuths,
-then their channel normals (desired vectors first).  Worker spans fall on
-block boundaries and reductions are order-independent, so results are
+draws exclusively from its own SFC64 substream, child b of
+SeedSequence(master_seed) (spawn_key (b,)), in this order: the node counts of
+its trials, then their radial uniforms, then their channel normals (desired
+vectors first).  No azimuths are drawn: received powers depend on |X_k|
+alone and fading is i.i.d. per node, so no receiver reads them.  Worker spans
+fall on block boundaries and reductions are order-independent, so results are
 bit-identical for any worker count (OC_FIELD_THREADS) and any scheduling.
 
 The single-trial functions (`sample_ppp`, `draw_channels`, `oc_sinr`,
@@ -59,29 +61,22 @@ _MASK64 = (1 << 64) - 1
 
 
 class TrialStream:
-    """Philox generator repositionable onto any substream.
+    """The substreams of one master seed.
 
-    The key carries the master seed; the substream index (a block of trials
-    in the estimators) is written into a high counter word, giving every
-    substream a disjoint 2**128-tick range.  Seeking is a counter write, far
-    cheaper than constructing a Generator per substream.
+    Substream `index` (a block of trials in the estimators) is SFC64 seeded by
+    child `index` of numpy's SeedSequence(master_seed).spawn, so substreams
+    are statistically independent and any one is built without the others.
     """
 
     def __init__(self, master_seed: int):
         if not (isinstance(master_seed, int) and 0 <= master_seed <= _MASK64):
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
-        self._bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
-        self.generator = np.random.Generator(self._bitgen)
+        self.master_seed = master_seed
 
     def at(self, index: int) -> np.random.Generator:
-        """Position on substream `index` and return the shared Generator."""
-        state = self._bitgen.state
-        state["state"]["counter"] = np.array([0, 0, index, 0], dtype=np.uint64)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
-        return self.generator
+        """A fresh Generator at the start of substream `index`."""
+        seed = np.random.SeedSequence(self.master_seed, spawn_key=(index,))
+        return np.random.Generator(np.random.SFC64(seed))
 
 
 def trial_generator(master_seed: int, index: int) -> np.random.Generator:
@@ -91,22 +86,17 @@ def trial_generator(master_seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class NetworkRealization:
-    """One sampled interferer field; the receiver sits at the origin."""
+    """One sampled interferer field; the receiver sits at the origin.
+
+    Only the node distances are kept: received powers depend on |X_k| alone.
+    """
 
     disk_radius: float
     radii: np.ndarray
-    azimuths: np.ndarray
 
     @property
     def node_count(self) -> int:
         return self.radii.shape[0]
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Cartesian node coordinates, shape (node_count, 2), meters."""
-        return np.column_stack(
-            (self.radii * np.cos(self.azimuths), self.radii * np.sin(self.azimuths))
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,18 +131,19 @@ class SirMomentsEstimate:
 def _draw_fields(
     lam: float, expected_count: int, size: int, rng: np.random.Generator
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(disk_radius, counts, u) for `size` fields drawn in one go.
+    """(disk_radius, counts, radii) for `size` fields drawn in one go.
 
-    counts are Poisson(expected_count); u holds 2 * sum(counts) uniforms, the
-    radial ones of every field first (r = disk_radius * sqrt(u)), then the
-    azimuthal ones, fields in order.
+    counts are Poisson(expected_count); radii holds sum(counts) node
+    distances, fields in order, uniform on the disk via
+    r = disk_radius * sqrt(u).
     """
     if not lam > 0.0:
         raise ValueError(f"lam must be > 0, got {lam}")
     if not expected_count >= 1:
         raise ValueError(f"expected_count must be >= 1, got {expected_count}")
     counts = rng.poisson(expected_count, size)
-    return math.sqrt(expected_count / (lam * math.pi)), counts, rng.random(2 * int(counts.sum()))
+    radius = math.sqrt(expected_count / (lam * math.pi))
+    return radius, counts, radius * np.sqrt(rng.random(int(counts.sum())))
 
 
 def _draw_normals(rows: int, L: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,16 +156,11 @@ def sample_ppp(lam: float, expected_count: int, rng: np.random.Generator) -> Net
     """Draw one field: disk sized for `expected_count` nodes on average.
 
     disk_radius = sqrt(expected_count / (lam * pi)); the node count is
-    Poisson(expected_count); positions are uniform on the disk via
-    r = disk_radius * sqrt(u).
+    Poisson(expected_count); nodes are uniform on the disk, drawn by distance
+    r = disk_radius * sqrt(u) alone.
     """
-    radius, counts, u = _draw_fields(lam, expected_count, 1, rng)
-    n = int(counts[0])
-    return NetworkRealization(
-        disk_radius=radius,
-        radii=radius * np.sqrt(u[:n]),
-        azimuths=(2.0 * math.pi) * u[n:],
-    )
+    radius, _, radii = _draw_fields(lam, expected_count, 1, rng)
+    return NetworkRealization(disk_radius=radius, radii=radii)
 
 
 def draw_channels(L: int, n: int, rng: np.random.Generator) -> ChannelDraw:
@@ -229,9 +215,12 @@ def oc_sinr(
 ) -> float:
     """SINR of the optimum (MMSE) combiner: d_r**-alpha * c_r^H R^{-1} c_r.
 
-    math.inf when R is singular (sigma2 = 0, fewer nodes than antennas) and
-    the desired vector leaves its column space, which a generic draw does.
+    math.inf when sigma2 = 0 and there are fewer nodes than antennas: R then
+    has rank at most node_count, and a generic desired vector leaves its
+    column space.
     """
+    if params.sigma2 == 0.0 and net.node_count < ch.desired.shape[0]:
+        return math.inf
     if cov is None:
         cov = build_covariance(net, ch, params.sigma2, params.alpha)
     return params.d_r ** (-params.alpha) * quadratic_form_inverse(ch.desired, cov)
@@ -317,6 +306,16 @@ def receiver_label(receiver: str, L: int, pzf_k: int | None = None) -> str:
     return receiver
 
 
+def _oc_ratio(desired: np.ndarray, a: np.ndarray, counts: np.ndarray, sigma2: float) -> np.ndarray:
+    """c_r^H R^{-1} c_r per trial, inf where sigma2 = 0 and a trial has fewer
+    nodes than antennas (see `oc_sinr`): decided from the counts, not from
+    the pivot tolerance, which a Gram-built singular R can pass by rounding."""
+    ratio = batch_quadratic_form_inverse(desired, _covariance(a, sigma2))
+    if sigma2 == 0.0:
+        ratio[counts < desired.shape[1]] = np.inf
+    return ratio
+
+
 def _channel_block(
     counts: np.ndarray, amplitudes: np.ndarray, L: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -356,15 +355,14 @@ def block_sinr(
     """Post-combining SINRs of `size` trials drawn from `rng`, vectorized.
 
     Each trial has its own field and channels; rng draws the node counts,
-    then the radial and azimuthal uniforms, then the channel normals.  The
-    distance gain d_r**-alpha is the last factor applied.
+    then the radial uniforms, then the channel normals.  The distance gain
+    d_r**-alpha is the last factor applied.
     """
     _check_receiver(receiver)
-    radius, counts, u = _draw_fields(params.lam, expected_count, size, rng)
-    radii = radius * np.sqrt(u[: u.shape[0] // 2])
+    _, counts, radii = _draw_fields(params.lam, expected_count, size, rng)
     desired, a = _channel_block(counts, _amplitudes(radii, params.alpha), params.L, rng)
     if receiver == "oc":
-        ratio = batch_quadratic_form_inverse(desired, _covariance(a, params.sigma2))
+        ratio = _oc_ratio(desired, a, counts, params.sigma2)
     else:
         padded_radii = np.full(a.shape[:2], np.inf)
         padded_radii[np.arange(a.shape[1]) < counts[:, None]] = radii
@@ -469,7 +467,7 @@ def estimate_outage_conditional(
     def sinr_of_block(rng, size):
         counts = np.full(size, amplitudes.shape[0])
         desired, a = _channel_block(counts, np.tile(amplitudes, size), L, rng)
-        return batch_quadratic_form_inverse(desired, _covariance(a, sigma2))
+        return _oc_ratio(desired, a, counts, sigma2)
 
     counts = _map_blocks(
         sinr_of_block,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from ocfield import SINGULAR, cholesky, project_out, quadratic_form_inverse, solve
+from ocfield import project_out, quadratic_form_inverse
 from ocfield.linalg import batch_project_out, batch_quadratic_form_inverse
 
 from _oracles import project_out_qr, quadratic_form_pseudo_inverse_oracle
@@ -20,55 +20,6 @@ def random_hermitian_pd(rng, n):
 def random_hermitian_psd(rng, n, rank):
     a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     return a @ a.conj().T, a
-
-
-class TestCholesky:
-    def test_identity(self):
-        g = cholesky(np.eye(2, dtype=complex))
-        assert np.allclose(g, np.eye(2), atol=1e-15)
-
-    def test_diagonal(self):
-        g = cholesky(np.diag([4.0 + 0j, 9.0]))
-        assert np.allclose(g, np.diag([2.0, 3.0]), atol=1e-15)
-
-    def test_rank_one_reports_singular(self):
-        v = np.array([1.0, 1.0j])
-        m = np.outer(v, v.conj())
-        assert cholesky(m) is SINGULAR
-
-    def test_zero_matrix_reports_singular(self):
-        assert cholesky(np.zeros((3, 3), dtype=complex)) is SINGULAR
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
-    def test_reconstruction(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(20):
-            m = random_hermitian_pd(rng, n)
-            g = cholesky(m)
-            err = np.max(np.abs(g @ g.conj().T - m))
-            assert err <= 1e-12 * np.max(np.abs(m))
-
-    def test_reads_lower_triangle_only(self):
-        rng = np.random.default_rng(5)
-        m = random_hermitian_pd(rng, 4)
-        corrupted = m.copy()
-        corrupted[np.triu_indices(4, 1)] = 123.0 + 456.0j
-        assert np.allclose(cholesky(corrupted), cholesky(m), atol=0)
-
-
-class TestSolve:
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
-    def test_residual(self, n):
-        rng = np.random.default_rng(100 + n)
-        for _ in range(20):
-            m = random_hermitian_pd(rng, n)
-            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x = solve(m, b)
-            assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-    def test_singular_raises(self):
-        with pytest.raises(ValueError):
-            solve(np.zeros((2, 2), dtype=complex), np.array([1.0, 0.0 + 0j]))
 
 
 class TestQuadraticFormInverse:
@@ -133,7 +84,7 @@ class TestQuadraticFormInverse:
             for _ in range(10):
                 m = random_hermitian_pd(rng, n)
                 c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                x = solve(m, c)
+                x = np.linalg.solve(m, c)
                 assert quadratic_form_inverse(c, m) == approx(float(np.vdot(c, x).real), rel=1e-12)
 
     def test_nonnegative(self):
@@ -210,16 +161,6 @@ class TestBatched:
         for b in range(64):
             expected = project_out_qr(c[b], basis[b])
             assert np.linalg.norm(got[b] - expected) <= 1e-10 * np.linalg.norm(c[b])
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-@settings(max_examples=80, deadline=None)
-def test_reconstruction_randomized(seed, n):
-    rng = np.random.default_rng(seed)
-    m = random_hermitian_pd(rng, n)
-    g = cholesky(m)
-    assert g is not SINGULAR
-    assert np.max(np.abs(g @ g.conj().T - m)) <= 1e-12 * np.max(np.abs(m))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))

@@ -24,7 +24,6 @@ from ocfield import (
     outage_noise_limited,
     receiver_label,
     sample_ppp,
-    solve,
     trial_generator,
 )
 from ocfield.linalg import batch_quadratic_form_inverse
@@ -40,11 +39,7 @@ def make_params(lam=1e-3, L=3, **overrides):
 
 def fixed_network(radii):
     radii = np.asarray(radii, dtype=float)
-    return NetworkRealization(
-        disk_radius=float(radii.max(initial=1.0)),
-        radii=radii,
-        azimuths=np.zeros_like(radii),
-    )
+    return NetworkRealization(disk_radius=float(radii.max(initial=1.0)), radii=radii)
 
 
 class TestTrialStream:
@@ -63,6 +58,21 @@ class TestTrialStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_substream_is_spawned_sfc64(self):
+        # the stream layout: block b draws from SFC64 seeded by child b of
+        # SeedSequence(master_seed)
+        for seed, index in ((0, 0), (77, 5), (2**64 - 1, 12_345)):
+            expected = np.random.Generator(
+                np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(index,)))
+            )
+            got = TrialStream(seed).at(index)
+            assert np.array_equal(got.random(16), expected.random(16))
+            assert np.array_equal(got.standard_normal(16), expected.standard_normal(16))
+        spawned = np.random.SeedSequence(77).spawn(6)[5]
+        assert np.array_equal(
+            TrialStream(77).at(5).random(8), np.random.Generator(np.random.SFC64(spawned)).random(8)
+        )
+
     def test_seed_domain(self):
         with pytest.raises(ValueError):
             TrialStream(-1)
@@ -80,14 +90,6 @@ class TestSamplePpp:
         counts = [sample_ppp(1e-3, 100, stream.at(i)).node_count for i in range(10_000)]
         # 3-sigma window on the mean of Poisson(100) over 1e4 draws
         assert np.mean(counts) == approx(100.0, abs=3.0 * 10.0 / math.sqrt(10_000))
-
-    def test_positions_inside_disk_and_match_radii(self):
-        net = sample_ppp(5e-3, 200, trial_generator(4, 0))
-        pos = net.positions
-        assert pos.shape == (net.node_count, 2)
-        dist = np.hypot(pos[:, 0], pos[:, 1])
-        assert np.max(dist) <= net.disk_radius
-        assert dist == approx(net.radii, rel=1e-12)
 
     def test_uniformity_second_moment(self):
         stream = TrialStream(5)
@@ -196,7 +198,7 @@ class TestCombiners:
             net = sample_ppp(params.lam, 100, rng)
             ch = draw_channels(params.L, net.node_count, rng)
             cov = build_covariance(net, ch, params.sigma2, params.alpha)
-            w_oc = solve(cov, ch.desired)
+            w_oc = np.linalg.solve(cov, ch.desired)
             assert combiner_sinr(w_oc, net, ch, params) == approx(
                 oc_sinr(net, ch, params, cov=cov), rel=1e-10
             )
@@ -477,6 +479,27 @@ class TestBlockEngine:
         assert np.array_equal(np.isinf(got), np.isinf(expected))
         finite = np.isfinite(expected)
         assert got[finite] == approx(expected[finite], rel=1e-10)
+
+    def test_fewer_nodes_than_antennas_without_noise_is_infinite(self):
+        # R has rank <= n < L, so every such trial is inf, even where the
+        # pivot tolerance of a Gram-built R would let a finite value through
+        params = make_params(lam=1e-3, L=3, sigma2=0.0)
+        stream = TrialStream(48)
+        low = 0
+        for b in range(300):
+            counts = stream.at(b).poisson(1, BLOCK)  # a block draws its node counts first
+            sinr = block_sinr(params, "oc", stream.at(b), expected_count=1)
+            assert np.isinf(sinr[counts < params.L]).all(), b
+            low += int(np.count_nonzero(counts < params.L))
+        with pytest.warns(UserWarning, match="infinite SIR"):
+            est = estimate_sir_moments(params, n_trials=300 * BLOCK, master_seed=48, expected_count=1)
+        assert est.n_infinite == low
+        for i in range(2000):
+            rng = stream.at(i)
+            net = sample_ppp(params.lam, 1, rng)
+            if net.node_count < params.L:
+                ch = draw_channels(params.L, net.node_count, rng)
+                assert oc_sinr(net, ch, params) == math.inf, i
 
     @pytest.mark.parametrize("sigma2", [1e-5, 0.0])
     def test_oc_dominates_every_combiner_on_two_blocks(self, sigma2):
