@@ -22,6 +22,63 @@ def random_hermitian_psd(rng, n, rank):
     return a @ a.conj().T, a
 
 
+def inverse_from_quadratic_forms(m):
+    """m^{-1} read back from the fused Cholesky route alone, by polarization:
+    x^H A x at x = e_i, e_i + e_j and e_i + 1j e_j gives every entry of a
+    Hermitian A (entries are inf where m is singular)."""
+    n = m.shape[0]
+    eye = np.eye(n, dtype=complex)
+    i, j = np.triu_indices(n, 1)
+    vectors = np.concatenate([eye, eye[i] + eye[j], eye[i] + 1j * eye[j]])
+    q = batch_quadratic_form_inverse(vectors, np.broadcast_to(m, (len(vectors), n, n)))
+    d, re, im = q[:n], q[n : n + len(i)], q[n + len(i) :]
+    a = np.diag(d).astype(complex)
+    a[i, j] = (re - d[i] - d[j]) / 2 + 1j * (d[i] + d[j] - im) / 2
+    a[j, i] = a[i, j].conj()
+    return a
+
+
+class TestCholesky:
+    """The Cholesky factorization fused into `batch_quadratic_form_inverse`,
+    checked through the inverse it implies."""
+
+    def test_identity(self):
+        a = inverse_from_quadratic_forms(np.eye(2, dtype=complex))
+        assert np.allclose(a, np.eye(2), atol=1e-15)
+
+    def test_diagonal(self):
+        a = inverse_from_quadratic_forms(np.diag([4.0 + 0j, 9.0]))
+        assert np.allclose(a, np.diag([1 / 4, 1 / 9]), atol=1e-15)
+
+    def test_rank_one_reports_singular(self):
+        v = np.array([1.0, 1.0j])
+        m = np.outer(v, v.conj())
+        eye = np.eye(2, dtype=complex)
+        assert np.all(batch_quadratic_form_inverse(eye, np.stack([m, m])) == math.inf)
+
+    def test_zero_matrix_reports_singular(self):
+        m = np.zeros((2, 3, 3), dtype=complex)
+        c = np.array([[1.0, -2.0j, 0.5], [0.0, 0.0, 0.0]])
+        assert list(batch_quadratic_form_inverse(c, m)) == [math.inf, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_reconstruction(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            m = random_hermitian_pd(rng, n)
+            a = inverse_from_quadratic_forms(m)
+            assert np.max(np.abs(m @ a - np.eye(n))) <= 1e-12
+
+    def test_reads_lower_triangle_only(self):
+        rng = np.random.default_rng(5)
+        m = random_hermitian_pd(rng, 4)
+        corrupted = m.copy()
+        corrupted[np.triu_indices(4, 1)] = 123.0 + 456.0j
+        c = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        got = batch_quadratic_form_inverse(c, np.stack([corrupted] * 8))
+        assert np.array_equal(got, batch_quadratic_form_inverse(c, np.stack([m] * 8)))
+
+
 class TestQuadraticFormInverse:
     def test_unit_vector_identity(self):
         assert quadratic_form_inverse(np.array([1.0, 0j]), np.eye(2, dtype=complex)) == approx(1.0)
@@ -161,6 +218,16 @@ class TestBatched:
         for b in range(64):
             expected = project_out_qr(c[b], basis[b])
             assert np.linalg.norm(got[b] - expected) <= 1e-10 * np.linalg.norm(c[b])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+@settings(max_examples=80, deadline=None)
+def test_reconstruction_randomized(seed, n):
+    rng = np.random.default_rng(seed)
+    m = random_hermitian_pd(rng, n)
+    a = inverse_from_quadratic_forms(m)
+    assert np.all(np.isfinite(a))
+    assert np.max(np.abs(m @ a - np.eye(n))) <= 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
