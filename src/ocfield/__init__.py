@@ -23,8 +23,6 @@ from .contention import (
     contention_optimum,
     g_of_l,
     lambda_max,
-    q_poly,
-    q_poly_scaled,
     throughput_max,
 )
 from .linalg import project_out, quadratic_form_inverse
@@ -48,7 +46,6 @@ from .simulate import (
     oc_sinr,
     receiver_label,
     sample_ppp,
-    trial_generator,
 )
 
 __version__ = "0.1.0"

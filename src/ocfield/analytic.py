@@ -25,6 +25,26 @@ __all__ = [
 ]
 
 
+# each physical scalar's domain; every one must also be finite
+_DOMAINS = {
+    "lam": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "alpha": (lambda v: 2.0 < v < math.inf, "finite and > 2"),
+    "sigma2": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "d_r": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "L": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "beta": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+}
+
+
+def _check_domain(**scalars) -> None:
+    """Raise ValueError naming the first of `scalars` (keyword = name in
+    `_DOMAINS`) that lies outside its physical domain."""
+    for name, value in scalars.items():
+        inside, domain = _DOMAINS[name]
+        if not inside(value):
+            raise ValueError(f"{name} must be {domain}, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """One scenario of the interference field and the desired link.
@@ -46,18 +66,9 @@ class SystemParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 2.0:
-            raise ValueError(f"alpha must be > 2, got {self.alpha}")
-        if not self.lam >= 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not self.sigma2 >= 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
-        if not self.d_r > 0.0:
-            raise ValueError(f"d_r must be > 0, got {self.d_r}")
-        if not (isinstance(self.L, int) and self.L >= 1):
-            raise ValueError(f"L must be an integer >= 1, got {self.L}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        _check_domain(
+            lam=self.lam, alpha=self.alpha, sigma2=self.sigma2, d_r=self.d_r, L=self.L, beta=self.beta
+        )
 
     @property
     def gamma(self) -> float:
@@ -67,12 +78,7 @@ class SystemParams:
 
 def gamma_from_beta(beta: float, d_r: float, alpha: float) -> float:
     """Threshold rescaled by the desired-link path loss: beta * d_r**alpha."""
-    if not beta > 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if not d_r > 0.0:
-        raise ValueError(f"d_r must be > 0, got {d_r}")
-    if not alpha > 2.0:
-        raise ValueError(f"alpha must be > 2, got {alpha}")
+    _check_domain(beta=beta, d_r=d_r, alpha=alpha)
     return beta * d_r**alpha
 
 
@@ -83,8 +89,7 @@ def delta_const(alpha: float) -> float:
     form of pi * (2/alpha) * Gamma(2/alpha) * Gamma(1 - 2/alpha).  The
     underlying integral diverges for alpha <= 2, hence the domain check.
     """
-    if not alpha > 2.0:
-        raise ValueError(f"alpha must be > 2, got {alpha}")
+    _check_domain(alpha=alpha)
     return 2.0 * math.pi**2 / (alpha * math.sin(2.0 * math.pi / alpha))
 
 
@@ -193,9 +198,7 @@ def outage_cdf(params: SystemParams) -> float:
 
 def outage_noise_limited(L: int, sigma2: float, gamma: float) -> float:
     """Outage with no interferers: the chi-square CDF of the combined SNR."""
-    _check_antennas(L)
-    if not sigma2 >= 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    _check_domain(L=L, sigma2=sigma2)
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     return _clamp01(1.0 - _poisson_cdf(sigma2 * gamma, L))
@@ -209,17 +212,10 @@ def outage_interference_limited(L: int, lam: float, alpha: float, gamma: float) 
     event that the L-th strongest interferer sits inside the rescaled
     threshold radius.
     """
-    _check_antennas(L)
-    if not lam >= 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_domain(L=L, lam=lam)
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     return _clamp01(1.0 - _poisson_cdf(_interference_exponent(lam, alpha, gamma), L))
-
-
-def _check_antennas(L: int) -> None:
-    if not (isinstance(L, int) and L >= 1):
-        raise ValueError(f"L must be an integer >= 1, got {L}")
 
 
 def _gamma_ratio(a: float, b: float) -> float:
@@ -232,9 +228,7 @@ def _gamma_ratio(a: float, b: float) -> float:
 
 def array_gain(L: int, alpha: float) -> float:
     """Mean-SIR gain of the combiner: Gamma(L + alpha/2) / (L-1)!."""
-    _check_antennas(L)
-    if not alpha > 2.0:
-        raise ValueError(f"alpha must be > 2, got {alpha}")
+    _check_domain(L=L, alpha=alpha)
     return _gamma_ratio(L + 0.5 * alpha, L)
 
 
@@ -244,22 +238,18 @@ def sir_mean(L: int, alpha: float, lam: float, d_r: float) -> float:
     Gamma(L + alpha/2)/(L-1)! * d_r**-alpha / (lam * Delta)**(alpha/2).
     Diverges as lam -> 0, so zero density is a domain error.
     """
-    _check_antennas(L)
+    _check_domain(L=L, d_r=d_r)
     if not lam > 0.0:
         raise ValueError(f"lam must be > 0 for SIR moments, got {lam}")
-    if not d_r > 0.0:
-        raise ValueError(f"d_r must be > 0, got {d_r}")
     scale = (lam * delta_const(alpha)) ** (0.5 * alpha)
     return array_gain(L, alpha) * d_r ** (-alpha) / scale
 
 
 def sir_variance(L: int, alpha: float, lam: float, d_r: float) -> float:
     """Variance of the SIR in the interference-limited regime."""
-    _check_antennas(L)
+    _check_domain(L=L, d_r=d_r)
     if not lam > 0.0:
         raise ValueError(f"lam must be > 0 for SIR moments, got {lam}")
-    if not d_r > 0.0:
-        raise ValueError(f"d_r must be > 0, got {d_r}")
     second = _gamma_ratio(L + alpha, L)
     first = _gamma_ratio(L + 0.5 * alpha, L)
     return (second - first * first) * d_r ** (-2.0 * alpha) / (lam * delta_const(alpha)) ** alpha

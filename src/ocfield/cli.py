@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 from .analytic import (
     SystemParams,
+    _check_domain,
     _poisson_cdf,
     delta_const,
     gamma_from_beta,
@@ -24,7 +25,7 @@ from .analytic import (
     throughput_density,
 )
 from .contention import BracketViolation, contention_optimum
-from .simulate import RECEIVERS, estimate_outage, receiver_label
+from .simulate import _MASK64, RECEIVERS, estimate_outage, receiver_label
 
 __all__ = [
     "ConfigError",
@@ -43,8 +44,6 @@ ANALYTIC_HEADER = "lambda,L,analytic_outage,throughput_density"
 SIMULATE_HEADER = "lambda,L,receiver,analytic_outage,mc_outage,stderr,n_trials,seed"
 OPTIMIZE_HEADER = "L,g,lambda_max,t_max,mode"
 
-_MASK64 = (1 << 64) - 1
-
 
 class ConfigError(ValueError):
     """Bad configuration; reported with the offending field and exit code 2."""
@@ -55,11 +54,13 @@ class InternalCheckError(RuntimeError):
 
 
 def db_to_linear(value_db: float) -> float:
-    """10**(dB/10), with a round-trip consistency check at the boundary."""
-    linear = 10.0 ** (value_db / 10.0)
-    back = 10.0 * math.log10(linear)
-    if abs(back - value_db) > 1e-9 * max(1.0, abs(value_db)):
-        raise InternalCheckError(f"dB round trip failed: {value_db} -> {linear} -> {back}")
+    """10**(dB/10); a ConfigError unless that is a finite, normal, positive double."""
+    try:
+        linear = 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not sys.float_info.min <= linear < math.inf:
+        raise ConfigError(f"{value_db} dB is {linear} linear, outside the normal doubles")
     return linear
 
 
@@ -82,16 +83,15 @@ class ScenarioConfig:
     output: str = "-"
 
     def validate(self) -> None:
+        """Raise ConfigError naming the first field outside its domain."""
+        try:
+            _check_domain(alpha=self.alpha, beta=self.beta, d_r=self.d_r, sigma2=self.sigma2)
+            for L in self.antennas:
+                _check_domain(L=L)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         checks = (
-            (2.0 < self.alpha < math.inf, f"alpha must be finite and > 2 (got {self.alpha})"),
-            (0.0 < self.beta < math.inf, f"beta must be finite and > 0 linear (got {self.beta})"),
-            (0.0 < self.d_r < math.inf, f"d_r must be finite and > 0 (got {self.d_r})"),
-            (0.0 <= self.sigma2 < math.inf, f"sigma2 must be finite and >= 0 (got {self.sigma2})"),
             (len(self.antennas) > 0, "L must list at least one antenna count"),
-            (
-                all(isinstance(l, int) and l >= 1 for l in self.antennas),
-                f"L values must be integers >= 1 (got {self.antennas})",
-            ),
             (len(self.receivers) > 0, "receivers must not be empty"),
             (
                 all(r in RECEIVERS for r in self.receivers),
@@ -100,6 +100,13 @@ class ScenarioConfig:
             (
                 self.pzf_k is None or (isinstance(self.pzf_k, int) and self.pzf_k >= 0),
                 f"pzf_k must be an integer >= 0 (got {self.pzf_k})",
+            ),
+            # cancelling k >= L interferers nulls the desired channel in every trial
+            (
+                "pzf" not in self.receivers
+                or self.pzf_k is None
+                or self.pzf_k < min(self.antennas, default=1),
+                f"pzf_k must be <= min(L) - 1 (got {self.pzf_k} with L = {self.antennas})",
             ),
             (
                 all(0.0 < x < math.inf for x in self.lambda_grid),
@@ -153,6 +160,12 @@ def _poisson_tail_exponent(L: int, target_outage: float) -> float:
             hi = mid
 
 
+def _log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    """n densities from lo to hi, log-spaced; a one-point grid is (lo,)."""
+    ratio = hi / lo
+    return tuple(lo * ratio ** (k / max(n - 1, 1)) for k in range(n))
+
+
 def default_lambda_grid(config: ScenarioConfig) -> tuple[float, ...]:
     """Log grid spanning outage 0.01 (largest L) to 0.99 (smallest L).
 
@@ -176,9 +189,7 @@ def default_lambda_grid(config: ScenarioConfig) -> tuple[float, ...]:
         raise ConfigError("cannot place the lambda grid: outage saturated by noise alone")
     if lo is None or lo >= hi:
         lo = hi / 1000.0
-    n = config.lambda_points
-    ratio = hi / lo
-    return tuple(lo * ratio ** (k / (n - 1)) for k in range(n))
+    return _log_grid(lo, hi, config.lambda_points)
 
 
 def run_analytic(config: ScenarioConfig) -> list[tuple]:
@@ -269,8 +280,7 @@ def figure_preset(number: int) -> tuple[str, ScenarioConfig]:
             contention_optimum(L, config.alpha, config.gamma, config.sigma2).lambda_max
             for L in config.antennas
         ]
-        lo, hi, n = 0.2 * min(optima), 5.0 * max(optima), 50
-        grid = tuple(lo * (hi / lo) ** (k / (n - 1)) for k in range(n))
+        grid = _log_grid(0.2 * min(optima), 5.0 * max(optima), 50)
         return "analytic", replace(config, lambda_grid=grid)
     if number == 4:
         alpha = 3.5
@@ -301,60 +311,77 @@ def write_csv(path: str, header: str, rows: list[tuple]) -> None:
             handle.write(text)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated float list, got {text!r}") from exc
+def _typed(kind: type, *accepted: type):
+    """Parser of flag text, or of a JSON value of an `accepted` type, into
+    `kind`; bools, nulls and other types are refused."""
+
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, (str, *accepted)):
+            raise ValueError(f"expected {kind.__name__}, got {value!r}")
+        return kind(value)
+
+    return parse
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
+_real = _typed(float, int, float)
+_integer = _typed(int, int)
+_text = _typed(str)
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat JSON config file; flags override file values")
-    parser.add_argument("--alpha", type=float, help="path-loss exponent (> 2)")
-    parser.add_argument("--beta-db", type=float, help="SINR threshold in dB")
-    parser.add_argument("--beta", type=float, help="SINR threshold, linear (overrides --beta-db)")
-    parser.add_argument("--d-r", type=float, help="desired-link distance in meters")
-    parser.add_argument("--sigma2-db", type=float, help="noise level in dB (e.g. -50)")
-    parser.add_argument(
-        "--sigma2", type=float, help="noise level, linear; use 0 for the no-noise regime"
-    )
-    parser.add_argument("--L", help="comma-separated antenna counts, e.g. 1,2,3,4")
-    parser.add_argument("--receivers", help=f"comma-separated subset of {','.join(RECEIVERS)}")
-    parser.add_argument("--pzf-k", type=int, help="PZF cancellation count (default ceil(L/2))")
-    parser.add_argument("--lambda-grid", help="comma-separated densities (overrides min/max)")
-    parser.add_argument("--lambda-min", type=float, help="log-grid lower density")
-    parser.add_argument("--lambda-max", type=float, help="log-grid upper density")
-    parser.add_argument("--lambda-points", type=int, help="log-grid point count (default 10)")
-    parser.add_argument("--n-trials", type=int, help="Monte Carlo trials per row")
-    parser.add_argument("--seed", type=int, help="campaign master seed (64-bit unsigned)")
-    parser.add_argument("--expected-count", type=int, help="mean interferer count in the disk")
-    parser.add_argument("--out", help="output CSV path, or - for stdout (default)")
+def _decibels(value) -> float:
+    return db_to_linear(_real(value))
 
 
-_CONFIG_KEYS = {
-    "alpha": float,
-    "beta_db": float,
-    "beta": float,
-    "d_r": float,
-    "sigma2_db": float,
-    "sigma2": float,
-    "L": None,
-    "receivers": None,
-    "pzf_k": int,
-    "lambda_grid": None,
-    "lambda_points": int,
-    "n_trials": int,
-    "master_seed": int,
-    "expected_count": int,
-    "output": str,
+def _many(parse):
+    """Parser of a comma-separated flag text, a JSON list or one JSON scalar."""
+
+    def parse_many(value) -> tuple:
+        if isinstance(value, str):
+            value = [tok.strip() for tok in value.split(",") if tok.strip()]
+        elif not isinstance(value, list):
+            value = [value]
+        return tuple(parse(item) for item in value)
+
+    return parse_many
+
+
+# config key (also the flag's argparse dest) -> (ScenarioConfig field, parser
+# of flag text or JSON value, flag, help).  A layer applies its keys in this
+# order, so a linear key overrides its dB twin.
+_KEYS = {
+    "alpha": ("alpha", _real, "--alpha", "path-loss exponent (> 2)"),
+    "beta_db": ("beta", _decibels, "--beta-db", "SINR threshold in dB"),
+    "beta": ("beta", _real, "--beta", "SINR threshold, linear (overrides --beta-db)"),
+    "d_r": ("d_r", _real, "--d-r", "desired-link distance in meters"),
+    "sigma2_db": ("sigma2", _decibels, "--sigma2-db", "noise level in dB (e.g. -50)"),
+    "sigma2": (
+        "sigma2", _real, "--sigma2", "noise level, linear; use 0 for the no-noise regime"
+    ),
+    "L": ("antennas", _many(_integer), "--L", "comma-separated antenna counts, e.g. 1,2,3,4"),
+    "receivers": (
+        "receivers", _many(_text), "--receivers", f"comma-separated subset of {','.join(RECEIVERS)}"
+    ),
+    "pzf_k": ("pzf_k", _integer, "--pzf-k", "PZF cancellation count (default ceil(L/2))"),
+    "lambda_grid": (
+        "lambda_grid", _many(_real), "--lambda-grid", "comma-separated densities (overrides min/max)"
+    ),
+    "lambda_points": ("lambda_points", _integer, "--lambda-points", "log-grid point count (default 10)"),
+    "n_trials": ("n_trials", _integer, "--n-trials", "Monte Carlo trials per row"),
+    "master_seed": ("master_seed", _integer, "--seed", "campaign master seed (64-bit unsigned)"),
+    "expected_count": (
+        "expected_count", _integer, "--expected-count", "mean interferer count in the disk"
+    ),
+    "output": ("output", _text, "--out", "output CSV path, or - for stdout (default)"),
 }
+
+# the run settings a figure honours; its scenario stays the preset's
+_FIGURE_KEYS = ("n_trials", "master_seed", "expected_count", "pzf_k", "lambda_grid", "output")
+
+
+def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
+    for key in keys:
+        _, _, flag, text = _KEYS[key]
+        parser.add_argument(flag, dest=key, help=text)
 
 
 def _load_config_file(path: str) -> dict:
@@ -367,74 +394,41 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a flat JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    unknown = sorted(set(data) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return data
 
 
-def build_config(args: argparse.Namespace) -> ScenarioConfig:
-    """Defaults, then config-file values, then command-line flags."""
-    config = ScenarioConfig()
-    file_data = _load_config_file(args.config) if args.config else {}
+def _apply(config: ScenarioConfig, values: dict, from_flags: bool) -> None:
+    for key, (field, parse, flag, _) in _KEYS.items():
+        if key in values:
+            try:
+                setattr(config, field, parse(values[key]))
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{flag if from_flags else key}: {exc}") from None
 
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        if key in file_data:
-            return file_data[key]
-        return fallback
 
-    beta_db = pick(args.beta_db, "beta_db", None)
-    beta = pick(args.beta, "beta", None)
-    if beta is None:
-        beta = db_to_linear(float(beta_db)) if beta_db is not None else config.beta
-    sigma2_db = pick(args.sigma2_db, "sigma2_db", None)
-    sigma2 = pick(args.sigma2, "sigma2", None)
-    if sigma2 is None:
-        sigma2 = db_to_linear(float(sigma2_db)) if sigma2_db is not None else config.sigma2
+def build_config(args: argparse.Namespace, base: ScenarioConfig | None = None) -> ScenarioConfig:
+    """The scenario of any command: `base` (the defaults, or a figure preset),
+    then the config file, then the flags, validated once.
 
-    antennas = pick(args.L, "L", config.antennas)
-    if isinstance(antennas, str):
-        antennas = _parse_ints(antennas)
-    elif isinstance(antennas, int):
-        antennas = (antennas,)
-    else:
-        antennas = tuple(int(v) for v in antennas)
-
-    receivers = pick(args.receivers, "receivers", config.receivers)
-    if isinstance(receivers, str):
-        receivers = tuple(tok.strip() for tok in receivers.split(",") if tok.strip())
-    else:
-        receivers = tuple(receivers)
-
-    grid = pick(args.lambda_grid, "lambda_grid", config.lambda_grid)
-    if isinstance(grid, str):
-        grid = _parse_floats(grid)
-    else:
-        grid = tuple(float(v) for v in grid)
-
-    config = ScenarioConfig(
-        alpha=float(pick(args.alpha, "alpha", config.alpha)),
-        beta=float(beta),
-        d_r=float(pick(args.d_r, "d_r", config.d_r)),
-        sigma2=float(sigma2),
-        antennas=antennas,
-        receivers=receivers,
-        pzf_k=pick(args.pzf_k, "pzf_k", config.pzf_k),
-        lambda_grid=grid,
-        lambda_points=int(pick(args.lambda_points, "lambda_points", config.lambda_points)),
-        n_trials=int(pick(args.n_trials, "n_trials", config.n_trials)),
-        master_seed=int(pick(args.seed, "master_seed", config.master_seed)),
-        expected_count=int(pick(args.expected_count, "expected_count", config.expected_count)),
-        output=pick(args.out, "output", config.output),
-    )
-    if not config.lambda_grid and args.lambda_min is not None and args.lambda_max is not None:
-        lo, hi = args.lambda_min, args.lambda_max
+    Within one layer a linear key beats its dB twin, and an explicit
+    lambda_grid beats --lambda-min/--lambda-max, which must come together.
+    """
+    config = ScenarioConfig() if base is None else replace(base)
+    if getattr(args, "config", None) is not None:
+        _apply(config, _load_config_file(args.config), from_flags=False)
+    flags = {key: value for key in _KEYS if (value := getattr(args, key, None)) is not None}
+    _apply(config, flags, from_flags=True)
+    lo, hi = getattr(args, "lambda_min", None), getattr(args, "lambda_max", None)
+    if (lo is None) != (hi is None):
+        raise ConfigError("--lambda-min and --lambda-max must be given together")
+    if lo is not None:
         if not 0.0 < lo < hi < math.inf:
             raise ConfigError(f"need 0 < lambda-min < lambda-max < inf (got {lo}, {hi})")
-        n = config.lambda_points
-        config.lambda_grid = tuple(lo * (hi / lo) ** (k / (n - 1)) for k in range(n))
+        if "lambda_grid" not in flags:
+            config.lambda_grid = _log_grid(lo, hi, config.lambda_points)
     config.validate()
     return config
 
@@ -454,50 +448,36 @@ def build_parser() -> argparse.ArgumentParser:
         ("optimize", "optimum contention density per antenna count"),
     ):
         sp = sub.add_parser(name, help=text)
-        _add_scenario_flags(sp)
+        sp.add_argument("--config", help="flat JSON config file; flags override file values")
+        _add_flags(sp, _KEYS)
+        sp.add_argument("--lambda-min", type=float, help="log-grid lower density")
+        sp.add_argument("--lambda-max", type=float, help="log-grid upper density")
     fig = sub.add_parser("figure", help="presets reproducing the summary figures (CSV only)")
     fig.add_argument("number", type=int, help="figure number: 1, 2, 3 or 4")
-    _add_scenario_flags(fig)
+    _add_flags(fig, _FIGURE_KEYS)
     return parser
 
 
-def _dispatch(command: str, config: ScenarioConfig) -> tuple[str, list[tuple]]:
-    if command in ("analytic", "simulate") and not config.lambda_grid:
-        config.lambda_grid = default_lambda_grid(config)
-        config.validate()
-    if command == "analytic":
-        return ANALYTIC_HEADER, run_analytic(config)
-    if command == "simulate":
-        return SIMULATE_HEADER, run_simulation(config)
-    if command == "optimize":
-        return OPTIMIZE_HEADER, run_optimize(config)
-    raise ConfigError(f"unknown command {command!r}")  # pragma: no cover
+_COMMANDS = {
+    "analytic": (ANALYTIC_HEADER, run_analytic),
+    "simulate": (SIMULATE_HEADER, run_simulation),
+    "optimize": (OPTIMIZE_HEADER, run_optimize),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "figure":
-            command, config = figure_preset(args.number)
-            # explicitly passed flags win over the preset; scenario-defining
-            # fields stay fixed so the preset means what it says
-            for flag, field_name in (
-                ("n_trials", "n_trials"),
-                ("seed", "master_seed"),
-                ("expected_count", "expected_count"),
-                ("pzf_k", "pzf_k"),
-                ("out", "output"),
-            ):
-                value = getattr(args, flag)
-                if value is not None:
-                    setattr(config, field_name, value)
-            if args.lambda_grid is not None:
-                config.lambda_grid = _parse_floats(args.lambda_grid)
-            config.validate()
+            command, base = figure_preset(args.number)
         else:
-            command, config = args.command, build_config(args)
-        header, rows = _dispatch(command, config)
-        write_csv(config.output, header, rows)
+            command, base = args.command, None
+        config = build_config(args, base)
+        if command in ("analytic", "simulate") and not config.lambda_grid:
+            config.lambda_grid = default_lambda_grid(config)
+            config.validate()
+        header, run = _COMMANDS[command]
+        write_csv(config.output, header, run(config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

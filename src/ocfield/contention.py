@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import _check_antennas, _log_pmf, _poisson_cdf, _poisson_window, delta_const
+from .analytic import _check_domain, _log_pmf, _poisson_window, delta_const
 
 __all__ = [
     "BracketViolation",
@@ -35,8 +35,6 @@ __all__ = [
     "contention_optimum",
     "g_of_l",
     "lambda_max",
-    "q_poly",
-    "q_poly_scaled",
     "throughput_max",
 ]
 
@@ -63,34 +61,6 @@ class ContentionOptimum:
     g: float
     lambda_max: float
     t_max: float
-
-
-def q_poly(L: int, t: float) -> float:
-    """Q(t) = sum_{i<L} t**i/i! - t**L/(L-1)!, by the multiplicative recurrence.
-
-    Direct evaluation; cancellation grows with L, so the root finder works on
-    the ratio r instead.
-    """
-    _check_antennas(L)
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    term = 1.0
-    total = 1.0
-    for i in range(1, L):
-        term *= t / i
-        total += term
-    return total - term * t
-
-
-def q_poly_scaled(L: int, t: float) -> float:
-    """exp(-t) * Q(t) = P(Poisson(t) < L) - t * pmf(L-1; t): same sign and
-    same roots as Q, O(1) magnitudes for any L."""
-    _check_antennas(L)
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return 1.0
-    return _poisson_cdf(t, L) - t * math.exp(_log_pmf(L - 1, t))
 
 
 def _log_ratio(L: int, x: float) -> float:
@@ -148,7 +118,7 @@ def _solve(L: int, noise: float) -> tuple[float, float]:
 
 def g_of_l(L: int) -> float:
     """Unique positive root of Q, in [L/2, L]; L = 1 gives exactly 1.0."""
-    _check_antennas(L)
+    _check_domain(L=L)
     return _solve(L, 0.0)[0]
 
 
@@ -179,9 +149,7 @@ def contention_optimum(
     At the optimum P(Poisson(x*) < L) = u* * pmf(L-1; x*), so the peak
     throughput is (u*)**2 * pmf(L-1; x*) / (Delta * gamma**(2/alpha)).
     """
-    _check_antennas(L)
-    if not sigma2 >= 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    _check_domain(L=L, sigma2=sigma2)
     area = _normalized_area(alpha, gamma)
     u, x = _solve(L, sigma2 * gamma)
     # log-domain numerator: u**2 * x**(L-1) / (L-1)! overflows on its own near L ~ 150

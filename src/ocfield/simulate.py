@@ -50,7 +50,6 @@ __all__ = [
     "oc_sinr",
     "receiver_label",
     "sample_ppp",
-    "trial_generator",
 ]
 
 RECEIVERS = ("oc", "mrc", "zf", "pzf")
@@ -77,11 +76,6 @@ class TrialStream:
         """A fresh Generator at the start of substream `index`."""
         seed = np.random.SeedSequence(self.master_seed, spawn_key=(index,))
         return np.random.Generator(np.random.SFC64(seed))
-
-
-def trial_generator(master_seed: int, index: int) -> np.random.Generator:
-    """Standalone generator on the (master_seed, index) substream."""
-    return TrialStream(master_seed).at(index)
 
 
 @dataclass(frozen=True, eq=False)

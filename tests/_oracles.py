@@ -6,6 +6,7 @@ use adaptive quadrature.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import optimize, special, stats
@@ -185,3 +186,18 @@ def throughput_optimum(L, noise):
 
     u = optimize.brentq(condition, 1e-9, 2.0 * L, xtol=1e-15 * L, rtol=1e-15, maxiter=500)
     return u, u * float(special.gammaincc(L, u + noise))
+
+
+def contention_q_scaled(L, t):
+    """exp(-t) * Q(t) with Q(t) = sum_{i<L} t**i/i! - t**L/(L-1)!.
+
+    Q is summed exactly in rationals at the float t, so its sign is exact
+    (Q(1) = 0 at L = 1); only the final rounding and the exp(-t) factor are
+    inexact.
+    """
+    x = Fraction(t)
+    term = total = Fraction(1)
+    for i in range(1, L):
+        term *= x / i
+        total += term
+    return math.exp(-t) * float(total - term * x)

@@ -32,12 +32,11 @@ from ocfield import (
     outage_cdf,
     outage_interference_limited,
     outage_noise_limited,
-    q_poly_scaled,
     sample_ppp,
     throughput_max,
 )
 
-from _oracles import delta_quadrature
+from _oracles import contention_q_scaled, delta_quadrature
 
 BETA_3DB = 10.0**0.3
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -137,7 +136,7 @@ def test_criterion_4_contention_root():
     worst_residual = 0.0
     for L in range(1, 201):
         g = g_of_l(L)
-        residual = abs(q_poly_scaled(L, g))
+        residual = abs(contention_q_scaled(L, g))
         worst_residual = max(worst_residual, residual)
         if not (0.5 * L <= g <= L and residual <= 1e-10):
             ok = False

@@ -57,7 +57,17 @@ class TestGammaFromBeta:
     def test_cubic(self):
         assert gamma_from_beta(2.0, 2.0, 3.0) == 16.0
 
-    @pytest.mark.parametrize("beta,d_r,alpha", [(0.0, 1.0, 3.0), (1.0, 0.0, 3.0), (1.0, 1.0, 2.0)])
+    @pytest.mark.parametrize(
+        "beta,d_r,alpha",
+        [
+            (0.0, 1.0, 3.0),
+            (1.0, 0.0, 3.0),
+            (1.0, 1.0, 2.0),
+            (math.inf, 1.0, 3.0),
+            (1.0, math.inf, 3.0),
+            (1.0, 1.0, math.inf),
+        ],
+    )
     def test_domain(self, beta, d_r, alpha):
         with pytest.raises(ValueError):
             gamma_from_beta(beta, d_r, alpha)
@@ -93,6 +103,13 @@ class TestOutageCdf:
             SystemParams(lam=0.0, alpha=3.5, sigma2=0.0, d_r=1.0, L=0, beta=1.0)
         with pytest.raises(ValueError):
             SystemParams(lam=0.0, alpha=2.0, sigma2=0.0, d_r=1.0, L=1, beta=1.0)
+
+    @pytest.mark.parametrize("field", ["lam", "alpha", "sigma2", "d_r", "beta"])
+    def test_non_finite_scalar_rejected(self, field):
+        values = dict(lam=1e-3, alpha=3.5, sigma2=0.0, d_r=1.0, L=1, beta=1.0)
+        values[field] = math.inf
+        with pytest.raises(ValueError, match=field):
+            SystemParams(**values)
 
 
 class TestSpecialCases:

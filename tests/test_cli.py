@@ -51,6 +51,13 @@ def run_cli(args, env=None):
     )
 
 
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage error
+        return exc.code
+
+
 class TestDbConversion:
     def test_three_db(self):
         assert db_to_linear(3.0) == approx(10.0**0.3, rel=1e-15)
@@ -60,6 +67,19 @@ class TestDbConversion:
 
     def test_zero_db_is_unity(self):
         assert db_to_linear(0.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--beta-db", "4000"), ("--sigma2-db", "-4000"), ("--beta-db", "-3200")],
+        ids=["overflow", "underflow-to-zero", "subnormal"],
+    )
+    def test_outside_normal_doubles_is_a_config_error(self, flag, value, capsys):
+        with pytest.raises(ConfigError):
+            db_to_linear(float(value))
+        assert main(["optimize", "--L", "2", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and flag in captured.err
+        assert captured.out == ""
 
 
 class TestConfig:
@@ -107,6 +127,35 @@ class TestConfig:
             ScenarioConfig(receivers=("dfe",)).validate()
         with pytest.raises(ConfigError, match="n_trials"):
             ScenarioConfig(n_trials=0).validate()
+
+    @pytest.mark.parametrize(
+        "file_data, argv, field, expected",
+        [
+            ({"beta": 2.0}, ["--beta-db", "10"], "beta", 10.0),
+            ({"beta_db": 10.0, "beta": 2.0}, [], "beta", 2.0),
+            (
+                {"lambda_grid": [5e-3]},
+                ["--lambda-min", "1e-4", "--lambda-max", "1e-2", "--lambda-points", "3"],
+                "lambda_grid",
+                (1e-4, 1e-3, 1e-2),
+            ),
+            (
+                {},
+                ["--lambda-grid", "5e-3", "--lambda-min", "1e-4", "--lambda-max", "1e-2"],
+                "lambda_grid",
+                (5e-3,),
+            ),
+        ],
+        ids=["flag-db-beats-file-linear", "linear-beats-db", "flag-range-beats-file-grid",
+             "grid-beats-range"],
+    )
+    def test_layer_precedence(self, tmp_path, file_data, argv, field, expected):
+        from ocfield.cli import build_config
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_data))
+        args = build_parser().parse_args(["analytic", "--config", str(cfg), *argv])
+        assert getattr(build_config(args), field) == approx(expected, rel=1e-12)
 
     def test_row_seed_derivation_is_stable(self):
         seeds = {derive_row_seed(1, i) for i in range(100)}
@@ -370,3 +419,45 @@ class TestErrorPaths:
         monkeypatch.setattr(contention_module, "_log_ratio", lambda L, x: math.nan)
         assert main(["optimize", "--L", "2"]) == 3
         assert "internal invariant violated" in capsys.readouterr().err
+
+    def test_pzf_cancelling_every_antenna_rejected(self, capsys):
+        argv = ["simulate", "--L", "2,4", "--receivers", "oc,zf,pzf", "--sigma2", "0",
+                "--lambda-grid", "1e-4", "--n-trials", "300"]
+        assert main([*argv, "--pzf-k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "pzf_k" in captured.err and captured.out == ""
+        assert main([*argv, "--pzf-k", "1"]) == 0
+
+    @pytest.mark.parametrize(
+        "file_data, argv, named",
+        [
+            (None, ["figure", "4", "--alpha", "4.0"], "--alpha"),
+            (None, ["figure", "4", "--config", "missing.json"], "--config"),
+            ({"L": [2.7]}, ["simulate", "--lambda-grid", "1e-3", "--n-trials", "10"], "L:"),
+            ({"n_trials": 2.9}, ["simulate", "--lambda-grid", "1e-3", "--L", "2"], "n_trials"),
+            (None, ["analytic", "--lambda-min", "1e-4", "--L", "1"], "--lambda-min"),
+            (
+                None,
+                ["analytic", "--lambda-min", "1e-4", "--lambda-max", "1e-3",
+                 "--lambda-points", "1", "--L", "1"],
+                "lambda_points",
+            ),
+            ({"L": 3.0}, ["optimize"], "L:"),
+            ({"alpha": "abc"}, ["optimize"], "alpha"),
+            ({"receivers": 5}, ["simulate", "--lambda-grid", "1e-3", "--n-trials", "10"],
+             "receivers"),
+            ({"alpha": None}, ["optimize"], "alpha"),
+        ],
+        ids=["figure-alpha", "figure-config", "L-fraction", "n_trials-fraction",
+             "lambda-min-alone", "lambda-points-one", "L-float", "alpha-text",
+             "receivers-number", "alpha-null"],
+    )
+    def test_bad_input_exits_two_and_names_it(self, tmp_path, file_data, argv, named, capsys):
+        if file_data is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(file_data))
+            argv = [*argv, "--config", str(cfg)]
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""

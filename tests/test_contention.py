@@ -13,12 +13,10 @@ from ocfield import (
     g_of_l,
     lambda_max,
     outage_interference_limited,
-    q_poly,
-    q_poly_scaled,
     throughput_max,
 )
 
-from _oracles import throughput_optimum
+from _oracles import contention_q_scaled, throughput_optimum
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -44,32 +42,6 @@ def bisect_cubic_root():
     return 0.5 * (lo + hi)
 
 
-class TestQPoly:
-    def test_single_antenna_is_one_minus_t(self):
-        assert q_poly(1, 0.0) == 1.0
-        assert q_poly(1, 1.0) == 0.0
-
-    def test_two_antennas_golden_root(self):
-        assert abs(q_poly(2, GOLDEN)) <= 1e-14
-
-    def test_matches_direct_evaluation(self):
-        # L = 4: 1 + t + t^2/2 + t^3/6 - t^4/6
-        t = 1.7
-        direct = 1.0 + t + t * t / 2.0 + t**3 / 6.0 - t**4 / 6.0
-        assert q_poly(4, t) == approx(direct, rel=1e-14)
-
-    def test_scaled_form_is_damped(self):
-        for L in (1, 2, 7, 40):
-            for t in (0.5 * L, 0.77 * L, float(L)):
-                assert q_poly_scaled(L, t) == approx(math.exp(-t) * q_poly(L, t), rel=1e-9, abs=1e-280)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            q_poly(0, 1.0)
-        with pytest.raises(ValueError):
-            q_poly(2, -0.5)
-
-
 class TestGofL:
     def test_one_antenna_exact(self):
         assert g_of_l(1) == 1.0
@@ -90,11 +62,11 @@ class TestGofL:
     def test_bracket_and_residual_through_200(self):
         previous = 0.0
         for L in range(1, 201):
-            assert q_poly_scaled(L, 0.5 * L) > 0.0
-            assert q_poly_scaled(L, float(L)) <= 0.0
+            assert contention_q_scaled(L, 0.5 * L) > 0.0
+            assert contention_q_scaled(L, float(L)) <= 0.0
             g = g_of_l(L)
             assert 0.5 * L <= g <= L
-            assert abs(q_poly_scaled(L, g)) <= 1e-10
+            assert abs(contention_q_scaled(L, g)) <= 1e-10
             assert g > previous
             previous = g
 
@@ -227,14 +199,5 @@ class TestSolverFailures:
 def test_root_properties_randomized(L):
     g = g_of_l(L)
     assert 0.5 * L <= g <= L
-    assert abs(q_poly_scaled(L, g)) <= 1e-10
+    assert abs(contention_q_scaled(L, g)) <= 1e-10
     assert g_of_l(L + 1) > g
-
-
-@given(st.integers(1, 30), st.floats(0.0, 40.0))
-@settings(max_examples=150)
-def test_scaled_matches_plain_sign(L, t):
-    plain = q_poly(L, t)
-    scaled = q_poly_scaled(L, t)
-    if abs(plain) > 1e-8 * math.exp(t):
-        assert math.copysign(1.0, plain) == math.copysign(1.0, scaled)

@@ -24,7 +24,6 @@ from ocfield import (
     outage_noise_limited,
     receiver_label,
     sample_ppp,
-    trial_generator,
 )
 from ocfield.linalg import batch_quadratic_form_inverse
 from ocfield.simulate import NetworkRealization
@@ -82,7 +81,7 @@ class TestTrialStream:
 
 class TestSamplePpp:
     def test_disk_radius_for_hundred_nodes(self):
-        net = sample_ppp(1e-3, 100, trial_generator(1, 0))
+        net = sample_ppp(1e-3, 100, TrialStream(1).at(0))
         assert net.disk_radius == approx(178.41241161527712, rel=1e-12)
 
     def test_node_count_mean(self):
@@ -99,20 +98,20 @@ class TestSamplePpp:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            sample_ppp(0.0, 100, trial_generator(0, 0))
+            sample_ppp(0.0, 100, TrialStream(0).at(0))
         with pytest.raises(ValueError):
-            sample_ppp(1e-3, 0, trial_generator(0, 0))
+            sample_ppp(1e-3, 0, TrialStream(0).at(0))
 
 
 class TestDrawChannels:
     def test_shapes(self):
-        ch = draw_channels(4, 7, trial_generator(8, 0))
+        ch = draw_channels(4, 7, TrialStream(8).at(0))
         assert ch.desired.shape == (4,)
         assert ch.interferers.shape == (7, 4)
 
     def test_unit_entry_power_and_desired_norm(self):
         L = 4
-        ch = draw_channels(L, 25_000 - 1, trial_generator(9, 0))
+        ch = draw_channels(L, 25_000 - 1, TrialStream(9).at(0))
         power = np.abs(ch.interferers) ** 2
         assert np.mean(power) == approx(1.0, abs=4.0 / math.sqrt(power.size))
 
@@ -125,7 +124,7 @@ class TestDrawChannels:
 
     def test_entry_power_is_unit_exponential(self):
         scipy_stats = pytest.importorskip("scipy.stats")
-        ch = draw_channels(1, 100_000 - 1, trial_generator(11, 0))
+        ch = draw_channels(1, 100_000 - 1, TrialStream(11).at(0))
         power = (np.abs(ch.interferers) ** 2).ravel()
         ks = scipy_stats.kstest(power, "expon").statistic
         assert ks < 0.01
@@ -134,13 +133,13 @@ class TestDrawChannels:
 class TestBuildCovariance:
     def test_empty_field_is_noise_only(self):
         net = fixed_network([])
-        ch = draw_channels(3, 0, trial_generator(12, 0))
+        ch = draw_channels(3, 0, TrialStream(12).at(0))
         cov = build_covariance(net, ch, 0.3, 3.5)
         assert np.allclose(cov, 0.3 * np.eye(3), atol=0)
 
     def test_single_interferer_unit_distance(self):
         net = fixed_network([1.0])
-        ch = draw_channels(2, 1, trial_generator(13, 0))
+        ch = draw_channels(2, 1, TrialStream(13).at(0))
         ch.interferers[0][:] = (1.0, 0.0)
         cov = build_covariance(net, ch, 0.0, 4.0)
         assert np.allclose(cov, [[1.0, 0.0], [0.0, 0.0]], atol=0)
@@ -161,7 +160,7 @@ class TestBuildCovariance:
 class TestOcSinr:
     def test_pure_noise_unit_vector(self):
         net = fixed_network([])
-        ch = draw_channels(2, 0, trial_generator(15, 0))
+        ch = draw_channels(2, 0, TrialStream(15).at(0))
         ch.desired[:] = (1.0, 0.0)
         params = make_params(lam=1e-9, L=2, sigma2=1.0, d_r=1.0)
         assert oc_sinr(net, ch, params) == approx(1.0, rel=1e-14)
@@ -169,13 +168,13 @@ class TestOcSinr:
     def test_pure_noise_generic_vector_is_norm(self):
         net = fixed_network([])
         params = make_params(lam=1e-9, L=3, sigma2=1.0, d_r=1.0)
-        ch = draw_channels(3, 0, trial_generator(16, 0))
+        ch = draw_channels(3, 0, TrialStream(16).at(0))
         expected = float(np.vdot(ch.desired, ch.desired).real)
         assert oc_sinr(net, ch, params) == approx(expected, rel=1e-13)
 
     def test_single_antenna_scalar_reduction(self):
         params = make_params(lam=1e-3, L=1)
-        rng = trial_generator(17, 0)
+        rng = TrialStream(17).at(0)
         net = sample_ppp(params.lam, 60, rng)
         ch = draw_channels(1, net.node_count, rng)
         num = params.d_r**-params.alpha * abs(ch.desired[0]) ** 2
@@ -184,7 +183,7 @@ class TestOcSinr:
 
     def test_no_interference_no_noise_is_infinite(self):
         net = fixed_network([])
-        ch = draw_channels(2, 0, trial_generator(18, 0))
+        ch = draw_channels(2, 0, TrialStream(18).at(0))
         params = make_params(lam=1e-9, L=2, sigma2=0.0)
         assert oc_sinr(net, ch, params) == math.inf
 
@@ -205,7 +204,7 @@ class TestCombiners:
 
     def test_mrc_in_pure_noise(self):
         net = fixed_network([])
-        ch = draw_channels(3, 0, trial_generator(20, 0))
+        ch = draw_channels(3, 0, TrialStream(20).at(0))
         params = make_params(lam=1e-9, L=3, sigma2=1.0, d_r=1.0)
         expected = float(np.vdot(ch.desired, ch.desired).real)
         assert combiner_sinr(ch.desired, net, ch, params) == approx(expected, rel=1e-13)
@@ -225,26 +224,26 @@ class TestCombiners:
 
     def test_zero_weights_rejected(self):
         net = fixed_network([1.0])
-        ch = draw_channels(2, 1, trial_generator(22, 0))
+        ch = draw_channels(2, 1, TrialStream(22).at(0))
         with pytest.raises(ValueError):
             combiner_sinr(np.zeros(2, dtype=complex), net, ch, make_params(L=2))
 
     def test_zero_denominator_with_signal_is_infinite(self):
         net = fixed_network([])
-        ch = draw_channels(2, 0, trial_generator(23, 0))
+        ch = draw_channels(2, 0, TrialStream(23).at(0))
         params = make_params(lam=1e-9, L=2, sigma2=0.0)
         assert combiner_sinr(ch.desired, net, ch, params) == math.inf
 
 
 class TestCombinerWeights:
     def test_pzf_zero_is_mrc(self):
-        rng = trial_generator(24, 0)
+        rng = TrialStream(24).at(0)
         net = sample_ppp(1e-3, 50, rng)
         ch = draw_channels(3, net.node_count, rng)
         assert np.array_equal(combiner_weights("pzf", net, ch, pzf_k=0), ch.desired)
 
     def test_pzf_full_is_zf(self):
-        rng = trial_generator(25, 0)
+        rng = TrialStream(25).at(0)
         net = sample_ppp(1e-3, 50, rng)
         ch = draw_channels(3, net.node_count, rng)
         zf = combiner_weights("zf", net, ch)
@@ -255,7 +254,7 @@ class TestCombinerWeights:
         assert [default_pzf_k(L) for L in (1, 2, 3, 4, 5)] == [1, 1, 2, 2, 3]
 
     def test_zf_orthogonal_to_strongest(self):
-        rng = trial_generator(26, 0)
+        rng = TrialStream(26).at(0)
         net = sample_ppp(1e-3, 80, rng)
         ch = draw_channels(4, net.node_count, rng)
         w = combiner_weights("zf", net, ch)
@@ -266,7 +265,7 @@ class TestCombinerWeights:
 
     def test_ranking_ties_broken_by_index(self):
         net = fixed_network([5.0, 5.0, 1.0])
-        ch = draw_channels(2, 3, trial_generator(27, 0))
+        ch = draw_channels(2, 3, TrialStream(27).at(0))
         w = combiner_weights("zf", net, ch)  # cancels min(3, 1) = 1: node 2 only
         b = ch.interferers[2]
         assert abs(np.vdot(w, b)) <= 1e-10 * np.linalg.norm(w) * np.linalg.norm(b)
@@ -277,7 +276,7 @@ class TestCombinerWeights:
 
     def test_zf_cancels_at_most_available_nodes(self):
         net = fixed_network([2.0])
-        ch = draw_channels(4, 1, trial_generator(28, 0))
+        ch = draw_channels(4, 1, TrialStream(28).at(0))
         w = combiner_weights("zf", net, ch)  # only one node to cancel
         b = ch.interferers[0]
         assert abs(np.vdot(w, b)) <= 1e-10 * np.linalg.norm(w) * np.linalg.norm(b)
@@ -285,7 +284,7 @@ class TestCombinerWeights:
 
     def test_unknown_receiver_rejected(self):
         net = fixed_network([1.0])
-        ch = draw_channels(2, 1, trial_generator(29, 0))
+        ch = draw_channels(2, 1, TrialStream(29).at(0))
         with pytest.raises(ValueError):
             combiner_weights("dfe", net, ch)
 
