@@ -25,27 +25,18 @@ from .contention import (
     lambda_max,
     throughput_max,
 )
-from .linalg import project_out, quadratic_form_inverse
 from .simulate import (
     BLOCK,
-    ChannelDraw,
-    NetworkRealization,
     OutageEstimate,
     SirMomentsEstimate,
     TrialStream,
     block_sinr,
-    build_covariance,
-    combiner_sinr,
-    combiner_weights,
     conditional_outage_cdf,
     default_pzf_k,
-    draw_channels,
     estimate_outage,
     estimate_outage_conditional,
     estimate_sir_moments,
-    oc_sinr,
     receiver_label,
-    sample_ppp,
 )
 
 __version__ = "0.1.0"

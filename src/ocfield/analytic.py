@@ -9,6 +9,7 @@ throughout is gamma = beta * d_r**alpha.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -33,6 +34,8 @@ _DOMAINS = {
     "d_r": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
     "L": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     "beta": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    # the SIR moments diverge as the density vanishes
+    "sir_lam": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
 }
 
 
@@ -77,9 +80,16 @@ class SystemParams:
 
 
 def gamma_from_beta(beta: float, d_r: float, alpha: float) -> float:
-    """Threshold rescaled by the desired-link path loss: beta * d_r**alpha."""
+    """Threshold rescaled by the desired-link path loss: beta * d_r**alpha,
+    a ValueError unless that is a finite, normal, positive double."""
     _check_domain(beta=beta, d_r=d_r, alpha=alpha)
-    return beta * d_r**alpha
+    try:
+        gamma = beta * d_r**alpha
+    except OverflowError:
+        gamma = math.inf
+    if not sys.float_info.min <= gamma < math.inf:
+        raise ValueError(f"gamma must be a finite, normal, positive double, got {gamma}")
+    return gamma
 
 
 def delta_const(alpha: float) -> float:
@@ -238,18 +248,14 @@ def sir_mean(L: int, alpha: float, lam: float, d_r: float) -> float:
     Gamma(L + alpha/2)/(L-1)! * d_r**-alpha / (lam * Delta)**(alpha/2).
     Diverges as lam -> 0, so zero density is a domain error.
     """
-    _check_domain(L=L, d_r=d_r)
-    if not lam > 0.0:
-        raise ValueError(f"lam must be > 0 for SIR moments, got {lam}")
+    _check_domain(L=L, d_r=d_r, sir_lam=lam)
     scale = (lam * delta_const(alpha)) ** (0.5 * alpha)
     return array_gain(L, alpha) * d_r ** (-alpha) / scale
 
 
 def sir_variance(L: int, alpha: float, lam: float, d_r: float) -> float:
     """Variance of the SIR in the interference-limited regime."""
-    _check_domain(L=L, d_r=d_r)
-    if not lam > 0.0:
-        raise ValueError(f"lam must be > 0 for SIR moments, got {lam}")
+    _check_domain(L=L, d_r=d_r, sir_lam=lam)
     second = _gamma_ratio(L + alpha, L)
     first = _gamma_ratio(L + 0.5 * alpha, L)
     return (second - first * first) * d_r ** (-2.0 * alpha) / (lam * delta_const(alpha)) ** alpha

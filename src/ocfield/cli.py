@@ -86,6 +86,7 @@ class ScenarioConfig:
         """Raise ConfigError naming the first field outside its domain."""
         try:
             _check_domain(alpha=self.alpha, beta=self.beta, d_r=self.d_r, sigma2=self.sigma2)
+            gamma_from_beta(self.beta, self.d_r, self.alpha)  # the derived threshold too
             for L in self.antennas:
                 _check_domain(L=L)
         except ValueError as exc:
@@ -361,7 +362,9 @@ _KEYS = {
     "receivers": (
         "receivers", _many(_text), "--receivers", f"comma-separated subset of {','.join(RECEIVERS)}"
     ),
-    "pzf_k": ("pzf_k", _integer, "--pzf-k", "PZF cancellation count (default ceil(L/2))"),
+    "pzf_k": (
+        "pzf_k", _integer, "--pzf-k", "PZF cancellation count (default min(ceil(L/2), L-1))"
+    ),
     "lambda_grid": (
         "lambda_grid", _many(_real), "--lambda-grid", "comma-separated densities (overrides min/max)"
     ),

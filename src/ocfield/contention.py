@@ -152,6 +152,5 @@ def contention_optimum(
     _check_domain(L=L, sigma2=sigma2)
     area = _normalized_area(alpha, gamma)
     u, x = _solve(L, sigma2 * gamma)
-    # log-domain numerator: u**2 * x**(L-1) / (L-1)! overflows on its own near L ~ 150
-    peak = math.exp(2.0 * math.log(u) + (L - 1) * math.log(x) - x - math.lgamma(L))
+    peak = math.exp(2.0 * math.log(u) + _log_pmf(L - 1, x))
     return ContentionOptimum(L=L, g=u, lambda_max=u / area, t_max=peak / area)

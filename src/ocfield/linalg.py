@@ -1,11 +1,10 @@
-"""Small dense complex Hermitian linear algebra.
+"""Small dense complex Hermitian linear algebra, batched over a stack.
 
 Hand-rolled, unblocked routines: the matrices here are antenna-sized
 (L <= ~16), and keeping the numeric core free of LAPACK keeps it auditable.
-Only the lower triangle of a Hermitian input is ever read.  The `batch_`
-routines loop over the n columns and vectorize over a stack of B matrices
-(one block of Monte Carlo trials); the single-matrix forms are their B = 1
-case.
+Only the lower triangle of a Hermitian input is ever read.  Each routine
+loops over the n columns and vectorizes over a stack of B matrices (one
+block of Monte Carlo trials); one matrix is a stack of one.
 
 Rank deficiency is expected, not exceptional: with zero noise and fewer
 interferers than antennas the covariance is singular, and the quadratic form
@@ -16,12 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "batch_project_out",
-    "batch_quadratic_form_inverse",
-    "project_out",
-    "quadratic_form_inverse",
-]
+__all__ = ["batch_project_out", "batch_quadratic_form_inverse"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -71,16 +65,6 @@ def batch_quadratic_form_inverse(c: np.ndarray, m: np.ndarray) -> np.ndarray:
     return value
 
 
-def quadratic_form_inverse(c: np.ndarray, m: np.ndarray) -> float:
-    """c^H m^{-1} c for one Hermitian PSD m: `batch_quadratic_form_inverse`
-    on a stack of one, with the same pseudo-inverse and inf semantics."""
-    c = np.asarray(c, dtype=np.complex128)
-    m = np.asarray(m)
-    if m.shape != (c.shape[0], c.shape[0]):
-        raise ValueError(f"vector length {c.shape[0]} does not match matrix order {m.shape[0]}")
-    return float(batch_quadratic_form_inverse(c[None], m[None])[0])
-
-
 def batch_project_out(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Component of each c_b (B, n) orthogonal to the span of basis_b (B, k, n).
 
@@ -121,11 +105,3 @@ def batch_project_out(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
         active &= size <= 0.7071 * before
     w[(rank > 0) & (size <= 4.0 * rank * _EPS * c_scale)] = 0.0
     return w
-
-
-def project_out(c: np.ndarray, basis) -> np.ndarray:
-    """Component of c orthogonal to span(basis): `batch_project_out` on a
-    stack of one.  Returns the zero vector when c lies in the span."""
-    c = np.asarray(c, dtype=np.complex128)
-    vectors = np.array(list(basis), dtype=np.complex128).reshape(1, -1, c.shape[0])
-    return batch_project_out(c[None], vectors)[0]

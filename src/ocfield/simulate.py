@@ -1,4 +1,4 @@
-"""Monte Carlo simulator of the physical link model.
+"""Monte Carlo simulator of the physical link model: one block engine.
 
 Each trial draws a fresh Poisson field and fresh Rayleigh channels, builds the
 interference-plus-noise covariance, and evaluates the post-combining SINR of
@@ -11,10 +11,6 @@ vectors first).  No azimuths are drawn: received powers depend on |X_k|
 alone and fading is i.i.d. per node, so no receiver reads them.  Worker spans
 fall on block boundaries and reductions are order-independent, so results are
 bit-identical for any worker count (OC_FIELD_THREADS) and any scheduling.
-
-The single-trial functions (`sample_ppp`, `draw_channels`, `oc_sinr`,
-`combiner_weights`, `combiner_sinr`) are the one-trial case of the same code,
-and their draws from a substream match a block of one trial.
 """
 
 from __future__ import annotations
@@ -28,28 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import SystemParams, outage_noise_limited
-from .linalg import batch_project_out, batch_quadratic_form_inverse, quadratic_form_inverse
+from .linalg import batch_project_out, batch_quadratic_form_inverse
 
 __all__ = [
     "BLOCK",
-    "ChannelDraw",
-    "NetworkRealization",
     "OutageEstimate",
     "SirMomentsEstimate",
     "TrialStream",
     "block_sinr",
-    "build_covariance",
-    "combiner_sinr",
-    "combiner_weights",
     "conditional_outage_cdf",
     "default_pzf_k",
-    "draw_channels",
     "estimate_outage",
     "estimate_outage_conditional",
     "estimate_sir_moments",
-    "oc_sinr",
     "receiver_label",
-    "sample_ppp",
 ]
 
 RECEIVERS = ("oc", "mrc", "zf", "pzf")
@@ -78,29 +66,6 @@ class TrialStream:
         return np.random.Generator(np.random.SFC64(seed))
 
 
-@dataclass(frozen=True, eq=False)
-class NetworkRealization:
-    """One sampled interferer field; the receiver sits at the origin.
-
-    Only the node distances are kept: received powers depend on |X_k| alone.
-    """
-
-    disk_radius: float
-    radii: np.ndarray
-
-    @property
-    def node_count(self) -> int:
-        return self.radii.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelDraw:
-    """Desired and interferer channel vectors for one trial (CN(0,1) entries)."""
-
-    desired: np.ndarray  # (L,)
-    interferers: np.ndarray  # (node_count, L)
-
-
 @dataclass(frozen=True)
 class OutageEstimate:
     """Monte Carlo outage estimate with its binomial standard error."""
@@ -127,9 +92,10 @@ def _draw_fields(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """(disk_radius, counts, radii) for `size` fields drawn in one go.
 
-    counts are Poisson(expected_count); radii holds sum(counts) node
-    distances, fields in order, uniform on the disk via
-    r = disk_radius * sqrt(u).
+    The disk holds expected_count nodes on average: disk_radius =
+    sqrt(expected_count / (lam * pi)).  counts are Poisson(expected_count);
+    radii holds sum(counts) node distances, fields in order, uniform on the
+    disk via r = disk_radius * sqrt(u).
     """
     if not lam > 0.0:
         raise ValueError(f"lam must be > 0, got {lam}")
@@ -138,35 +104,6 @@ def _draw_fields(
     counts = rng.poisson(expected_count, size)
     radius = math.sqrt(expected_count / (lam * math.pi))
     return radius, counts, radius * np.sqrt(rng.random(int(counts.sum())))
-
-
-def _draw_normals(rows: int, L: int, rng: np.random.Generator) -> np.ndarray:
-    """(rows, 2L) standard normals: the interleaved real and imaginary parts
-    of `rows` channel vectors with L entries each, before scaling."""
-    return rng.standard_normal(2 * rows * L).reshape(rows, 2 * L)
-
-
-def sample_ppp(lam: float, expected_count: int, rng: np.random.Generator) -> NetworkRealization:
-    """Draw one field: disk sized for `expected_count` nodes on average.
-
-    disk_radius = sqrt(expected_count / (lam * pi)); the node count is
-    Poisson(expected_count); nodes are uniform on the disk, drawn by distance
-    r = disk_radius * sqrt(u) alone.
-    """
-    radius, _, radii = _draw_fields(lam, expected_count, 1, rng)
-    return NetworkRealization(disk_radius=radius, radii=radii)
-
-
-def draw_channels(L: int, n: int, rng: np.random.Generator) -> ChannelDraw:
-    """n+1 independent channel vectors with i.i.d. CN(0,1) entries, the
-    desired one first.
-
-    Real and imaginary parts carry variance 1/2 each, so |entry|^2 is a unit-
-    mean exponential (Rayleigh power).
-    """
-    z = _draw_normals(n + 1, L, rng).view(np.complex128)
-    z *= math.sqrt(0.5)
-    return ChannelDraw(desired=z[0], interferers=z[1:])
 
 
 def _covariance(a: np.ndarray, sigma2: float) -> np.ndarray:
@@ -181,43 +118,6 @@ def _covariance(a: np.ndarray, sigma2: float) -> np.ndarray:
     cov.imag = gram[:, 1::2, ::2] - gram[:, ::2, 1::2]
     cov.real[:, np.arange(L), np.arange(L)] += sigma2
     return cov
-
-
-def _amplitudes(radii: np.ndarray, alpha: float) -> np.ndarray:
-    # square roots of the received powers |X_k|**-alpha
-    return radii ** (-0.5 * alpha)
-
-
-def build_covariance(
-    net: NetworkRealization, ch: ChannelDraw, sigma2: float, alpha: float
-) -> np.ndarray:
-    """Interference-plus-noise covariance of one trial.
-
-    Received powers are |X_k|**-alpha; the noise enters only through the
-    sigma2 I term (the SINR statistic depends on the noise vector through its
-    covariance alone, so it is never sampled).
-    """
-    a = ch.interferers * _amplitudes(net.radii, alpha)[:, None]
-    return _covariance(a[None], sigma2)[0]
-
-
-def oc_sinr(
-    net: NetworkRealization,
-    ch: ChannelDraw,
-    params: SystemParams,
-    cov: np.ndarray | None = None,
-) -> float:
-    """SINR of the optimum (MMSE) combiner: d_r**-alpha * c_r^H R^{-1} c_r.
-
-    math.inf when sigma2 = 0 and there are fewer nodes than antennas: R then
-    has rank at most node_count, and a generic desired vector leaves its
-    column space.
-    """
-    if params.sigma2 == 0.0 and net.node_count < ch.desired.shape[0]:
-        return math.inf
-    if cov is None:
-        cov = build_covariance(net, ch, params.sigma2, params.alpha)
-    return params.d_r ** (-params.alpha) * quadratic_form_inverse(ch.desired, cov)
 
 
 def _combining_ratio(w: np.ndarray, desired: np.ndarray, a: np.ndarray, sigma2: float) -> np.ndarray:
@@ -236,61 +136,38 @@ def _combining_ratio(w: np.ndarray, desired: np.ndarray, a: np.ndarray, sigma2: 
         return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0))
 
 
-def combiner_sinr(
-    w: np.ndarray, net: NetworkRealization, ch: ChannelDraw, params: SystemParams
-) -> float:
-    """SINR of an arbitrary combining vector w (not identically zero)."""
-    w = np.asarray(w, dtype=np.complex128)
-    if not w.any():
-        raise ValueError("combining weights are identically zero")
-    a = ch.interferers * _amplitudes(net.radii, params.alpha)[:, None]
-    ratio = _combining_ratio(w[None], ch.desired[None], a[None], params.sigma2)[0]
-    return float(ratio) * params.d_r ** (-params.alpha)
-
-
 def default_pzf_k(L: int) -> int:
-    """Default partial zero-forcing cancellation count: ceil(L/2)."""
-    return (L + 1) // 2
+    """Default partial zero-forcing cancellation count: ceil(L/2), capped at
+    L - 1 so that the desired channel keeps a dimension (0 at L = 1)."""
+    return min((L + 1) // 2, L - 1)
 
 
 def _weights(
     receiver: str, desired: np.ndarray, a: np.ndarray, radii: np.ndarray, pzf_k: int | None
 ) -> np.ndarray:
     """Weights (B, L) of mrc / zf / pzf for channel rows a (B, N, L) whose
-    nodes sit at radii (B, N); padding rows are zero and sit at +inf."""
+    nodes sit at radii (B, N); padding rows are zero and sit at +inf.
+
+    ZF projects the desired channel orthogonal to the min(n, L-1) strongest
+    interferers, PZF to the min(n, k) strongest; strength is ranked by
+    average received power (position only), ties broken by node index.  A
+    row comes back as the zero vector when the desired channel lies in the
+    cancelled span, and `_combining_ratio` reads that as zero SINR.
+    """
     if receiver == "mrc":
         return desired
     L = desired.shape[1]
     if receiver == "zf":
         k = L - 1
-    elif receiver == "pzf":
+    else:
         k = default_pzf_k(L) if pzf_k is None else pzf_k
         if k < 0:
             raise ValueError(f"pzf cancellation count must be >= 0, got {k}")
-    else:
-        raise ValueError(f"unknown combiner {receiver!r}; expected one of {RECEIVERS[1:]}")
     k = min(a.shape[1], k)
     if k == 0:
         return desired
     strongest = np.argsort(radii, axis=1, kind="stable")[:, :k]
     return batch_project_out(desired, np.take_along_axis(a, strongest[:, :, None], axis=1))
-
-
-def combiner_weights(
-    receiver: str,
-    net: NetworkRealization,
-    ch: ChannelDraw,
-    pzf_k: int | None = None,
-) -> np.ndarray:
-    """Weight vector for mrc / zf / pzf (oc needs no explicit weights).
-
-    ZF projects the desired channel orthogonal to the min(n, L-1) strongest
-    interferers, PZF to the min(n, k) strongest; strength is ranked by
-    average received power (position only), ties broken by node index.  The
-    zero vector comes back when the desired channel lies in the cancelled
-    span; callers read that as zero SINR.
-    """
-    return _weights(receiver, ch.desired[None], ch.interferers[None], net.radii[None], pzf_k)[0]
 
 
 def receiver_label(receiver: str, L: int, pzf_k: int | None = None) -> str:
@@ -301,9 +178,14 @@ def receiver_label(receiver: str, L: int, pzf_k: int | None = None) -> str:
 
 
 def _oc_ratio(desired: np.ndarray, a: np.ndarray, counts: np.ndarray, sigma2: float) -> np.ndarray:
-    """c_r^H R^{-1} c_r per trial, inf where sigma2 = 0 and a trial has fewer
-    nodes than antennas (see `oc_sinr`): decided from the counts, not from
-    the pivot tolerance, which a Gram-built singular R can pass by rounding."""
+    """c_r^H R^{-1} c_r per trial: the SINR of the optimum (MMSE) combiner
+    before the distance gain d_r**-alpha.
+
+    inf where sigma2 = 0 and a trial has fewer nodes than antennas: R then
+    has rank at most its node count, and a generic desired vector leaves its
+    column space.  That is decided from the counts, not from the pivot
+    tolerance, which a Gram-built singular R can pass by rounding.
+    """
     ratio = batch_quadratic_form_inverse(desired, _covariance(a, sigma2))
     if sigma2 == 0.0:
         ratio[counts < desired.shape[1]] = np.inf
@@ -315,21 +197,23 @@ def _channel_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(desired, a) for one block of trials with `counts` nodes each.
 
-    desired is (B, L) CN(0,1).  a is (B, N_max, L): the CN(0,1) channel rows
-    of each trial, weighted by their node amplitudes (square roots of the
-    received powers), then zero rows as padding.  The rows are drawn straight
-    into the head of a's buffer, weighted there and spread out trial by
-    trial, last trial first, so the block holds one copy of them.
+    desired is (B, L) CN(0,1): real and imaginary parts carry variance 1/2,
+    so |entry|^2 is a unit-mean exponential (Rayleigh power).  a is
+    (B, N_max, L): the CN(0,1) channel rows of each trial, weighted by their
+    node amplitudes (square roots of the received powers), then zero rows as
+    padding.  The rows are drawn straight into the head of a's buffer,
+    weighted there and spread out trial by trial, last trial first, so the
+    block holds one copy of them.
     """
     size = counts.shape[0]
-    desired = _draw_normals(size, L, rng).view(np.complex128)
+    desired = rng.standard_normal((size, 2 * L)).view(np.complex128)
     desired *= math.sqrt(0.5)
     a = np.empty((size, int(counts.max(initial=0)), 2 * L))
     flat = a.reshape(-1, 2 * L)
     end = amplitudes.shape[0]
     drawn = flat[:end]
     rng.standard_normal(out=drawn)
-    drawn *= math.sqrt(0.5)  # the CN(0,1) rows `draw_channels` returns
+    drawn *= math.sqrt(0.5)
     drawn *= amplitudes[:, None]
     for b, n in reversed(list(enumerate(counts.tolist()))):
         a[b, :n] = flat[end - n : end]
@@ -349,12 +233,16 @@ def block_sinr(
     """Post-combining SINRs of `size` trials drawn from `rng`, vectorized.
 
     Each trial has its own field and channels; rng draws the node counts,
-    then the radial uniforms, then the channel normals.  The distance gain
-    d_r**-alpha is the last factor applied.
+    then the radial uniforms, then the channel normals.  Received powers are
+    |X_k|**-alpha; the noise enters only through the sigma2 I term of the
+    covariance (the SINR depends on the noise vector through its covariance
+    alone, so it is never sampled).  The distance gain d_r**-alpha is the
+    last factor applied.
     """
     _check_receiver(receiver)
     _, counts, radii = _draw_fields(params.lam, expected_count, size, rng)
-    desired, a = _channel_block(counts, _amplitudes(radii, params.alpha), params.L, rng)
+    amplitudes = radii ** (-0.5 * params.alpha)  # square roots of the received powers
+    desired, a = _channel_block(counts, amplitudes, params.L, rng)
     if receiver == "oc":
         ratio = _oc_ratio(desired, a, counts, params.sigma2)
     else:

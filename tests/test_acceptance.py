@@ -14,25 +14,21 @@ import numpy as np
 from scipy import stats
 
 from ocfield import (
+    BLOCK,
     SystemParams,
     TrialStream,
-    build_covariance,
-    combiner_sinr,
-    combiner_weights,
+    block_sinr,
     conditional_outage_cdf,
     delta_const,
-    draw_channels,
     estimate_outage,
     estimate_outage_conditional,
     estimate_sir_moments,
     g_of_l,
     gamma_from_beta,
     lambda_max,
-    oc_sinr,
     outage_cdf,
     outage_interference_limited,
     outage_noise_limited,
-    sample_ppp,
     throughput_max,
 )
 
@@ -115,18 +111,14 @@ def test_criterion_3_receiver_ordering():
     params = SystemParams(lam=1.5e-3, alpha=3.5, sigma2=0.0, d_r=10.0, L=3, beta=BETA_3DB)
     stream = TrialStream(30_001)
     violations = 0
-    n = 10_000
-    for i in range(n):
-        rng = stream.at(i)
-        net = sample_ppp(params.lam, 100, rng)
-        ch = draw_channels(params.L, net.node_count, rng)
-        cov = build_covariance(net, ch, params.sigma2, params.alpha)
-        best = oc_sinr(net, ch, params, cov=cov)
+    n_blocks = -(-10_000 // BLOCK)  # at least 10,000 trials
+    n = n_blocks * BLOCK
+    for b in range(n_blocks):
+        # every receiver redraws block b's fields and channels from its substream
+        best = block_sinr(params, "oc", stream.at(b))
         for receiver in ("mrc", "zf", "pzf"):
-            w = combiner_weights(receiver, net, ch)
-            value = combiner_sinr(w, net, ch, params) if w.any() else 0.0
-            if value > best * (1.0 + 1e-9):
-                violations += 1
+            value = block_sinr(params, receiver, stream.at(b))
+            violations += int(np.count_nonzero(value > best * (1.0 + 1e-9)))
     report(3, "per-trial optimality", violations == 0, f"{violations} violations in {n} trials x 3 combiners")
 
 

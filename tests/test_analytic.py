@@ -66,6 +66,10 @@ class TestGammaFromBeta:
             (math.inf, 1.0, 3.0),
             (1.0, math.inf, 3.0),
             (1.0, 1.0, math.inf),
+            # in-domain inputs whose gamma overflows, underflows or is subnormal
+            (1.0, 1e10, 40.0),
+            (1e-300, 1e-10, 3.0),
+            (1e-300, 1e-5, 3.0),
         ],
     )
     def test_domain(self, beta, d_r, alpha):
@@ -173,6 +177,13 @@ class TestSirMoments:
             sir_mean(1, 4.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             sir_variance(1, 4.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_density_rejected(self, lam):
+        with pytest.raises(ValueError):
+            sir_mean(2, 3.5, lam, 10.0)
+        with pytest.raises(ValueError):
+            sir_variance(2, 3.5, lam, 10.0)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.0])

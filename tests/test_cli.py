@@ -420,6 +420,14 @@ class TestErrorPaths:
         assert main(["optimize", "--L", "2"]) == 3
         assert "internal invariant violated" in capsys.readouterr().err
 
+    def test_default_pzf_at_one_antenna_is_mrc(self, tmp_path):
+        # the default cancels min(ceil(L/2), L-1) nodes: none at L = 1
+        _, rows = run_main(tmp_path, "simulate", "--L", "1", "--receivers", "pzf,mrc",
+                           "--lambda-grid", "1e-3", "--n-trials", "200")
+        assert [row[2] for row in rows] == ["pzf0", "mrc"]
+        assert rows[0][4:] == rows[1][4:]
+        assert 0.0 < float(rows[0][4]) < 1.0
+
     def test_pzf_cancelling_every_antenna_rejected(self, capsys):
         argv = ["simulate", "--L", "2,4", "--receivers", "oc,zf,pzf", "--sigma2", "0",
                 "--lambda-grid", "1e-4", "--n-trials", "300"]
@@ -447,10 +455,17 @@ class TestErrorPaths:
             ({"receivers": 5}, ["simulate", "--lambda-grid", "1e-3", "--n-trials", "10"],
              "receivers"),
             ({"alpha": None}, ["optimize"], "alpha"),
+            (None, ["analytic", "--d-r", "1e10", "--alpha", "40", "--lambda-grid", "1e-3",
+                    "--L", "1"], "gamma"),
+            (None, ["optimize", "--d-r", "1e10", "--alpha", "40", "--lambda-grid", "1e-3",
+                    "--L", "1"], "gamma"),
+            (None, ["analytic", "--beta", "1e-300", "--d-r", "1e-10", "--alpha", "3", "--L", "1"],
+             "gamma"),
         ],
         ids=["figure-alpha", "figure-config", "L-fraction", "n_trials-fraction",
              "lambda-min-alone", "lambda-points-one", "L-float", "alpha-text",
-             "receivers-number", "alpha-null"],
+             "receivers-number", "alpha-null", "gamma-overflow-analytic",
+             "gamma-overflow-optimize", "gamma-underflow"],
     )
     def test_bad_input_exits_two_and_names_it(self, tmp_path, file_data, argv, named, capsys):
         if file_data is not None:

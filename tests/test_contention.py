@@ -93,6 +93,22 @@ class TestOptimum:
         expected = GOLDEN**3 * math.exp(-GOLDEN)
         assert throughput_max(2, 4.0, gamma_for_unit_area(4.0)) == approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 7, 8, 100, 1000, 10_000])
+    def test_peak_matches_mpmath(self, L):
+        # t_max = u**2 * pmf(L-1; u) / area at figure 4's geometry, against
+        # the same formula in 50-digit arithmetic at the solver's u
+        mpmath = pytest.importorskip("mpmath")
+        alpha = 3.5
+        gamma = gamma_for_unit_area(alpha)
+        opt = contention_optimum(L, alpha, gamma)
+        area = delta_const(alpha) * gamma ** (2.0 / alpha)
+        with mpmath.workdps(50):
+            u = mpmath.mpf(opt.g)
+            peak = u**2 * mpmath.exp((L - 1) * mpmath.log(u) - u - mpmath.loggamma(L))
+            expected = peak / mpmath.mpf(area)
+            error = float(abs(mpmath.mpf(opt.t_max) - expected) / expected)
+        assert error <= 1e-14
+
     @pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 20])
     def test_consistent_with_outage_curve(self, L):
         alpha, gamma = 3.5, 977.0

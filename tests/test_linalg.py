@@ -6,10 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from ocfield import project_out, quadratic_form_inverse
 from ocfield.linalg import batch_project_out, batch_quadratic_form_inverse
 
 from _oracles import project_out_qr, quadratic_form_pseudo_inverse_oracle
+
+
+def one_quadratic_form(c, m):
+    """c^H m^{-1} c for one matrix: the batched routine on a stack of one."""
+    return float(batch_quadratic_form_inverse(np.asarray(c)[None], np.asarray(m)[None])[0])
+
+
+def one_projection(c, basis):
+    """c projected orthogonal to span(basis): the batched routine on a stack of one."""
+    c = np.asarray(c, dtype=np.complex128)
+    basis = np.array(basis, dtype=np.complex128).reshape(1, -1, c.shape[0])
+    return batch_project_out(c[None], basis)[0]
 
 
 def random_hermitian_pd(rng, n):
@@ -81,32 +92,32 @@ class TestCholesky:
 
 class TestQuadraticFormInverse:
     def test_unit_vector_identity(self):
-        assert quadratic_form_inverse(np.array([1.0, 0j]), np.eye(2, dtype=complex)) == approx(1.0)
+        assert one_quadratic_form(np.array([1.0, 0j]), np.eye(2, dtype=complex)) == approx(1.0)
 
     def test_diagonal(self):
         m = np.diag([2.0 + 0j, 5.0])
-        assert quadratic_form_inverse(np.array([1.0, 0j]), m) == approx(0.5, rel=1e-15)
+        assert one_quadratic_form(np.array([1.0, 0j]), m) == approx(0.5, rel=1e-15)
 
     def test_outside_column_space_is_infinite(self):
         v = np.array([1.0, 1.0j])
         m = np.outer(v, v.conj())
         c = np.array([1.0, 1.0j * -1.0])  # orthogonal to v
         assert np.vdot(v, c) == approx(0.0)
-        assert quadratic_form_inverse(c, m) == math.inf
+        assert one_quadratic_form(c, m) == math.inf
 
     def test_inside_column_space_uses_pseudo_inverse(self):
         v = np.array([1.0, 1.0j])
         m = np.outer(v, v.conj())
         c = 2.0 * v
         # m^+ = v v^H / |v|^4, so c = a v gives c^H m^+ c = |a|^2
-        assert quadratic_form_inverse(c, m) == approx(4.0, rel=1e-12)
-        assert quadratic_form_inverse(c, m) == approx(
+        assert one_quadratic_form(c, m) == approx(4.0, rel=1e-12)
+        assert one_quadratic_form(c, m) == approx(
             quadratic_form_pseudo_inverse_oracle(c, m), rel=1e-10
         )
 
     def test_vector_length_checked(self):
         with pytest.raises(ValueError):
-            quadratic_form_inverse(np.array([1.0 + 0j]), np.eye(2, dtype=complex))
+            one_quadratic_form(np.array([1.0 + 0j]), np.eye(2, dtype=complex))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_jacobi_oracle(self, n):
@@ -115,7 +126,7 @@ class TestQuadraticFormInverse:
             m = random_hermitian_pd(rng, n)
             c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             expected = quadratic_form_pseudo_inverse_oracle(c, m)
-            assert quadratic_form_inverse(c, m) == approx(expected, rel=1e-8)
+            assert one_quadratic_form(c, m) == approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("n,rank", [(3, 1), (4, 2), (6, 3)])
     def test_singular_generic_vector_infinite(self, n, rank):
@@ -123,7 +134,7 @@ class TestQuadraticFormInverse:
         for _ in range(25):
             m, _ = random_hermitian_psd(rng, n, rank)
             c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert quadratic_form_inverse(c, m) == math.inf
+            assert one_quadratic_form(c, m) == math.inf
 
     @pytest.mark.parametrize("n,rank", [(3, 1), (4, 2), (6, 4)])
     def test_singular_in_span_matches_oracle(self, n, rank):
@@ -131,7 +142,7 @@ class TestQuadraticFormInverse:
         for _ in range(25):
             m, a = random_hermitian_psd(rng, n, rank)
             c = a @ (rng.standard_normal(rank) + 1j * rng.standard_normal(rank))
-            value = quadratic_form_inverse(c, m)
+            value = one_quadratic_form(c, m)
             assert math.isfinite(value)
             assert value == approx(quadratic_form_pseudo_inverse_oracle(c, m), rel=1e-8)
 
@@ -142,32 +153,32 @@ class TestQuadraticFormInverse:
                 m = random_hermitian_pd(rng, n)
                 c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 x = np.linalg.solve(m, c)
-                assert quadratic_form_inverse(c, m) == approx(float(np.vdot(c, x).real), rel=1e-12)
+                assert one_quadratic_form(c, m) == approx(float(np.vdot(c, x).real), rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             m = random_hermitian_pd(rng, 4)
             c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            assert quadratic_form_inverse(c, m) >= 0.0
+            assert one_quadratic_form(c, m) >= 0.0
 
 
 class TestProjectOut:
     def test_plain_projection(self):
-        w = project_out(np.array([1.0, 1.0 + 0j]), [np.array([1.0, 0j])])
+        w = one_projection(np.array([1.0, 1.0 + 0j]), [np.array([1.0, 0j])])
         assert np.allclose(w, [0.0, 1.0], atol=1e-15)
 
     def test_empty_basis_is_identity(self):
         c = np.array([1.0 + 2.0j, -3.0])
-        assert np.array_equal(project_out(c, []), c)
+        assert np.array_equal(one_projection(c, []), c)
 
     def test_containment_returns_zero(self):
         c = np.array([1.0, 1.0j])
-        assert np.array_equal(project_out(c, [c]), np.zeros(2, dtype=complex))
+        assert np.array_equal(one_projection(c, [c]), np.zeros(2, dtype=complex))
 
     def test_scaled_containment_returns_zero(self):
         c = np.array([1.0, 1.0j, 0.5 - 2j])
-        w = project_out(3.7j * c, [c])
+        w = one_projection(3.7j * c, [c])
         assert np.array_equal(w, np.zeros(3, dtype=complex))
 
     def test_orthogonality_bound(self):
@@ -177,7 +188,7 @@ class TestProjectOut:
             k = int(rng.integers(1, n))
             basis = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(k)]
             c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            w = project_out(c, basis)
+            w = one_projection(c, basis)
             wn = np.linalg.norm(w)
             for b in basis:
                 assert abs(np.vdot(w, b)) <= 1e-10 * wn * np.linalg.norm(b)
@@ -187,13 +198,13 @@ class TestProjectOut:
         for _ in range(50):
             basis = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(3)]
             c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            once = project_out(c, basis)
-            twice = project_out(once, basis)
+            once = one_projection(c, basis)
+            twice = one_projection(once, basis)
             assert np.linalg.norm(twice - once) <= 1e-12 * max(np.linalg.norm(once), 1e-300)
 
     def test_dependent_basis_handled(self):
         b = np.array([1.0, 2.0j, 0.0])
-        w = project_out(np.array([0j, 0.0, 1.0]), [b, 2.0 * b, 0.0 * b])
+        w = one_projection(np.array([0j, 0.0, 1.0]), [b, 2.0 * b, 0.0 * b])
         assert np.allclose(w, [0.0, 0.0, 1.0], atol=1e-14)
 
 
@@ -236,6 +247,6 @@ def test_jacobi_agreement_randomized(seed, n):
     rng = np.random.default_rng(seed)
     m = random_hermitian_pd(rng, n)
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert quadratic_form_inverse(c, m) == approx(
+    assert one_quadratic_form(c, m) == approx(
         quadratic_form_pseudo_inverse_oracle(c, m), rel=1e-8
     )
