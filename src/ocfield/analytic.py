@@ -3,14 +3,16 @@ field of Rayleigh-faded interferers.
 
 Everything here is a pure function of its arguments.  Thresholds are linear;
 converting from dB is the CLI's job.  The normalized threshold used
-throughout is gamma = beta * d_r**alpha.
+throughout is gamma = beta * d_r**alpha.  Every entry point checks its
+arguments against the one table of parameter domains, `domains._DOMAINS`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+
+from .domains import _check_domain
 
 __all__ = [
     "SystemParams",
@@ -24,28 +26,6 @@ __all__ = [
     "sir_variance",
     "throughput_density",
 ]
-
-
-# each physical scalar's domain; every one must also be finite
-_DOMAINS = {
-    "lam": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "alpha": (lambda v: 2.0 < v < math.inf, "finite and > 2"),
-    "sigma2": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "d_r": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    "L": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "beta": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    # the SIR moments diverge as the density vanishes
-    "sir_lam": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
-}
-
-
-def _check_domain(**scalars) -> None:
-    """Raise ValueError naming the first of `scalars` (keyword = name in
-    `_DOMAINS`) that lies outside its physical domain."""
-    for name, value in scalars.items():
-        inside, domain = _DOMAINS[name]
-        if not inside(value):
-            raise ValueError(f"{name} must be {domain}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +67,7 @@ def gamma_from_beta(beta: float, d_r: float, alpha: float) -> float:
         gamma = beta * d_r**alpha
     except OverflowError:
         gamma = math.inf
-    if not sys.float_info.min <= gamma < math.inf:
-        raise ValueError(f"gamma must be a finite, normal, positive double, got {gamma}")
+    _check_domain(gamma__positive=gamma)
     return gamma
 
 
@@ -208,9 +187,7 @@ def outage_cdf(params: SystemParams) -> float:
 
 def outage_noise_limited(L: int, sigma2: float, gamma: float) -> float:
     """Outage with no interferers: the chi-square CDF of the combined SNR."""
-    _check_domain(L=L, sigma2=sigma2)
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    _check_domain(L=L, sigma2=sigma2, gamma=gamma)
     return _clamp01(1.0 - _poisson_cdf(sigma2 * gamma, L))
 
 
@@ -222,9 +199,7 @@ def outage_interference_limited(L: int, lam: float, alpha: float, gamma: float) 
     event that the L-th strongest interferer sits inside the rescaled
     threshold radius.
     """
-    _check_domain(L=L, lam=lam)
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    _check_domain(L=L, lam=lam, gamma=gamma)
     return _clamp01(1.0 - _poisson_cdf(_interference_exponent(lam, alpha, gamma), L))
 
 
@@ -248,14 +223,14 @@ def sir_mean(L: int, alpha: float, lam: float, d_r: float) -> float:
     Gamma(L + alpha/2)/(L-1)! * d_r**-alpha / (lam * Delta)**(alpha/2).
     Diverges as lam -> 0, so zero density is a domain error.
     """
-    _check_domain(L=L, d_r=d_r, sir_lam=lam)
+    _check_domain(L=L, alpha=alpha, d_r=d_r, lam__positive=lam)
     scale = (lam * delta_const(alpha)) ** (0.5 * alpha)
     return array_gain(L, alpha) * d_r ** (-alpha) / scale
 
 
 def sir_variance(L: int, alpha: float, lam: float, d_r: float) -> float:
     """Variance of the SIR in the interference-limited regime."""
-    _check_domain(L=L, d_r=d_r, sir_lam=lam)
+    _check_domain(L=L, alpha=alpha, d_r=d_r, lam__positive=lam)
     second = _gamma_ratio(L + alpha, L)
     first = _gamma_ratio(L + 0.5 * alpha, L)
     return (second - first * first) * d_r ** (-2.0 * alpha) / (lam * delta_const(alpha)) ** alpha

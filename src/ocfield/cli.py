@@ -15,17 +15,10 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .analytic import (
-    SystemParams,
-    _check_domain,
-    _poisson_cdf,
-    delta_const,
-    gamma_from_beta,
-    outage_cdf,
-    throughput_density,
-)
+from .analytic import SystemParams, _poisson_cdf, delta_const, gamma_from_beta, outage_cdf
 from .contention import BracketViolation, contention_optimum
-from .simulate import _MASK64, RECEIVERS, estimate_outage, receiver_label
+from .domains import _MASK64, RECEIVERS, _check_domain
+from .simulate import _resolve_workers, estimate_outage, receiver_label
 
 __all__ = [
     "ConfigError",
@@ -53,14 +46,21 @@ class InternalCheckError(RuntimeError):
     """A should-never-fail consistency check failed; exit code 3."""
 
 
+def _in_field(field: str, check, *args, **kwargs) -> None:
+    """Run `check`, reporting its ValueError as a ConfigError on `field`."""
+    try:
+        check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
+
+
 def db_to_linear(value_db: float) -> float:
     """10**(dB/10); a ConfigError unless that is a finite, normal, positive double."""
     try:
         linear = 10.0 ** (value_db / 10.0)
     except OverflowError:
         linear = math.inf
-    if not sys.float_info.min <= linear < math.inf:
-        raise ConfigError(f"{value_db} dB is {linear} linear, outside the normal doubles")
+    _in_field(f"{value_db} dB", _check_domain, linear=linear)
     return linear
 
 
@@ -83,47 +83,24 @@ class ScenarioConfig:
     output: str = "-"
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first field outside its domain."""
-        try:
-            _check_domain(alpha=self.alpha, beta=self.beta, d_r=self.d_r, sigma2=self.sigma2)
-            gamma_from_beta(self.beta, self.d_r, self.alpha)  # the derived threshold too
-            for L in self.antennas:
-                _check_domain(L=L)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        checks = (
-            (len(self.antennas) > 0, "L must list at least one antenna count"),
-            (len(self.receivers) > 0, "receivers must not be empty"),
-            (
-                all(r in RECEIVERS for r in self.receivers),
-                f"receivers must be among {RECEIVERS} (got {self.receivers})",
-            ),
-            (
-                self.pzf_k is None or (isinstance(self.pzf_k, int) and self.pzf_k >= 0),
-                f"pzf_k must be an integer >= 0 (got {self.pzf_k})",
-            ),
-            # cancelling k >= L interferers nulls the desired channel in every trial
-            (
-                "pzf" not in self.receivers
-                or self.pzf_k is None
-                or self.pzf_k < min(self.antennas, default=1),
-                f"pzf_k must be <= min(L) - 1 (got {self.pzf_k} with L = {self.antennas})",
-            ),
-            (
-                all(0.0 < x < math.inf for x in self.lambda_grid),
-                f"lambda_grid entries must be finite and > 0 (got {self.lambda_grid})",
-            ),
-            (self.lambda_points >= 2, f"lambda_points must be >= 2 (got {self.lambda_points})"),
-            (self.n_trials >= 1, f"n_trials must be >= 1 (got {self.n_trials})"),
-            (
-                isinstance(self.master_seed, int) and 0 <= self.master_seed <= _MASK64,
-                f"master_seed must be a 64-bit unsigned integer (got {self.master_seed})",
-            ),
-            (self.expected_count >= 1, f"expected_count must be >= 1 (got {self.expected_count})"),
-        )
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+        """Raise ConfigError naming the first field outside its domain: each
+        field against the parameter table, then the derived threshold, the
+        worker count (OC_FIELD_THREADS) and the checks that span fields."""
+        for field, key in _FIELD_DOMAINS.items():
+            value = getattr(self, field)
+            for item in value if isinstance(value, tuple) else (value,):
+                _in_field(field, _check_domain, **{key: item})
+        _in_field("gamma", gamma_from_beta, self.beta, self.d_r, self.alpha)
+        _in_field("OC_FIELD_THREADS", _resolve_workers, None)
+        if not self.antennas:
+            raise ConfigError("L must list at least one antenna count")
+        if not self.receivers:
+            raise ConfigError("receivers must not be empty")
+        # cancelling k >= L interferers nulls the desired channel in every trial
+        if "pzf" in self.receivers and self.pzf_k is not None and self.pzf_k >= min(self.antennas):
+            raise ConfigError(f"pzf_k must be < min(L), got {self.pzf_k} with L = {self.antennas}")
+        if self.lambda_points < 2:
+            raise ConfigError(f"lambda_points must be >= 2 (got {self.lambda_points})")
 
     def params_for(self, lam: float, L: int) -> SystemParams:
         return SystemParams(
@@ -133,6 +110,23 @@ class ScenarioConfig:
     @property
     def gamma(self) -> float:
         return gamma_from_beta(self.beta, self.d_r, self.alpha)
+
+
+# ScenarioConfig field -> key of its domain in the parameter table; each
+# entry of a tuple field is checked on its own
+_FIELD_DOMAINS = {
+    "alpha": "alpha",
+    "beta": "beta",
+    "d_r": "d_r",
+    "sigma2": "sigma2",
+    "antennas": "L",
+    "receivers": "receiver",
+    "pzf_k": "pzf_k",
+    "lambda_grid": "lam__positive",
+    "n_trials": "n_trials",
+    "master_seed": "master_seed",
+    "expected_count": "expected_count",
+}
 
 
 def derive_row_seed(master_seed: int, row_index: int) -> int:
@@ -198,8 +192,8 @@ def run_analytic(config: ScenarioConfig) -> list[tuple]:
     rows = []
     for lam in config.lambda_grid:
         for L in config.antennas:
-            params = config.params_for(lam, L)
-            rows.append((lam, L, outage_cdf(params), throughput_density(params)))
+            outage = outage_cdf(config.params_for(lam, L))
+            rows.append((lam, L, outage, lam * (1.0 - outage)))
     return rows
 
 
@@ -428,8 +422,10 @@ def build_config(args: argparse.Namespace, base: ScenarioConfig | None = None) -
     if (lo is None) != (hi is None):
         raise ConfigError("--lambda-min and --lambda-max must be given together")
     if lo is not None:
-        if not 0.0 < lo < hi < math.inf:
-            raise ConfigError(f"need 0 < lambda-min < lambda-max < inf (got {lo}, {hi})")
+        _in_field("--lambda-min", _check_domain, lam__positive=lo)
+        _in_field("--lambda-max", _check_domain, lam__positive=hi)
+        if not lo < hi:
+            raise ConfigError(f"need lambda-min < lambda-max (got {lo}, {hi})")
         if "lambda_grid" not in flags:
             config.lambda_grid = _log_grid(lo, hi, config.lambda_points)
     config.validate()

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import _check_domain, _log_pmf, _poisson_window, delta_const
+from .analytic import _log_pmf, _poisson_window, delta_const
+from .domains import _check_domain
 
 __all__ = [
     "BracketViolation",
@@ -135,12 +136,6 @@ def throughput_max(L: int, alpha: float, gamma: float) -> float:
     return contention_optimum(L, alpha, gamma).t_max
 
 
-def _normalized_area(alpha: float, gamma: float) -> float:
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    return delta_const(alpha) * gamma ** (2.0 / alpha)
-
-
 def contention_optimum(
     L: int, alpha: float, gamma: float, sigma2: float = 0.0
 ) -> ContentionOptimum:
@@ -149,8 +144,8 @@ def contention_optimum(
     At the optimum P(Poisson(x*) < L) = u* * pmf(L-1; x*), so the peak
     throughput is (u*)**2 * pmf(L-1; x*) / (Delta * gamma**(2/alpha)).
     """
-    _check_domain(L=L, sigma2=sigma2)
-    area = _normalized_area(alpha, gamma)
+    _check_domain(L=L, sigma2=sigma2, gamma__positive=gamma)
+    area = delta_const(alpha) * gamma ** (2.0 / alpha)
     u, x = _solve(L, sigma2 * gamma)
     peak = math.exp(2.0 * math.log(u) + _log_pmf(L - 1, x))
     return ContentionOptimum(L=L, g=u, lambda_max=u / area, t_max=peak / area)

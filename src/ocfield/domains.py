@@ -1,0 +1,50 @@
+"""The one table of parameter domains.  Every entry point checks its own
+arguments against it, and the CLI checks each config field against it.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+RECEIVERS = ("oc", "mrc", "zf", "pzf")
+
+_MASK64 = (1 << 64) - 1
+
+# key -> (test, domain); a key name__variant holds a stricter domain of
+# `name`, and its errors name `name` alone
+_DOMAINS = {
+    "lam": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    # the simulator's disk and the SIR moments divide by the density
+    "lam__positive": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "alpha": (lambda v: 2.0 < v < math.inf, "finite and > 2"),
+    "sigma2": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "d_r": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "beta": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "gamma": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    # the derived threshold beta * d_r**alpha, which the contention optimum
+    # and the default density grid divide by
+    "gamma__positive": (lambda v: sys.float_info.min <= v < math.inf, "finite, normal and > 0"),
+    # a threshold or noise level given in dB, converted to linear
+    "linear": (lambda v: sys.float_info.min <= v < math.inf, "finite, normal and > 0"),
+    "L": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "n_trials": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    # a sample variance needs two trials
+    "n_trials__moments": (lambda v: isinstance(v, int) and v >= 2, "an integer >= 2"),
+    "expected_count": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "workers": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "master_seed": (lambda v: isinstance(v, int) and 0 <= v <= _MASK64, "a 64-bit unsigned integer"),
+    "pzf_k": (lambda v: v is None or (isinstance(v, int) and v >= 0), "None or an integer >= 0"),
+    "receiver": (RECEIVERS.__contains__, f"one of {RECEIVERS}, not an unknown receiver"),
+    # a float array, one entry per interferer
+    "powers": (lambda v: bool(((0.0 < v) & (v < math.inf)).all()), "finite and > 0"),
+}
+
+
+def _check_domain(**values) -> None:
+    """Raise ValueError naming the first of `values` (keyword = key in
+    `_DOMAINS`) that lies outside its domain."""
+    for key, value in values.items():
+        inside, domain = _DOMAINS[key]
+        if not inside(value):
+            raise ValueError(f"{key.partition('__')[0]} must be {domain}, got {value!r}")

@@ -69,11 +69,12 @@ def batch_project_out(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Component of each c_b (B, n) orthogonal to the span of basis_b (B, k, n).
 
     Modified Gram-Schmidt, vectorized over the stack: each basis vector is
-    re-orthogonalized twice against the accepted ones and kept when more than
+    orthogonalized twice against the accepted ones and kept when more than
     1e-10 of its norm survives (zero rows, such as padding, are never kept);
-    then projection passes on c_b repeat, at most four, until a pass removes
-    less than 1 - 0.7071 of its norm.  A row comes back as the zero vector
-    when c_b lies in the span (callers read that as zero SINR).
+    then c_b is projected against that basis in exactly two passes (Kahan's
+    "twice is enough", in Parlett, The Symmetric Eigenvalue Problem).  A
+    row comes back as the zero vector when c_b lies in the span (callers
+    read that as zero SINR).
     """
     w = np.array(c, dtype=np.complex128)
     vectors = np.asarray(basis, dtype=np.complex128)
@@ -91,17 +92,8 @@ def batch_project_out(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
         ortho[:, j] = np.where(keep[:, None], v / np.where(keep, size, 1.0)[:, None], 0.0)
         rank += keep
     c_scale = _norms(w)
-    size = c_scale
-    active = rank > 0
-    for _ in range(4):
-        if not active.any():
-            break
-        before = size
-        projected = w.copy()
+    for _ in range(2):
         for u in ortho.swapaxes(0, 1):
-            projected -= np.vecdot(u, projected)[:, None] * u
-        w = np.where(active[:, None], projected, w)
-        size = np.where(active, _norms(w), size)
-        active &= size <= 0.7071 * before
-    w[(rank > 0) & (size <= 4.0 * rank * _EPS * c_scale)] = 0.0
+            w -= np.vecdot(u, w)[:, None] * u
+    w[(rank > 0) & (_norms(w) <= 4.0 * rank * _EPS * c_scale)] = 0.0
     return w

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import SystemParams, outage_noise_limited
+from .domains import _check_domain
 from .linalg import batch_project_out, batch_quadratic_form_inverse
 
 __all__ = [
@@ -40,11 +41,7 @@ __all__ = [
     "receiver_label",
 ]
 
-RECEIVERS = ("oc", "mrc", "zf", "pzf")
-
 BLOCK = 64  # trials per block, and per substream
-
-_MASK64 = (1 << 64) - 1
 
 
 class TrialStream:
@@ -56,8 +53,7 @@ class TrialStream:
     """
 
     def __init__(self, master_seed: int):
-        if not (isinstance(master_seed, int) and 0 <= master_seed <= _MASK64):
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
+        _check_domain(master_seed=master_seed)
         self.master_seed = master_seed
 
     def at(self, index: int) -> np.random.Generator:
@@ -97,10 +93,7 @@ def _draw_fields(
     radii holds sum(counts) node distances, fields in order, uniform on the
     disk via r = disk_radius * sqrt(u).
     """
-    if not lam > 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    if not expected_count >= 1:
-        raise ValueError(f"expected_count must be >= 1, got {expected_count}")
+    _check_domain(lam__positive=lam, expected_count=expected_count)
     counts = rng.poisson(expected_count, size)
     radius = math.sqrt(expected_count / (lam * math.pi))
     return radius, counts, radius * np.sqrt(rng.random(int(counts.sum())))
@@ -161,8 +154,6 @@ def _weights(
         k = L - 1
     else:
         k = default_pzf_k(L) if pzf_k is None else pzf_k
-        if k < 0:
-            raise ValueError(f"pzf cancellation count must be >= 0, got {k}")
     k = min(a.shape[1], k)
     if k == 0:
         return desired
@@ -239,7 +230,7 @@ def block_sinr(
     alone, so it is never sampled).  The distance gain d_r**-alpha is the
     last factor applied.
     """
-    _check_receiver(receiver)
+    _check_domain(receiver=receiver, pzf_k=pzf_k)
     _, counts, radii = _draw_fields(params.lam, expected_count, size, rng)
     amplitudes = radii ** (-0.5 * params.alpha)  # square roots of the received powers
     desired, a = _channel_block(counts, amplitudes, params.L, rng)
@@ -253,16 +244,12 @@ def block_sinr(
     return ratio * params.d_r ** (-params.alpha)
 
 
-def _check_receiver(receiver: str) -> None:
-    if receiver not in RECEIVERS:
-        raise ValueError(f"unknown receiver {receiver!r}; expected one of {RECEIVERS}")
-
-
 def _resolve_workers(workers: int | None) -> int:
+    """`workers`, or else the OC_FIELD_THREADS environment variable (default 1)."""
     if workers is None:
-        workers = int(os.environ.get("OC_FIELD_THREADS", "1"))
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+        text = os.environ.get("OC_FIELD_THREADS", "1")
+        workers = int(text) if text.isdecimal() else text
+    _check_domain(workers=workers)
     return workers
 
 
@@ -273,12 +260,13 @@ def _map_blocks(sinr_of_block, reduce, n_trials: int, master_seed: int, workers:
     draws from substream (master_seed, b); workers take contiguous runs of
     whole blocks, so the result does not depend on the worker count.
     """
+    _check_domain(n_trials=n_trials)
+    stream = TrialStream(master_seed)
     n_blocks = -(-n_trials // BLOCK)
     parts = min(_resolve_workers(workers), n_blocks)
     bounds = [n_blocks * i // parts for i in range(parts + 1)]
 
     def run(part: int) -> list:
-        stream = TrialStream(master_seed)
         return [
             reduce(sinr_of_block(stream.at(b), min(BLOCK, n_trials - b * BLOCK)))
             for b in range(bounds[part], bounds[part + 1])
@@ -315,9 +303,6 @@ def estimate_outage(
     for a given master_seed under any worker count: block b depends only on
     (master_seed, b) and the reduction is a commutative count.
     """
-    _check_receiver(receiver)
-    if not n_trials >= 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     counts = _map_blocks(
         lambda rng, size: block_sinr(params, receiver, rng, size, expected_count, pzf_k),
         lambda sinr: int(np.count_nonzero(sinr < params.beta)),
@@ -342,9 +327,9 @@ def estimate_outage_conditional(
     The field is held fixed and only the channels are redrawn, so this
     estimates exactly the quantity `conditional_outage_cdf` computes.
     """
-    if not n_trials >= 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    amplitudes = np.sqrt(np.asarray(powers, dtype=np.float64))
+    powers = np.asarray(powers, dtype=np.float64)
+    _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
+    amplitudes = np.sqrt(powers)
 
     def sinr_of_block(rng, size):
         counts = np.full(size, amplitudes.shape[0])
@@ -376,11 +361,9 @@ def estimate_sir_moments(
     antennas, vanishingly rare at the default expected_count) are excluded
     from the moments and reported; a warning marks any exclusion.
     """
-    _check_receiver(receiver)
+    _check_domain(n_trials__moments=n_trials)
     if params.sigma2 != 0.0:
         raise ValueError("SIR moments are defined for sigma2 = 0")
-    if not n_trials >= 2:
-        raise ValueError(f"n_trials must be >= 2, got {n_trials}")
     values = np.concatenate(
         _map_blocks(
             lambda rng, size: block_sinr(params, receiver, rng, size, expected_count, pzf_k),
@@ -422,21 +405,18 @@ def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float
     state collects every count >= L), so it costs O(nL) and cannot overflow
     for any node count or L.
     """
-    if not (isinstance(L, int) and L >= 1):
-        raise ValueError(f"L must be an integer >= 1, got {L}")
-    if not sigma2 >= 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
     powers = np.asarray(powers, dtype=np.float64)
-    if powers.size and not (powers > 0.0).all():
-        raise ValueError("received powers must be positive")
+    _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
 
-    # dist[i] = P(Bernoulli count = i) for i < L; dist[L] = P(count >= L)
-    scaled = powers * gamma
+    # dist[i] = P(Bernoulli count = i) for i < L; dist[L] = P(count >= L).
+    # A node whose s_j = P_j * gamma overflows to inf takes a degree of
+    # freedom surely, so its capture probability s_j / (1 + s_j) is exactly 1.
+    with np.errstate(over="ignore"):
+        scaled = powers * gamma
     miss = 1.0 / (1.0 + scaled)
+    capture = np.divide(scaled, 1.0 + scaled, out=np.ones_like(scaled), where=scaled < math.inf)
     dist = [1.0] + [0.0] * L
-    for hit, stay in zip((scaled * miss).tolist(), miss.tolist()):
+    for hit, stay in zip(capture.tolist(), miss.tolist()):
         below = 0.0
         for i in range(L):
             here = dist[i]

@@ -428,6 +428,15 @@ class TestErrorPaths:
         assert rows[0][4:] == rows[1][4:]
         assert 0.0 < float(rows[0][4]) < 1.0
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-1", "2.5", ""])
+    def test_bad_thread_count_is_a_config_error(self, threads, monkeypatch, capsys):
+        monkeypatch.setenv("OC_FIELD_THREADS", threads)
+        argv = ["simulate", "--L", "2", "--lambda-grid", "1e-3", "--n-trials", "100"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: OC_FIELD_THREADS: workers must be")
+        assert captured.out == ""
+
     def test_pzf_cancelling_every_antenna_rejected(self, capsys):
         argv = ["simulate", "--L", "2,4", "--receivers", "oc,zf,pzf", "--sigma2", "0",
                 "--lambda-grid", "1e-4", "--n-trials", "300"]

@@ -1,0 +1,115 @@
+"""Every public entry point rejects each argument outside its domain with a
+ValueError that names the parameter: one case per (entry point, parameter,
+value), all checked against the one table in `ocfield.domains`."""
+
+import math
+
+import pytest
+
+from ocfield import (
+    SystemParams,
+    TrialStream,
+    array_gain,
+    block_sinr,
+    conditional_outage_cdf,
+    contention_optimum,
+    delta_const,
+    estimate_outage,
+    estimate_outage_conditional,
+    estimate_sir_moments,
+    g_of_l,
+    gamma_from_beta,
+    lambda_max,
+    outage_interference_limited,
+    outage_noise_limited,
+    sir_mean,
+    sir_variance,
+    throughput_max,
+)
+
+NAN, INF = math.nan, math.inf
+REALS = [NAN, INF, -INF, -1.0]  # outside every real domain
+POSITIVE = [*REALS, 0.0]  # outside a domain that excludes 0
+ALPHAS = [*REALS, 2.0]
+COUNTS = [NAN, INF, -1, 0, 2.0]  # outside "an integer >= 1"
+SEEDS = [NAN, -1, 1 << 64, 1.0]
+PZF = [NAN, INF, -1, 1.0]
+RECEIVER = ["dfe", None]
+POWERS = [[NAN], [INF], [-1.0], [0.0], [1.0, NAN]]
+
+PHYSICAL = dict(lam=1e-3, alpha=3.5, sigma2=1e-5, d_r=10.0, L=2, beta=2.0)
+
+
+def params(**overrides):
+    return SystemParams(**{**PHYSICAL, **overrides})
+
+
+def fresh_block_sinr(**kwargs):
+    return block_sinr(rng=TrialStream(1).at(0), **kwargs)
+
+
+RUN = dict(n_trials=64, master_seed=1, workers=1)
+FROZEN = dict(powers=[1.0, 0.5], sigma2=1e-3, L=2, gamma=1.0)
+SIMULATOR = dict(receiver="oc", expected_count=10, pzf_k=None)
+
+# entry point, valid keyword arguments, {parameter: values outside its domain}.
+# A SystemParams is checked when built; the simulator adds only lam > 0, so
+# its "params" rows carry lam = 0 and must name lam.
+ENTRY_POINTS = [
+    (SystemParams, PHYSICAL,
+     dict(lam=REALS, alpha=ALPHAS, sigma2=REALS, d_r=POSITIVE, L=COUNTS, beta=POSITIVE)),
+    (gamma_from_beta, dict(beta=2.0, d_r=10.0, alpha=3.5),
+     dict(beta=POSITIVE, d_r=POSITIVE, alpha=ALPHAS)),
+    (delta_const, dict(alpha=3.5), dict(alpha=ALPHAS)),
+    (outage_noise_limited, dict(L=2, sigma2=1e-5, gamma=1e3),
+     dict(L=COUNTS, sigma2=REALS, gamma=REALS)),
+    (outage_interference_limited, dict(L=2, lam=1e-3, alpha=3.5, gamma=1e3),
+     dict(L=COUNTS, lam=REALS, alpha=ALPHAS, gamma=REALS)),
+    (array_gain, dict(L=2, alpha=3.5), dict(L=COUNTS, alpha=ALPHAS)),
+    (sir_mean, dict(L=2, alpha=3.5, lam=1e-3, d_r=10.0),
+     dict(L=COUNTS, alpha=ALPHAS, lam=POSITIVE, d_r=POSITIVE)),
+    (sir_variance, dict(L=2, alpha=3.5, lam=1e-3, d_r=10.0),
+     dict(L=COUNTS, alpha=ALPHAS, lam=POSITIVE, d_r=POSITIVE)),
+    (g_of_l, dict(L=2), dict(L=COUNTS)),
+    (lambda_max, dict(L=2, alpha=3.5, gamma=1e3), dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE)),
+    (throughput_max, dict(L=2, alpha=3.5, gamma=1e3),
+     dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE)),
+    (contention_optimum, dict(L=2, alpha=3.5, gamma=1e3, sigma2=1e-5),
+     dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE, sigma2=REALS)),
+    (TrialStream, dict(master_seed=1), dict(master_seed=SEEDS)),
+    (conditional_outage_cdf, FROZEN, dict(powers=POWERS, sigma2=REALS, L=COUNTS, gamma=REALS)),
+    (estimate_outage_conditional, {**FROZEN, **RUN},
+     dict(powers=POWERS, sigma2=REALS, L=COUNTS, gamma=REALS, n_trials=COUNTS,
+          master_seed=SEEDS, workers=COUNTS)),
+    (fresh_block_sinr, dict(params=params(), **SIMULATOR),
+     dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF)),
+    (estimate_outage, dict(params=params(), **SIMULATOR, **RUN),
+     dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
+          n_trials=COUNTS, master_seed=SEEDS, workers=COUNTS)),
+    (estimate_sir_moments, dict(params=params(sigma2=0.0), **SIMULATOR, **RUN),
+     dict(params=[params(lam=0.0, sigma2=0.0)], receiver=RECEIVER, expected_count=COUNTS,
+          pzf_k=PZF, n_trials=[1, *COUNTS], master_seed=SEEDS, workers=COUNTS)),
+]
+
+
+def _cases():
+    for entry, valid, bad in ENTRY_POINTS:
+        for parameter, values in bad.items():
+            for value in values:
+                yield pytest.param(
+                    entry, valid, parameter, value, id=f"{entry.__name__}-{parameter}={value!r}"
+                )
+
+
+@pytest.mark.parametrize(
+    "entry, valid", [pytest.param(e, v, id=e.__name__) for e, v, _ in ENTRY_POINTS]
+)
+def test_valid_arguments_pass(entry, valid):
+    entry(**valid)
+
+
+@pytest.mark.parametrize("entry, valid, parameter, value", _cases())
+def test_out_of_domain_argument_is_named(entry, valid, parameter, value):
+    name = "lam" if parameter == "params" else parameter
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        entry(**{**valid, parameter: value})

@@ -230,6 +230,21 @@ class TestBatched:
             expected = project_out_qr(c[b], basis[b])
             assert np.linalg.norm(got[b] - expected) <= 1e-10 * np.linalg.norm(c[b])
 
+    @pytest.mark.parametrize("n,k", [(8, 7), (8, 4), (16, 15)])
+    def test_projection_of_a_nearly_contained_vector_is_orthogonal(self, n, k):
+        # c within 1e-8 of the span: one pass leaves about eps * |c| of it in
+        # the span, which is 1e-8 of the projected w itself
+        rng = np.random.default_rng(700 + 10 * n + k)
+        basis = rng.standard_normal((64, k, n)) + 1j * rng.standard_normal((64, k, n))
+        mix = rng.standard_normal((64, k)) + 1j * rng.standard_normal((64, k))
+        off = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
+        c = np.einsum("bk,bkn->bn", mix, basis) + 1e-8 * off
+        w = batch_project_out(c, basis)
+        for b in range(64):
+            q, _ = np.linalg.qr(basis[b].T)
+            assert np.linalg.norm(w[b]) > 0.0
+            assert np.linalg.norm(q.conj().T @ w[b]) <= 1e-13 * np.linalg.norm(w[b])
+
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 @settings(max_examples=80, deadline=None)

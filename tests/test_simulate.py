@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from ocfield import (
@@ -354,6 +356,32 @@ class TestConditionalOutage:
         value = conditional_outage_cdf([1.0] * 300, 0.0, 200, 1e3)
         assert value == 1.0
         assert value == approx(conditional_outage_poisson_binomial([1.0] * 300, 0.0, 200, 1e3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(-300.0, 300.0), max_size=80),
+        st.floats(0.0, 10.0),
+        st.integers(1, 64),
+        st.sampled_from([0.0, 1e-9, 1e-3]),
+    )
+    @example([300.0, 300.0], 10.0, 1, 0.0)  # s = P * gamma overflows: outage 1, not 0
+    def test_across_the_double_range(self, exponents, gamma_exponent, L, sigma2):
+        from _oracles import conditional_outage_poisson_binomial
+
+        # powers 1e-300..1e300 and gamma 1..1e10, so s = P * gamma spans
+        # 1e-300..1e310; where s overflows, the oracle gives nan, and the node
+        # takes a degree of freedom with certainty
+        powers = 10.0 ** np.array(exponents)
+        gamma = 10.0**gamma_exponent
+        with np.errstate(over="ignore"):
+            sure = np.isinf(powers * gamma)
+        n_sure = int(sure.sum())
+        expected = 1.0
+        if n_sure < L:
+            expected = conditional_outage_poisson_binomial(
+                powers[~sure], sigma2, L - n_sure, gamma
+            )
+        assert abs(conditional_outage_cdf(powers, sigma2, L, gamma) - expected) <= 1e-12
 
     def test_matches_poisson_binomial_oracle(self):
         from _oracles import conditional_outage_poisson_binomial
