@@ -8,6 +8,7 @@ to validate them.
 from .analytic import (
     SystemParams,
     array_gain,
+    conditional_outage_cdf,
     delta_const,
     gamma_from_beta,
     outage_cdf,
@@ -31,7 +32,6 @@ from .simulate import (
     SirMomentsEstimate,
     TrialStream,
     block_sinr,
-    conditional_outage_cdf,
     default_pzf_k,
     estimate_outage,
     estimate_outage_conditional,

@@ -5,6 +5,8 @@ Everything here is a pure function of its arguments.  Thresholds are linear;
 converting from dB is the CLI's job.  The normalized threshold used
 throughout is gamma = beta * d_r**alpha.  Every entry point checks its
 arguments against the one table of parameter domains, `domains._DOMAINS`.
+Every outage, the fading-conditional law of a frozen field included, is one
+count law evaluated in one place, `_count_outage`.
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domains import _check_domain
 
 __all__ = [
     "SystemParams",
     "array_gain",
+    "conditional_outage_cdf",
     "delta_const",
     "gamma_from_beta",
     "outage_cdf",
@@ -167,8 +172,27 @@ def _interference_exponent(lam: float, alpha: float, gamma: float) -> float:
     return lam * delta_const(alpha) * gamma ** (2.0 / alpha)
 
 
-def _clamp01(p: float) -> float:
-    return min(1.0, max(0.0, p))
+def _count_outage(mean: float, L: int, capture=()) -> float:
+    """P(sum_k Bernoulli(s_k / (1 + s_k)) + Poisson(mean) >= L) for capture
+    odds s_k in [0, inf].  Without Bernoulli terms this is one Poisson sum;
+    with them, a dynamic program over their count truncated at L (the top
+    state collects every count >= L) costs O(nL) and cannot overflow.
+    """
+    if not capture:
+        return max(0.0, 1.0 - _poisson_cdf(mean, L))
+    dist = [1.0] + [0.0] * L  # P(Bernoulli count = i) for i < L; dist[L] = P(count >= L)
+    for s in capture:
+        # an odds of inf captures surely; 1/(1+s) keeps its miss exactly 0
+        hit = s / (1.0 + s) if s < math.inf else 1.0
+        stay = 1.0 / (1.0 + s)
+        dist[L] += dist[L - 1] * hit
+        for i in range(L - 1, 0, -1):
+            dist[i] = dist[i] * stay + dist[i - 1] * hit
+        dist[0] *= stay
+    value = dist[L]
+    for i in range(L):  # count i still needs L - i from the Poisson term
+        value += dist[i] * _count_outage(mean, L - i)
+    return min(1.0, value)
 
 
 def outage_cdf(params: SystemParams) -> float:
@@ -182,13 +206,13 @@ def outage_cdf(params: SystemParams) -> float:
     """
     gamma = params.gamma
     x = _interference_exponent(params.lam, params.alpha, gamma) + params.sigma2 * gamma
-    return _clamp01(1.0 - _poisson_cdf(x, params.L))
+    return _count_outage(x, params.L)
 
 
 def outage_noise_limited(L: int, sigma2: float, gamma: float) -> float:
     """Outage with no interferers: the chi-square CDF of the combined SNR."""
     _check_domain(L=L, sigma2=sigma2, gamma=gamma)
-    return _clamp01(1.0 - _poisson_cdf(sigma2 * gamma, L))
+    return _count_outage(sigma2 * gamma, L)
 
 
 def outage_interference_limited(L: int, lam: float, alpha: float, gamma: float) -> float:
@@ -200,7 +224,23 @@ def outage_interference_limited(L: int, lam: float, alpha: float, gamma: float) 
     threshold radius.
     """
     _check_domain(L=L, lam=lam, gamma=gamma)
-    return _clamp01(1.0 - _poisson_cdf(_interference_exponent(lam, alpha, gamma), L))
+    return _count_outage(_interference_exponent(lam, alpha, gamma), L)
+
+
+def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float:
+    """Fading-only outage of the optimum combiner given interferer powers P_j:
+    P(sum_j Bernoulli(s_j / (1 + s_j)) + Poisson(sigma2 * gamma) >= L) with
+    s_j = P_j * gamma (inf where the product overflows: a sure capture).
+
+    Each interferer independently takes one of the L degrees of freedom with
+    probability s_j / (1 + s_j), and the noise adds a Poisson count.
+    Averaged over a Poisson field, this thinning leaves the interferer count
+    Poisson with mean lam * Delta * gamma**(2/alpha): the closed form of
+    `outage_cdf`.
+    """
+    powers = np.asarray(powers, dtype=np.float64)
+    _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
+    return _count_outage(sigma2 * gamma, L, [p * gamma for p in powers.tolist()])
 
 
 def _gamma_ratio(a: float, b: float) -> float:

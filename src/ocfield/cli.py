@@ -15,14 +15,13 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .analytic import SystemParams, _poisson_cdf, delta_const, gamma_from_beta, outage_cdf
+from .analytic import SystemParams, _count_outage, delta_const, gamma_from_beta, outage_cdf
 from .contention import BracketViolation, contention_optimum
 from .domains import _MASK64, RECEIVERS, _check_domain
 from .simulate import _resolve_workers, estimate_outage, receiver_label
 
 __all__ = [
     "ConfigError",
-    "InternalCheckError",
     "ScenarioConfig",
     "db_to_linear",
     "derive_row_seed",
@@ -40,10 +39,6 @@ OPTIMIZE_HEADER = "L,g,lambda_max,t_max,mode"
 
 class ConfigError(ValueError):
     """Bad configuration; reported with the offending field and exit code 2."""
-
-
-class InternalCheckError(RuntimeError):
-    """A should-never-fail consistency check failed; exit code 3."""
 
 
 def _in_field(field: str, check, *args, **kwargs) -> None:
@@ -138,18 +133,18 @@ def derive_row_seed(master_seed: int, row_index: int) -> int:
 
 
 def _poisson_tail_exponent(L: int, target_outage: float) -> float:
-    # x with 1 - P(Poisson(x) < L) = target, bisected on the monotone tail
+    # x with P(Poisson(x) >= L) = target, bisected on the monotone tail
     # until no double lies strictly between the bracket ends
     lo, hi = 0.0, 1.0
-    while 1.0 - _poisson_cdf(hi, L) < target_outage:
+    while _count_outage(hi, L) < target_outage:
         hi *= 2.0
-        if hi > 1e9:  # pragma: no cover
-            raise InternalCheckError("outage target unreachable")
+        if hi > 1e9:
+            raise ConfigError(f"cannot place the lambda grid: L = {L} is too large")
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        if 1.0 - _poisson_cdf(mid, L) < target_outage:
+        if _count_outage(mid, L) < target_outage:
             lo = mid
         else:
             hi = mid
@@ -245,6 +240,7 @@ def run_optimize(config: ScenarioConfig) -> list[tuple]:
     normalized load lambda_max * Delta * gamma**(2/alpha)).
     """
     gamma = config.gamma
+    _in_field("sigma2", _check_domain, sigma2__scaled=config.sigma2 * gamma)
     mode = "closed-form" if config.sigma2 == 0.0 else "root"
     rows = []
     for L in config.antennas:
@@ -480,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BracketViolation, InternalCheckError) as exc:
+    except BracketViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -19,6 +19,7 @@ _DOMAINS = {
     "lam__positive": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
     "alpha": (lambda v: 2.0 < v < math.inf, "finite and > 2"),
     "sigma2": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "sigma2__scaled": (lambda v: v < math.inf, "finite once scaled by gamma"),
     "d_r": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
     "beta": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
     "gamma": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
@@ -33,6 +34,7 @@ _DOMAINS = {
     "n_trials__moments": (lambda v: isinstance(v, int) and v >= 2, "an integer >= 2"),
     "expected_count": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     "workers": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "size": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     "master_seed": (lambda v: isinstance(v, int) and 0 <= v <= _MASK64, "a 64-bit unsigned integer"),
     "pzf_k": (lambda v: v is None or (isinstance(v, int) and v >= 0), "None or an integer >= 0"),
     "receiver": (RECEIVERS.__contains__, f"one of {RECEIVERS}, not an unknown receiver"),

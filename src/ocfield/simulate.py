@@ -1,4 +1,5 @@
-"""Monte Carlo simulator of the physical link model: one block engine.
+"""Monte Carlo simulator of the physical link model: one block engine and the
+estimators built on it.
 
 Each trial draws a fresh Poisson field and fresh Rayleigh channels, builds the
 interference-plus-noise covariance, and evaluates the post-combining SINR of
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SystemParams, outage_noise_limited
+from .analytic import SystemParams
 from .domains import _check_domain
 from .linalg import batch_project_out, batch_quadratic_form_inverse
 
@@ -33,7 +34,6 @@ __all__ = [
     "SirMomentsEstimate",
     "TrialStream",
     "block_sinr",
-    "conditional_outage_cdf",
     "default_pzf_k",
     "estimate_outage",
     "estimate_outage_conditional",
@@ -132,6 +132,7 @@ def _combining_ratio(w: np.ndarray, desired: np.ndarray, a: np.ndarray, sigma2: 
 def default_pzf_k(L: int) -> int:
     """Default partial zero-forcing cancellation count: ceil(L/2), capped at
     L - 1 so that the desired channel keeps a dimension (0 at L = 1)."""
+    _check_domain(L=L)
     return min((L + 1) // 2, L - 1)
 
 
@@ -163,6 +164,7 @@ def _weights(
 
 def receiver_label(receiver: str, L: int, pzf_k: int | None = None) -> str:
     """Canonical row label: oc / mrc / zf / pzf<k>."""
+    _check_domain(receiver=receiver, L=L, pzf_k=pzf_k)
     if receiver == "pzf":
         return f"pzf{default_pzf_k(L) if pzf_k is None else pzf_k}"
     return receiver
@@ -230,7 +232,7 @@ def block_sinr(
     alone, so it is never sampled).  The distance gain d_r**-alpha is the
     last factor applied.
     """
-    _check_domain(receiver=receiver, pzf_k=pzf_k)
+    _check_domain(receiver=receiver, pzf_k=pzf_k, size=size)
     _, counts, radii = _draw_fields(params.lam, expected_count, size, rng)
     amplitudes = radii ** (-0.5 * params.alpha)  # square roots of the received powers
     desired, a = _channel_block(counts, amplitudes, params.L, rng)
@@ -278,8 +280,14 @@ def _map_blocks(sinr_of_block, reduce, n_trials: int, master_seed: int, workers:
         return [value for chunk in pool.map(run, range(parts)) for value in chunk]
 
 
-def _outage_estimate(failures: int, n_trials: int, master_seed: int) -> OutageEstimate:
-    p = failures / n_trials
+def _outage_estimate(
+    sinr_of_block, threshold: float, n_trials: int, master_seed: int, workers: int | None
+) -> OutageEstimate:
+    """Fraction of the trials whose SINR falls below `threshold`."""
+    failures = _map_blocks(
+        sinr_of_block, lambda s: int(np.count_nonzero(s < threshold)), n_trials, master_seed, workers
+    )
+    p = sum(failures) / n_trials
     return OutageEstimate(
         p_hat=p,
         stderr=math.sqrt(p * (1.0 - p) / n_trials),
@@ -303,14 +311,13 @@ def estimate_outage(
     for a given master_seed under any worker count: block b depends only on
     (master_seed, b) and the reduction is a commutative count.
     """
-    counts = _map_blocks(
+    return _outage_estimate(
         lambda rng, size: block_sinr(params, receiver, rng, size, expected_count, pzf_k),
-        lambda sinr: int(np.count_nonzero(sinr < params.beta)),
+        params.beta,
         n_trials,
         master_seed,
         workers,
     )
-    return _outage_estimate(sum(counts), n_trials, master_seed)
 
 
 def estimate_outage_conditional(
@@ -325,7 +332,7 @@ def estimate_outage_conditional(
     """Fading-only outage for a frozen set of received powers.
 
     The field is held fixed and only the channels are redrawn, so this
-    estimates exactly the quantity `conditional_outage_cdf` computes.
+    estimates exactly the quantity `analytic.conditional_outage_cdf` computes.
     """
     powers = np.asarray(powers, dtype=np.float64)
     _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
@@ -336,14 +343,7 @@ def estimate_outage_conditional(
         desired, a = _channel_block(counts, np.tile(amplitudes, size), L, rng)
         return _oc_ratio(desired, a, counts, sigma2)
 
-    counts = _map_blocks(
-        sinr_of_block,
-        lambda sinr: int(np.count_nonzero(sinr < gamma)),
-        n_trials,
-        master_seed,
-        workers,
-    )
-    return _outage_estimate(sum(counts), n_trials, master_seed)
+    return _outage_estimate(sinr_of_block, gamma, n_trials, master_seed, workers)
 
 
 def estimate_sir_moments(
@@ -387,44 +387,3 @@ def estimate_sir_moments(
         n_infinite=n_infinite,
         master_seed=master_seed,
     )
-
-
-def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float:
-    """Outage probability conditioned on a frozen set of received powers.
-
-    Fading-only CDF of the optimum-combiner SINR given interferer powers P_j:
-
-        P(sum_j Bernoulli(s_j / (1 + s_j)) + Poisson(sigma2 * gamma) >= L),
-
-    with s_j = P_j * gamma.  Each interferer independently takes one of the
-    L degrees of freedom with probability s_j / (1 + s_j), and the noise adds
-    a Poisson count.  Averaged over a Poisson field, this thinning leaves the
-    interferer count Poisson with mean lam * Delta * gamma**(2/alpha), which
-    is the closed form of `analytic.outage_cdf`.  The Bernoulli count runs
-    through a dynamic program over probabilities, truncated at L (the top
-    state collects every count >= L), so it costs O(nL) and cannot overflow
-    for any node count or L.
-    """
-    powers = np.asarray(powers, dtype=np.float64)
-    _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
-
-    # dist[i] = P(Bernoulli count = i) for i < L; dist[L] = P(count >= L).
-    # A node whose s_j = P_j * gamma overflows to inf takes a degree of
-    # freedom surely, so its capture probability s_j / (1 + s_j) is exactly 1.
-    with np.errstate(over="ignore"):
-        scaled = powers * gamma
-    miss = 1.0 / (1.0 + scaled)
-    capture = np.divide(scaled, 1.0 + scaled, out=np.ones_like(scaled), where=scaled < math.inf)
-    dist = [1.0] + [0.0] * L
-    for hit, stay in zip(capture.tolist(), miss.tolist()):
-        below = 0.0
-        for i in range(L):
-            here = dist[i]
-            dist[i] = here * stay + below * hit
-            below = here
-        dist[L] += below * hit
-    value = dist[L]
-    if sigma2 * gamma > 0.0:
-        for i in range(L):
-            value += dist[i] * outage_noise_limited(L - i, sigma2, gamma)
-    return min(1.0, max(0.0, value))

@@ -1,9 +1,13 @@
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from pytest import approx
 from scipy.stats import poisson
 
@@ -470,11 +474,13 @@ class TestErrorPaths:
                     "--L", "1"], "gamma"),
             (None, ["analytic", "--beta", "1e-300", "--d-r", "1e-10", "--alpha", "3", "--L", "1"],
              "gamma"),
+            # the default grid needs a Poisson mean near L, beyond the bisection's range
+            (None, ["analytic", "--L", "1,2000000000"], "L = 2000000000"),
         ],
         ids=["figure-alpha", "figure-config", "L-fraction", "n_trials-fraction",
              "lambda-min-alone", "lambda-points-one", "L-float", "alpha-text",
              "receivers-number", "alpha-null", "gamma-overflow-analytic",
-             "gamma-overflow-optimize", "gamma-underflow"],
+             "gamma-overflow-optimize", "gamma-underflow", "L-beyond-default-grid"],
     )
     def test_bad_input_exits_two_and_names_it(self, tmp_path, file_data, argv, named, capsys):
         if file_data is not None:
@@ -485,3 +491,41 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert named in captured.err
         assert captured.out == ""
+
+
+NORMAL = st.floats(sys.float_info.min, sys.float_info.max)
+
+
+class TestDomainSweep:
+    """Across the whole parameter domain, `analytic` and `optimize` exit 0
+    with finite rows, or exit 2; never a traceback, exit 3 or a nan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["analytic", "optimize"]),
+        alpha=st.floats(2.0 + 1e-9, 1e3),
+        beta=NORMAL,
+        d_r=NORMAL,
+        antennas=st.lists(st.integers(1, 10_000), min_size=1, max_size=3),
+        sigma2=st.floats(0.0, 1e300),
+    )
+    # sigma2 * gamma overflows: once an OverflowError out of the contention solver
+    @example(command="optimize", alpha=8.0, beta=1.0, d_r=16.0, antennas=[1], sigma2=1e300)
+    def test_finite_rows_or_config_error(self, command, alpha, beta, d_r, antennas, sigma2):
+        argv = [command, "--alpha", repr(alpha), "--beta", repr(beta), "--d-r", repr(d_r),
+                "--sigma2", repr(sigma2), "--L", ",".join(map(str, antennas)),
+                "--lambda-points", "3"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("config error: ") and out.getvalue() == ""
+            return
+        rows = out.getvalue().splitlines()[1:]
+        assert len(rows) == len(antennas) * (3 if command == "analytic" else 1)
+        for row in rows:
+            values = [float(v) for v in row.split(",") if v not in ("closed-form", "root")]
+            assert all(math.isfinite(v) for v in values), row
+            if command == "analytic":
+                assert 0.0 <= values[2] <= 1.0, row

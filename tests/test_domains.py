@@ -13,6 +13,7 @@ from ocfield import (
     block_sinr,
     conditional_outage_cdf,
     contention_optimum,
+    default_pzf_k,
     delta_const,
     estimate_outage,
     estimate_outage_conditional,
@@ -22,6 +23,7 @@ from ocfield import (
     lambda_max,
     outage_interference_limited,
     outage_noise_limited,
+    receiver_label,
     sir_mean,
     sir_variance,
     throughput_max,
@@ -75,14 +77,18 @@ ENTRY_POINTS = [
     (throughput_max, dict(L=2, alpha=3.5, gamma=1e3),
      dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE)),
     (contention_optimum, dict(L=2, alpha=3.5, gamma=1e3, sigma2=1e-5),
-     dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE, sigma2=REALS)),
+     dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE, sigma2=[*REALS, 1e306])),
     (TrialStream, dict(master_seed=1), dict(master_seed=SEEDS)),
+    (default_pzf_k, dict(L=2), dict(L=COUNTS)),
+    (receiver_label, dict(receiver="pzf", L=3, pzf_k=None),
+     dict(receiver=RECEIVER, L=COUNTS, pzf_k=PZF)),
     (conditional_outage_cdf, FROZEN, dict(powers=POWERS, sigma2=REALS, L=COUNTS, gamma=REALS)),
     (estimate_outage_conditional, {**FROZEN, **RUN},
      dict(powers=POWERS, sigma2=REALS, L=COUNTS, gamma=REALS, n_trials=COUNTS,
           master_seed=SEEDS, workers=COUNTS)),
-    (fresh_block_sinr, dict(params=params(), **SIMULATOR),
-     dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF)),
+    (fresh_block_sinr, dict(params=params(), size=8, **SIMULATOR),
+     dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
+          size=COUNTS)),
     (estimate_outage, dict(params=params(), **SIMULATOR, **RUN),
      dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
           n_trials=COUNTS, master_seed=SEEDS, workers=COUNTS)),

@@ -303,10 +303,13 @@ class TestCombinerWeights:
 
 class TestConditionalOutage:
     def test_empty_field_reduces_to_noise_limited(self):
+        # one count law: an empty field and lam = 0 both take the Poisson path
         for L in (1, 2, 4):
-            for sg in ((1.0, 0.7), (0.3, 2.0), (0.0, 5.0)):
-                got = conditional_outage_cdf([], sg[0], L, sg[1])
-                assert got == approx(outage_noise_limited(L, sg[0], sg[1]), abs=1e-15)
+            for sigma2, gamma in ((1.0, 0.7), (0.3, 2.0), (0.0, 5.0)):
+                expected = outage_noise_limited(L, sigma2, gamma)
+                assert conditional_outage_cdf([], sigma2, L, gamma) == expected
+                empty = SystemParams(lam=0.0, alpha=3.5, sigma2=sigma2, d_r=1.0, L=L, beta=gamma)
+                assert outage_cdf(empty) == expected
 
     def test_single_antenna_closed_form(self):
         powers, sigma2, gamma = [0.5, 2.0, 0.1], 0.25, 1.5
