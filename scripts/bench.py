@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Time the package end to end and per call, and write the medians as JSON.
+
+Usage:
+    python scripts/bench.py BENCH_N.json
+
+End to end: the wall time of a fresh interpreter that imports `ocfield.cli`,
+or runs `figure 1 --n-trials 2500`, `figure 3` or `figure 4` (CSV to
+/dev/null), beside a bare interpreter start for reference.  Per call: the
+microseconds of `outage_cdf`, `contention_optimum` and
+`conditional_outage_cdf` on fixed arguments.  Every number is the median of
+REPEATS runs, since cores and clocks are not pinned.  The file also records
+the CPU count, the Python and numpy versions, the worker count and the time
+of the benchmark's anchor kernel (`ocbench/anchor.py`), which tracks the
+speed of the machine.  Runs outside the test suite.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "ocbench")]
+
+import anchor  # noqa: E402
+import numpy  # noqa: E402
+
+from ocfield import (  # noqa: E402
+    SystemParams,
+    conditional_outage_cdf,
+    contention_optimum,
+    gamma_from_beta,
+    outage_cdf,
+)
+
+REPEATS = 7
+
+PROCESSES = {
+    "python -c pass": ["-c", "pass"],
+    "import ocfield.cli": ["-c", "import ocfield.cli"],
+    "figure 1 --n-trials 2500": ["-m", "ocfield", "figure", "1", "--n-trials", "2500"],
+    "figure 3": ["-m", "ocfield", "figure", "3"],
+    "figure 4": ["-m", "ocfield", "figure", "4"],
+}
+
+GAMMA = gamma_from_beta(10 ** 0.3, 10.0, 3.5)  # the CLI's default scenario
+POWERS = [(1.0 + k) ** -1.75 for k in range(100)]  # 100 nodes at radii 1..100, alpha = 3.5
+CALLS = {
+    **{
+        f"outage_cdf L={L}": lambda L=L: outage_cdf(
+            SystemParams(lam=1e-3, alpha=3.5, sigma2=1e-5, d_r=10.0, L=L, beta=10 ** 0.3)
+        )
+        for L in (1, 8, 64)
+    },
+    **{
+        f"contention_optimum L={L} sigma2={sigma2:g}": lambda L=L, sigma2=sigma2: (
+            contention_optimum(L, 3.5, GAMMA, sigma2)
+        )
+        for L in (1, 8, 64)
+        for sigma2 in (0.0, 1e-5)
+    },
+    **{
+        f"conditional_outage_cdf L={L} nodes=100": lambda L=L: conditional_outage_cdf(
+            POWERS, 1e-5, L, 1.0
+        )
+        for L in (1, 8)
+    },
+}
+
+
+def process_seconds(argv: list[str], env: dict[str, str]) -> float:
+    start = time.perf_counter()
+    subprocess.run([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, check=True)
+    return time.perf_counter() - start
+
+
+def us_per_call(fn) -> float:
+    number, seconds = timeit.Timer(fn).autorange()  # at least 0.2 s of calls
+    return seconds / number * 1e6
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="path of the JSON file to write")
+    args = parser.parse_args()
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    processes = {name: [] for name in PROCESSES}
+    calls = {name: [] for name in CALLS}
+    anchors = []
+    for _ in range(REPEATS):  # interleaved, so drift in machine speed hits every number alike
+        anchors.append(anchor.anchor_seconds())
+        for name, argv in PROCESSES.items():
+            processes[name].append(process_seconds(argv, env))
+        for name, fn in CALLS.items():
+            calls[name].append(us_per_call(fn))
+    result = {
+        "repeats": REPEATS,
+        "process_wall_s": {name: statistics.median(t) for name, t in processes.items()},
+        "us_per_call": {name: statistics.median(t) for name, t in calls.items()},
+        "anchor_s": statistics.median(anchors),
+        "provenance": {
+            "cpu_count": os.cpu_count(),
+            "cpus_available": len(os.sched_getaffinity(0)),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "OC_FIELD_THREADS": os.environ.get("OC_FIELD_THREADS"),
+        },
+    }
+    text = json.dumps(result, indent=1) + "\n"
+    Path(args.out).write_text(text)
+    print(text, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

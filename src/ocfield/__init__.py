@@ -2,41 +2,28 @@
 
 Exact closed forms for the post-combining SINR outage, ALOHA contention
 optimization, and a from-scratch Monte Carlo simulator of the physical model
-to validate them.
+to validate them.  numpy is loaded only by the simulator: the names taken
+from `simulate` are imported on first access (PEP 562).
 """
 
-from .analytic import (
-    SystemParams,
-    array_gain,
-    conditional_outage_cdf,
-    delta_const,
-    gamma_from_beta,
-    outage_cdf,
-    outage_interference_limited,
-    outage_noise_limited,
-    sir_mean,
-    sir_variance,
-    throughput_density,
-)
-from .contention import (
-    BracketViolation,
-    ContentionOptimum,
-    contention_optimum,
-    g_of_l,
-    lambda_max,
-    throughput_max,
-)
-from .simulate import (
-    BLOCK,
-    OutageEstimate,
-    SirMomentsEstimate,
-    TrialStream,
-    block_sinr,
-    default_pzf_k,
-    estimate_outage,
-    estimate_outage_conditional,
-    estimate_sir_moments,
-    receiver_label,
-)
+from . import analytic, contention
+from .analytic import *  # noqa: F403
+from .contention import *  # noqa: F403
 
+_SIMULATE = ("BLOCK", "OutageEstimate", "SirMomentsEstimate", "TrialStream", "block_sinr",
+             "default_pzf_k", "estimate_outage", "estimate_outage_conditional",
+             "estimate_sir_moments", "receiver_label")
+__all__ = [*analytic.__all__, *contention.__all__, *_SIMULATE]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _SIMULATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulate
+
+    return getattr(simulate, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SIMULATE})

@@ -6,15 +6,15 @@ converting from dB is the CLI's job.  The normalized threshold used
 throughout is gamma = beta * d_r**alpha.  Every entry point checks its
 arguments against the one table of parameter domains, `domains._DOMAINS`.
 Every outage, the fading-conditional law of a frozen field included, is one
-count law evaluated in one place, `_count_outage`.
+count law evaluated in one place, `_count_outage`.  Pure Python: nothing
+here imports numpy, so the closed-form commands start without it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .domains import _check_domain
 
@@ -92,6 +92,9 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # largest term the Poisson terms fall off faster than geometrically, so for
 # x up to 1e8 the dropped tail stays under an ulp of the sum.
 _NEGLIGIBLE = 2.0**-64
+# Below this, 1 - P(Poisson(x) < L) has lost half its digits to the cdf's
+# rounding error, so `_count_outage` sums the tail directly instead.
+_TAIL_CUTOFF = 2.0**-30
 
 
 def _stirling_error(n: int) -> float:
@@ -174,12 +177,21 @@ def _interference_exponent(lam: float, alpha: float, gamma: float) -> float:
 
 def _count_outage(mean: float, L: int, capture=()) -> float:
     """P(sum_k Bernoulli(s_k / (1 + s_k)) + Poisson(mean) >= L) for capture
-    odds s_k in [0, inf].  Without Bernoulli terms this is one Poisson sum;
-    with them, a dynamic program over their count truncated at L (the top
-    state collects every count >= L) costs O(nL) and cannot overflow.
+    odds s_k in [0, inf].  Without Bernoulli terms this is one Poisson sum
+    (the tail summed directly below _TAIL_CUTOFF); with them, a dynamic
+    program over their count truncated at L (the top state collects every
+    count >= L) costs O(nL) and cannot overflow.
     """
     if not capture:
-        return max(0.0, 1.0 - _poisson_cdf(mean, L))
+        tail = 1.0 - _poisson_cdf(mean, L)
+        if tail >= _TAIL_CUTOFF or not 0.0 < mean < L:
+            return max(0.0, tail)
+        total = term = 1.0  # sum_{i>=L} pmf(i)/pmf(L): each ratio mean/i is below 1
+        for i in itertools.count(L + 1):
+            term *= mean / i
+            total += term
+            if term < _NEGLIGIBLE * total:
+                return total * math.exp(_log_pmf(L, mean))
     dist = [1.0] + [0.0] * L  # P(Bernoulli count = i) for i < L; dist[L] = P(count >= L)
     for s in capture:
         # an odds of inf captures surely; 1/(1+s) keeps its miss exactly 0
@@ -238,9 +250,9 @@ def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float
     Poisson with mean lam * Delta * gamma**(2/alpha): the closed form of
     `outage_cdf`.
     """
-    powers = np.asarray(powers, dtype=np.float64)
+    powers = [float(p) for p in powers]
     _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
-    return _count_outage(sigma2 * gamma, L, [p * gamma for p in powers.tolist()])
+    return _count_outage(sigma2 * gamma, L, [p * gamma for p in powers])
 
 
 def _gamma_ratio(a: float, b: float) -> float:

@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 
 from .analytic import SystemParams, _count_outage, delta_const, gamma_from_beta, outage_cdf
 from .contention import BracketViolation, contention_optimum
-from .domains import _MASK64, RECEIVERS, _check_domain
-from .simulate import _resolve_workers, estimate_outage, receiver_label
+from .domains import _MASK64, RECEIVERS, _check_domain, _resolve_workers
 
 __all__ = [
     "ConfigError",
@@ -200,6 +199,9 @@ def run_simulation(config: ScenarioConfig) -> list[tuple]:
     carries the optimum-combining closed form; other receivers have no
     closed form here and get nan.
     """
+    from .simulate import _distance_gain, estimate_outage, receiver_label  # loads numpy
+
+    _in_field("d_r", _distance_gain, config.d_r, config.alpha)
     rows = []
     cell_index = 0
     for lam in config.lambda_grid:

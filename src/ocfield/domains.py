@@ -1,10 +1,12 @@
 """The one table of parameter domains.  Every entry point checks its own
-arguments against it, and the CLI checks each config field against it.
+arguments against it, and the CLI checks each config field against it and
+the worker count (OC_FIELD_THREADS), resolved here, without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 
 RECEIVERS = ("oc", "mrc", "zf", "pzf")
@@ -21,6 +23,8 @@ _DOMAINS = {
     "sigma2": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     "sigma2__scaled": (lambda v: v < math.inf, "finite once scaled by gamma"),
     "d_r": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    # the simulator's desired-link gain d_r**-alpha
+    "d_r__gain": (lambda v: v < math.inf, "large enough that d_r**-alpha is finite"),
     "beta": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
     "gamma": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     # the derived threshold beta * d_r**alpha, which the contention optimum
@@ -38,8 +42,8 @@ _DOMAINS = {
     "master_seed": (lambda v: isinstance(v, int) and 0 <= v <= _MASK64, "a 64-bit unsigned integer"),
     "pzf_k": (lambda v: v is None or (isinstance(v, int) and v >= 0), "None or an integer >= 0"),
     "receiver": (RECEIVERS.__contains__, f"one of {RECEIVERS}, not an unknown receiver"),
-    # a float array, one entry per interferer
-    "powers": (lambda v: bool(((0.0 < v) & (v < math.inf)).all()), "finite and > 0"),
+    # one received power per interferer
+    "powers": (lambda v: all(0.0 < p < math.inf for p in v), "finite and > 0"),
 }
 
 
@@ -50,3 +54,12 @@ def _check_domain(**values) -> None:
         inside, domain = _DOMAINS[key]
         if not inside(value):
             raise ValueError(f"{key.partition('__')[0]} must be {domain}, got {value!r}")
+
+
+def _resolve_workers(workers: int | None) -> int:
+    """`workers`, or else the OC_FIELD_THREADS environment variable (default 1)."""
+    if workers is None:
+        text = os.environ.get("OC_FIELD_THREADS", "1")
+        workers = int(text) if text.isdecimal() else text
+    _check_domain(workers=workers)
+    return workers

@@ -17,7 +17,6 @@ bit-identical for any worker count (OC_FIELD_THREADS) and any scheduling.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import SystemParams
-from .domains import _check_domain
+from .domains import _check_domain, _resolve_workers
 from .linalg import batch_project_out, batch_quadratic_form_inverse
 
 __all__ = [
@@ -243,16 +242,17 @@ def block_sinr(
         padded_radii[np.arange(a.shape[1]) < counts[:, None]] = radii
         w = _weights(receiver, desired, a, padded_radii, pzf_k)
         ratio = _combining_ratio(w, desired, a, params.sigma2)
-    return ratio * params.d_r ** (-params.alpha)
+    return ratio * _distance_gain(params.d_r, params.alpha)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """`workers`, or else the OC_FIELD_THREADS environment variable (default 1)."""
-    if workers is None:
-        text = os.environ.get("OC_FIELD_THREADS", "1")
-        workers = int(text) if text.isdecimal() else text
-    _check_domain(workers=workers)
-    return workers
+def _distance_gain(d_r: float, alpha: float) -> float:
+    """d_r**-alpha, a ValueError unless that is finite."""
+    try:
+        gain = d_r ** (-alpha)
+    except OverflowError:
+        gain = math.inf
+    _check_domain(d_r__gain=gain)
+    return gain
 
 
 def _map_blocks(sinr_of_block, reduce, n_trials: int, master_seed: int, workers: int | None) -> list:
@@ -334,9 +334,8 @@ def estimate_outage_conditional(
     The field is held fixed and only the channels are redrawn, so this
     estimates exactly the quantity `analytic.conditional_outage_cdf` computes.
     """
-    powers = np.asarray(powers, dtype=np.float64)
     _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
-    amplitudes = np.sqrt(powers)
+    amplitudes = np.sqrt(np.asarray(powers, dtype=np.float64))
 
     def sinr_of_block(rng, size):
         counts = np.full(size, amplitudes.shape[0])

@@ -19,7 +19,7 @@ from ocfield import (
     sir_variance,
     throughput_density,
 )
-from ocfield.analytic import _poisson_cdf
+from ocfield.analytic import _TAIL_CUTOFF, _count_outage, _poisson_cdf
 
 from _oracles import delta_quadrature, sir_moment_quadrature
 
@@ -291,3 +291,28 @@ def test_poisson_cdf_matches_scipy(case):
     reference = poisson.sf(L - 1, x)
     # the outage is 1 - (a sum of up to L terms), so its absolute error grows with L
     assert outage_cdf(params) == approx(reference, rel=1e-9, abs=5e-14 * (L + 1))
+
+
+# (mean, L) with a tail far below 1 - P(N < L)'s rounding error: the four
+# that once came out as that rounding error (the last truly underflows to 0),
+# then true tails from 1e-300 to 1e-10
+TINY_TAILS = [(1000.0, 2000), (0.5, 16), (0.01, 8), (1e8, 10**12)] + [
+    (r * L, L)
+    for L in (2, 8, 64, 300)
+    for r in (1e-6, 1e-4, 1e-2, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7)
+    if 1e-300 <= poisson.sf(L - 1, r * L) <= 1e-10
+]
+
+
+class TestTinyTail:
+    @pytest.mark.parametrize("mean, L", TINY_TAILS)
+    def test_matches_scipy(self, mean, L):
+        assert _count_outage(mean, L) == approx(poisson.sf(L - 1, mean), rel=1e-12, abs=0.0)
+
+    @given(poisson_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_above_the_cutoff_is_the_complement(self, case):
+        L, x = case
+        complement = 1.0 - _poisson_cdf(x, L)
+        if complement >= _TAIL_CUTOFF:
+            assert _count_outage(x, L) == complement

@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -476,11 +478,15 @@ class TestErrorPaths:
              "gamma"),
             # the default grid needs a Poisson mean near L, beyond the bisection's range
             (None, ["analytic", "--L", "1,2000000000"], "L = 2000000000"),
+            # gamma is normal but the simulator's d_r**-alpha overflows
+            (None, ["simulate", "--d-r", "1e-10", "--alpha", "31", "--beta", "1e10",
+                    "--L", "2", "--n-trials", "64"], "d_r: d_r must be"),
         ],
         ids=["figure-alpha", "figure-config", "L-fraction", "n_trials-fraction",
              "lambda-min-alone", "lambda-points-one", "L-float", "alpha-text",
              "receivers-number", "alpha-null", "gamma-overflow-analytic",
-             "gamma-overflow-optimize", "gamma-underflow", "L-beyond-default-grid"],
+             "gamma-overflow-optimize", "gamma-underflow", "L-beyond-default-grid",
+             "distance-gain-overflow"],
     )
     def test_bad_input_exits_two_and_names_it(self, tmp_path, file_data, argv, named, capsys):
         if file_data is not None:
@@ -497,35 +503,67 @@ NORMAL = st.floats(sys.float_info.min, sys.float_info.max)
 
 
 class TestDomainSweep:
-    """Across the whole parameter domain, `analytic` and `optimize` exit 0
-    with finite rows, or exit 2; never a traceback, exit 3 or a nan."""
+    """Across the whole parameter domain, `analytic`, `optimize` and a small
+    `simulate`, from flags or from a config file, exit 0 with finite rows, or
+    exit 2; never a traceback, exit 3 or a nan."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=90, deadline=None)
     @given(
-        command=st.sampled_from(["analytic", "optimize"]),
+        command=st.sampled_from(["analytic", "optimize", "simulate"]),
+        from_file=st.booleans(),
         alpha=st.floats(2.0 + 1e-9, 1e3),
         beta=NORMAL,
         d_r=NORMAL,
         antennas=st.lists(st.integers(1, 10_000), min_size=1, max_size=3),
         sigma2=st.floats(0.0, 1e300),
+        receivers=st.lists(st.sampled_from(["oc", "mrc", "zf", "pzf"]), min_size=1, max_size=4,
+                           unique=True),
+        n_trials=st.integers(1, 64),
     )
     # sigma2 * gamma overflows: once an OverflowError out of the contention solver
-    @example(command="optimize", alpha=8.0, beta=1.0, d_r=16.0, antennas=[1], sigma2=1e300)
-    def test_finite_rows_or_config_error(self, command, alpha, beta, d_r, antennas, sigma2):
-        argv = [command, "--alpha", repr(alpha), "--beta", repr(beta), "--d-r", repr(d_r),
-                "--sigma2", repr(sigma2), "--L", ",".join(map(str, antennas)),
-                "--lambda-points", "3"]
+    @example(command="optimize", from_file=False, alpha=8.0, beta=1.0, d_r=16.0, antennas=[1],
+             sigma2=1e300, receivers=["oc"], n_trials=1)
+    # d_r**-alpha overflows while gamma stays normal: once an OverflowError in the simulator
+    @example(command="simulate", from_file=True, alpha=31.0, beta=1e10, d_r=1e-10, antennas=[2],
+             sigma2=0.0, receivers=["oc", "zf"], n_trials=64)
+    def test_finite_rows_or_config_error(
+        self, command, from_file, alpha, beta, d_r, antennas, sigma2, receivers, n_trials
+    ):
+        scenario = dict(alpha=alpha, beta=beta, d_r=d_r, sigma2=sigma2, L=antennas,
+                        lambda_points=3)
+        if command == "simulate":
+            antennas = [L % 8 + 1 for L in antennas]  # keep each trial's algebra small
+            scenario.update(L=antennas, receivers=receivers, n_trials=n_trials)
+        else:
+            receivers = [None]
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+        with tempfile.TemporaryDirectory() as tmp:
+            if from_file:
+                cfg = os.path.join(tmp, "cfg.json")
+                with open(cfg, "w") as handle:
+                    json.dump(scenario, handle)
+                argv = [command, "--config", cfg]
+            else:
+                argv = [command]
+                for key, value in scenario.items():
+                    text = ",".join(map(str, value)) if isinstance(value, list) else repr(value)
+                    argv += ["--" + key.replace("_", "-"), text]
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
         assert code in (0, 2), err.getvalue()
         if code == 2:
             assert err.getvalue().startswith("config error: ") and out.getvalue() == ""
             return
-        rows = out.getvalue().splitlines()[1:]
-        assert len(rows) == len(antennas) * (3 if command == "analytic" else 1)
+        rows = [row.split(",") for row in out.getvalue().splitlines()[1:]]
+        assert len(rows) == len(antennas) * len(receivers) * (1 if command == "optimize" else 3)
         for row in rows:
-            values = [float(v) for v in row.split(",") if v not in ("closed-form", "root")]
+            if command == "simulate":
+                _, _, label, analytic, mc, *_ = row
+                # only the optimum combiner has a closed form; the others carry nan
+                assert (analytic == "nan") == (not label.startswith("oc")), row
+                row = [v for v in row if v not in (label, "nan")]
+                assert 0.0 <= float(mc) <= 1.0, row
+            values = [float(v) for v in row if v not in ("closed-form", "root")]
             assert all(math.isfinite(v) for v in values), row
-            if command == "analytic":
+            if command != "optimize":
                 assert 0.0 <= values[2] <= 1.0, row

@@ -4,6 +4,7 @@ value), all checked against the one table in `ocfield.domains`."""
 
 import math
 
+import numpy as np
 import pytest
 
 from ocfield import (
@@ -37,7 +38,7 @@ COUNTS = [NAN, INF, -1, 0, 2.0]  # outside "an integer >= 1"
 SEEDS = [NAN, -1, 1 << 64, 1.0]
 PZF = [NAN, INF, -1, 1.0]
 RECEIVER = ["dfe", None]
-POWERS = [[NAN], [INF], [-1.0], [0.0], [1.0, NAN]]
+POWERS = [[NAN], [INF], [-1.0], [0.0], [1.0, NAN], np.array([1.0, NAN]), np.array([0.0])]
 
 PHYSICAL = dict(lam=1e-3, alpha=3.5, sigma2=1e-5, d_r=10.0, L=2, beta=2.0)
 
@@ -119,3 +120,10 @@ def test_out_of_domain_argument_is_named(entry, valid, parameter, value):
     name = "lam" if parameter == "params" else parameter
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         entry(**{**valid, parameter: value})
+
+
+def test_simulator_rejects_an_overflowing_distance_gain():
+    # gamma = beta * d_r**alpha is a normal double, but d_r**-alpha overflows
+    overflowing = params(alpha=31.0, d_r=1e-10, beta=1e10)
+    with pytest.raises(ValueError, match=r"^d_r must be "):
+        fresh_block_sinr(params=overflowing, size=8, **SIMULATOR)
