@@ -12,7 +12,8 @@ microseconds of `outage_cdf`, `contention_optimum` and
 REPEATS runs, since cores and clocks are not pinned.  The file also records
 the CPU count, the Python and numpy versions, the worker count and the time
 of the benchmark's anchor kernel (`ocbench/anchor.py`), which tracks the
-speed of the machine.  Runs outside the test suite.
+speed of the machine, and `src_lines`, the line count of
+`src/ocfield/*.py` (what `wc -l` totals).  Runs outside the test suite.
 """
 
 import argparse
@@ -86,6 +87,10 @@ def us_per_call(fn) -> float:
     return seconds / number * 1e6
 
 
+def src_lines() -> int:
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "ocfield").glob("*.py"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="path of the JSON file to write")
@@ -106,6 +111,7 @@ def main() -> int:
         "process_wall_s": {name: statistics.median(t) for name, t in processes.items()},
         "us_per_call": {name: statistics.median(t) for name, t in calls.items()},
         "anchor_s": statistics.median(anchors),
+        "src_lines": src_lines(),
         "provenance": {
             "cpu_count": os.cpu_count(),
             "cpus_available": len(os.sched_getaffinity(0)),

@@ -25,11 +25,8 @@ __all__ = [
     "delta_const",
     "gamma_from_beta",
     "outage_cdf",
-    "outage_interference_limited",
-    "outage_noise_limited",
     "sir_mean",
     "sir_variance",
-    "throughput_density",
 ]
 
 
@@ -171,10 +168,6 @@ def _poisson_cdf(x: float, count: int) -> float:
     return s * math.exp(_log_pmf(m, x))
 
 
-def _interference_exponent(lam: float, alpha: float, gamma: float) -> float:
-    return lam * delta_const(alpha) * gamma ** (2.0 / alpha)
-
-
 def _count_outage(mean: float, L: int, capture=()) -> float:
     """P(sum_k Bernoulli(s_k / (1 + s_k)) + Poisson(mean) >= L) for capture
     odds s_k in [0, inf].  Without Bernoulli terms this is one Poisson sum
@@ -213,30 +206,16 @@ def outage_cdf(params: SystemParams) -> float:
     F = 1 - sum_{i<L} x**i / i! * exp(-x)  with
     x = lam * Delta * gamma**(2/alpha) + sigma2 * gamma.
 
-    With lam = 0 this reduces bit-for-bit to `outage_noise_limited`, and with
-    sigma2 = 0 to `outage_interference_limited` (same code path).
-    """
-    gamma = params.gamma
-    x = _interference_exponent(params.lam, params.alpha, gamma) + params.sigma2 * gamma
-    return _count_outage(x, params.L)
-
-
-def outage_noise_limited(L: int, sigma2: float, gamma: float) -> float:
-    """Outage with no interferers: the chi-square CDF of the combined SNR."""
-    _check_domain(L=L, sigma2=sigma2, gamma=gamma)
-    return _count_outage(sigma2 * gamma, L)
-
-
-def outage_interference_limited(L: int, lam: float, alpha: float, gamma: float) -> float:
-    """Outage with negligible noise.
-
-    Equals the probability that a Poisson count of mean
-    lam * pi * r**2, r = sqrt(Delta/pi) * gamma**(1/alpha), reaches L: the
-    event that the L-th strongest interferer sits inside the rescaled
+    With lam = 0 this is the noise-limited outage, the chi-square CDF
+    P(chi2_{2L} <= 2 sigma2 gamma) of the combined SNR.  With sigma2 = 0 it
+    is the interference-limited outage: the probability that a Poisson count
+    of mean lam * pi * r**2, r = sqrt(Delta/pi) * gamma**(1/alpha), reaches
+    L, i.e. that the L-th strongest interferer sits inside the rescaled
     threshold radius.
     """
-    _check_domain(L=L, lam=lam, gamma=gamma)
-    return _count_outage(_interference_exponent(lam, alpha, gamma), L)
+    gamma = params.gamma
+    x = params.lam * delta_const(params.alpha) * gamma ** (2.0 / params.alpha) + params.sigma2 * gamma
+    return _count_outage(x, params.L)
 
 
 def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float:
@@ -286,8 +265,3 @@ def sir_variance(L: int, alpha: float, lam: float, d_r: float) -> float:
     second = _gamma_ratio(L + alpha, L)
     first = _gamma_ratio(L + 0.5 * alpha, L)
     return (second - first * first) * d_r ** (-2.0 * alpha) / (lam * delta_const(alpha)) ** alpha
-
-
-def throughput_density(params: SystemParams) -> float:
-    """Successful transmissions per unit area: lam * (1 - outage)."""
-    return params.lam * (1.0 - outage_cdf(params))

@@ -288,8 +288,6 @@ def figure_preset(number: int) -> tuple[str, ScenarioConfig]:
 def _format_value(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):  # pragma: no cover
-        raise TypeError("no boolean CSV columns")
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".17g")

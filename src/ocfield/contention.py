@@ -19,7 +19,8 @@ solver finds with or without noise.  In the interference-limited regime
     Q(t) = sum_{i<L} t**i / i!  -  t**L / (L-1)!  =  exp(t) * pmf(L-1; t) * (r(t) - t),
 
 which always lies in [L/2, L]; the optimum density is u* / (Delta *
-gamma**(2/alpha)).
+gamma**(2/alpha)).  `contention_optimum` is the one entry point: g(L), the
+optimum density and the peak throughput are fields of its result.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ __all__ = [
     "BracketViolation",
     "ContentionOptimum",
     "contention_optimum",
-    "g_of_l",
-    "lambda_max",
-    "throughput_max",
 ]
 
 # Newton converges in under ten steps at realistic noise levels; the bound
@@ -54,8 +52,9 @@ class ContentionOptimum:
     """Throughput optimum for one antenna count.
 
     g is the optimum normalized load lambda_max * Delta * gamma**(2/alpha):
-    the root g(L) in [L/2, L] when sigma2 = 0, smaller with noise.
-    lambda_max and t_max are per unit area.
+    the root g(L) in [L/2, L] when sigma2 = 0 (whatever alpha and gamma;
+    exactly 1.0 at L = 1), smaller with noise.  lambda_max and t_max are per
+    unit area.
     """
 
     L: int
@@ -117,32 +116,14 @@ def _solve(L: int, noise: float) -> tuple[float, float]:
     raise BracketViolation(f"no convergence in {_MAX_STEPS} steps (L = {L}, noise = {noise})")
 
 
-def g_of_l(L: int) -> float:
-    """Unique positive root of Q, in [L/2, L]; L = 1 gives exactly 1.0."""
-    _check_domain(L=L)
-    return _solve(L, 0.0)[0]
-
-
-def lambda_max(L: int, alpha: float, gamma: float) -> float:
-    """Optimum contention density g(L) / (Delta * gamma**(2/alpha)).
-
-    Interference-limited result (sigma2 = 0 assumed).
-    """
-    return contention_optimum(L, alpha, gamma).lambda_max
-
-
-def throughput_max(L: int, alpha: float, gamma: float) -> float:
-    """Peak spatial throughput g**(L+1) * exp(-g) / ((L-1)! * Delta * gamma**(2/alpha))."""
-    return contention_optimum(L, alpha, gamma).t_max
-
-
 def contention_optimum(
     L: int, alpha: float, gamma: float, sigma2: float = 0.0
 ) -> ContentionOptimum:
     """Optimum load g, density lambda_max and throughput t_max for one antenna count.
 
     At the optimum P(Poisson(x*) < L) = u* * pmf(L-1; x*), so the peak
-    throughput is (u*)**2 * pmf(L-1; x*) / (Delta * gamma**(2/alpha)).
+    throughput is (u*)**2 * pmf(L-1; x*) / (Delta * gamma**(2/alpha)); with
+    sigma2 = 0 that is g**(L+1) * exp(-g) / ((L-1)! * Delta * gamma**(2/alpha)).
     """
     _check_domain(L=L, sigma2=sigma2, gamma__positive=gamma, sigma2__scaled=sigma2 * gamma)
     area = delta_const(alpha) * gamma ** (2.0 / alpha)

@@ -13,6 +13,10 @@ RECEIVERS = ("oc", "mrc", "zf", "pzf")
 
 _MASK64 = (1 << 64) - 1
 
+# the integer domains test `type(v) is int`: a bool is an int to isinstance,
+# but never a count, a seed or a cancellation count
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+
 # key -> (test, domain); a key name__variant holds a stricter domain of
 # `name`, and its errors name `name` alone
 _DOMAINS = {
@@ -32,15 +36,13 @@ _DOMAINS = {
     "gamma__positive": (lambda v: sys.float_info.min <= v < math.inf, "finite, normal and > 0"),
     # a threshold or noise level given in dB, converted to linear
     "linear": (lambda v: sys.float_info.min <= v < math.inf, "finite, normal and > 0"),
-    "L": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "n_trials": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    # a sample variance needs two trials
-    "n_trials__moments": (lambda v: isinstance(v, int) and v >= 2, "an integer >= 2"),
-    "expected_count": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "workers": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "size": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "master_seed": (lambda v: isinstance(v, int) and 0 <= v <= _MASK64, "a 64-bit unsigned integer"),
-    "pzf_k": (lambda v: v is None or (isinstance(v, int) and v >= 0), "None or an integer >= 0"),
+    "L": _COUNT,
+    "n_trials": _COUNT,
+    "expected_count": _COUNT,
+    "workers": _COUNT,
+    "size": _COUNT,
+    "master_seed": (lambda v: type(v) is int and 0 <= v <= _MASK64, "a 64-bit unsigned integer"),
+    "pzf_k": (lambda v: v is None or (type(v) is int and v >= 0), "None or an integer >= 0"),
     "receiver": (RECEIVERS.__contains__, f"one of {RECEIVERS}, not an unknown receiver"),
     # one received power per interferer
     "powers": (lambda v: all(0.0 < p < math.inf for p in v), "finite and > 0"),

@@ -17,7 +17,6 @@ bit-identical for any worker count (OC_FIELD_THREADS) and any scheduling.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,13 +29,11 @@ from .linalg import batch_project_out, batch_quadratic_form_inverse
 __all__ = [
     "BLOCK",
     "OutageEstimate",
-    "SirMomentsEstimate",
     "TrialStream",
     "block_sinr",
     "default_pzf_k",
     "estimate_outage",
     "estimate_outage_conditional",
-    "estimate_sir_moments",
     "receiver_label",
 ]
 
@@ -68,17 +65,6 @@ class OutageEstimate:
     p_hat: float
     stderr: float
     n_trials: int
-    master_seed: int
-
-
-@dataclass(frozen=True)
-class SirMomentsEstimate:
-    """Sample mean/variance of the SIR; infinite samples are excluded."""
-
-    mean: float
-    variance: float
-    n_trials: int
-    n_infinite: int
     master_seed: int
 
 
@@ -343,46 +329,3 @@ def estimate_outage_conditional(
         return _oc_ratio(desired, a, counts, sigma2)
 
     return _outage_estimate(sinr_of_block, gamma, n_trials, master_seed, workers)
-
-
-def estimate_sir_moments(
-    params: SystemParams,
-    receiver: str = "oc",
-    n_trials: int = 10_000,
-    master_seed: int = 0,
-    expected_count: int = 100,
-    pzf_k: int | None = None,
-    workers: int | None = None,
-) -> SirMomentsEstimate:
-    """Sample mean and variance of the SIR (noise-free regime enforced).
-
-    Infinite samples (possible only when the disk holds fewer nodes than
-    antennas, vanishingly rare at the default expected_count) are excluded
-    from the moments and reported; a warning marks any exclusion.
-    """
-    _check_domain(n_trials__moments=n_trials)
-    if params.sigma2 != 0.0:
-        raise ValueError("SIR moments are defined for sigma2 = 0")
-    values = np.concatenate(
-        _map_blocks(
-            lambda rng, size: block_sinr(params, receiver, rng, size, expected_count, pzf_k),
-            lambda sinr: sinr,
-            n_trials,
-            master_seed,
-            workers,
-        )
-    )
-    finite = values[np.isfinite(values)]
-    n_infinite = n_trials - finite.shape[0]
-    if n_infinite:
-        warnings.warn(
-            f"excluded {n_infinite} infinite SIR sample(s) from moment estimates",
-            stacklevel=2,
-        )
-    return SirMomentsEstimate(
-        mean=float(np.mean(finite)),
-        variance=float(np.var(finite, ddof=1)),
-        n_trials=n_trials,
-        n_infinite=n_infinite,
-        master_seed=master_seed,
-    )

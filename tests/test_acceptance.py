@@ -19,17 +19,12 @@ from ocfield import (
     TrialStream,
     block_sinr,
     conditional_outage_cdf,
+    contention_optimum,
     delta_const,
     estimate_outage,
     estimate_outage_conditional,
-    estimate_sir_moments,
-    g_of_l,
     gamma_from_beta,
-    lambda_max,
     outage_cdf,
-    outage_interference_limited,
-    outage_noise_limited,
-    throughput_max,
 )
 
 from _oracles import contention_q_scaled, delta_quadrature
@@ -46,6 +41,16 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 def fig1_params(lam: float, L: int) -> SystemParams:
     return SystemParams(lam=lam, alpha=3.5, sigma2=1e-5, d_r=10.0, L=L, beta=BETA_3DB)
+
+
+def g_root(L: int) -> float:
+    # g(L) is the noise-free optimum load, whatever alpha and gamma
+    return contention_optimum(L, 3.5, 1.0).g
+
+
+def interference_limited_outage(L: int, lam: float, alpha: float, gamma: float) -> float:
+    # at d_r = 1 the threshold beta is gamma itself
+    return outage_cdf(SystemParams(lam=lam, alpha=alpha, sigma2=0.0, d_r=1.0, L=L, beta=gamma))
 
 
 def test_criterion_1_closed_form_agreement():
@@ -127,25 +132,25 @@ def test_criterion_4_contention_root():
     details = []
     worst_residual = 0.0
     for L in range(1, 201):
-        g = g_of_l(L)
+        g = g_root(L)
         residual = abs(contention_q_scaled(L, g))
         worst_residual = max(worst_residual, residual)
         if not (0.5 * L <= g <= L and residual <= 1e-10):
             ok = False
             details.append(f"L={L}")
-    if g_of_l(1) != 1.0:
+    if g_root(1) != 1.0:
         ok = False
         details.append("g(1) not exact")
-    if abs(g_of_l(2) - GOLDEN) > 1e-12:
+    if abs(g_root(2) - GOLDEN) > 1e-12:
         ok = False
         details.append("g(2) off the golden ratio")
     gamma = delta_const(4.0) ** -2.0  # unit normalized geometry at alpha = 4
     for L in range(1, 6):
-        lam_star = lambda_max(L, 4.0, gamma)
-        t_star = throughput_max(L, 4.0, gamma)
+        opt = contention_optimum(L, 4.0, gamma)
+        lam_star, t_star = opt.lambda_max, opt.t_max
         for k in range(1000):
             lam = lam_star * (0.01 + (3.0 - 0.01) * k / 999.0)
-            t = lam * (1.0 - outage_interference_limited(L, lam, 4.0, gamma))
+            t = lam * (1.0 - interference_limited_outage(L, lam, 4.0, gamma))
             if t > t_star + 1e-12:
                 ok = False
                 details.append(f"optimality L={L}")
@@ -162,19 +167,19 @@ def test_criterion_5_linear_scaling():
     gamma = 977.0
     alpha = 3.5
     area = delta_const(alpha) * gamma ** (2.0 / alpha)
-    base = lambda_max(1, alpha, gamma)
+    base = contention_optimum(1, alpha, gamma).lambda_max
     ok = True
     notes = []
     for L in range(1, 65):
-        ratio = lambda_max(L, alpha, gamma) / base
-        if abs(ratio - g_of_l(L)) > 1e-12 * g_of_l(L):
+        ratio = contention_optimum(L, alpha, gamma).lambda_max / base
+        if abs(ratio - g_root(L)) > 1e-12 * g_root(L):
             ok = False
             notes.append(f"ratio L={L}")
-        if not (0.5 <= g_of_l(L) / L <= 1.0):
+        if not (0.5 <= g_root(L) / L <= 1.0):
             ok = False
             notes.append(f"bounds L={L}")
     counts = np.arange(4, 65)
-    values = np.array([lambda_max(int(L), alpha, gamma) for L in counts])
+    values = np.array([contention_optimum(int(L), alpha, gamma).lambda_max for L in counts])
     slope = float(np.polyfit(counts, values, 1)[0])
     lo, hi = 0.5 / area, 1.0 / area
     if not lo <= slope <= hi:
@@ -191,16 +196,19 @@ def test_criterion_5_linear_scaling():
 def test_criterion_6_sir_moments():
     lam = 1.0 / delta_const(4.0)  # lam * Delta = 1
     params = SystemParams(lam=lam, alpha=4.0, sigma2=0.0, d_r=1.0, L=1, beta=1.0)
+    stream = TrialStream(60_001)
     started = time.perf_counter()
-    est = estimate_sir_moments(params, n_trials=1_000_000, master_seed=60_001)
+    sir = np.concatenate([block_sinr(params, "oc", stream.at(b)) for b in range(1_000_000 // BLOCK)])
     elapsed = time.perf_counter() - started
-    mean_ok = abs(est.mean - 2.0) <= 0.10 * 2.0
-    var_ok = abs(est.variance - 20.0) <= 0.25 * 20.0
+    n_infinite = int(np.count_nonzero(np.isinf(sir)))
+    mean, variance = float(np.mean(sir)), float(np.var(sir, ddof=1))
+    mean_ok = abs(mean - 2.0) <= 0.10 * 2.0
+    var_ok = abs(variance - 20.0) <= 0.25 * 20.0
     report(
         6,
         "SIR moments",
-        mean_ok and var_ok and est.n_infinite == 0,
-        f"mean {est.mean:.4f} (target 2 +- 10%), var {est.variance:.2f} (target 20 +- 25%), {elapsed:.0f}s",
+        mean_ok and var_ok and n_infinite == 0,
+        f"mean {mean:.4f} (target 2 +- 10%), var {variance:.2f} (target 20 +- 25%), {elapsed:.0f}s",
     )
 
 
@@ -216,7 +224,10 @@ def test_criterion_8_identity_suite():
     notes = []
     rng = np.random.default_rng(80_808)
 
-    # exact reduction to the no-interference and no-noise forms
+    # reduction to the no-interference form, the chi-square CDF of the SNR,
+    # and to the no-noise form, a Poisson count reaching L in the disk of
+    # radius sqrt(Delta/pi) * gamma**(1/alpha)
+    worst_chi2 = worst_gap = 0.0
     for _ in range(200):
         alpha = float(rng.uniform(2.1, 6.0))
         L = int(rng.integers(1, 12))
@@ -226,18 +237,17 @@ def test_criterion_8_identity_suite():
         lam = float(rng.uniform(0.0, 0.01))
         gamma = gamma_from_beta(beta, d_r, alpha)
         p_noise = SystemParams(lam=0.0, alpha=alpha, sigma2=sigma2, d_r=d_r, L=L, beta=beta)
-        if outage_cdf(p_noise) != outage_noise_limited(L, sigma2, gamma):
-            ok = False
-            notes.append("noise-limited reduction not exact")
-            break
+        expected = float(stats.chi2.cdf(2.0 * sigma2 * gamma, 2 * L))
+        worst_chi2 = max(worst_chi2, abs(outage_cdf(p_noise) - expected))
         p_int = SystemParams(lam=lam, alpha=alpha, sigma2=0.0, d_r=d_r, L=L, beta=beta)
-        if outage_cdf(p_int) != outage_interference_limited(L, lam, alpha, gamma):
-            ok = False
-            notes.append("interference-limited reduction not exact")
-            break
+        radius = math.sqrt(delta_const(alpha) / math.pi) * gamma ** (1.0 / alpha)
+        expected = float(stats.poisson.sf(L - 1, lam * math.pi * radius**2))
+        worst_gap = max(worst_gap, abs(outage_cdf(p_int) - expected))
+    if worst_chi2 > 1e-14:
+        ok = False
+        notes.append(f"noise-limited reduction gap {worst_chi2:.2e}")
 
-    # Poisson-count-in-disk identity
-    worst_gap = 0.0
+    # Poisson-count-in-disk identity over a wider range of thresholds
     for _ in range(200):
         alpha = float(rng.uniform(2.1, 6.0))
         L = int(rng.integers(1, 10))
@@ -245,7 +255,7 @@ def test_criterion_8_identity_suite():
         gamma = float(rng.uniform(1.0, 1e4))
         radius = math.sqrt(delta_const(alpha) / math.pi) * gamma ** (1.0 / alpha)
         expected = float(stats.poisson.sf(L - 1, lam * math.pi * radius**2))
-        worst_gap = max(worst_gap, abs(outage_interference_limited(L, lam, alpha, gamma) - expected))
+        worst_gap = max(worst_gap, abs(interference_limited_outage(L, lam, alpha, gamma) - expected))
     if worst_gap > 1e-14:
         ok = False
         notes.append(f"Poisson-radius identity gap {worst_gap:.2e}")
@@ -277,7 +287,10 @@ def test_criterion_8_identity_suite():
         8,
         "identity suite",
         ok,
-        notes[0] if notes else f"reductions exact, radius identity <= {worst_gap:.1e}, {checked} monotone checks",
+        notes[0]
+        if notes
+        else f"chi-square gap <= {worst_chi2:.1e}, radius identity <= {worst_gap:.1e}, "
+        f"{checked} monotone checks",
     )
 
 

@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
-from scipy.stats import poisson
+from scipy.stats import chi2, poisson
 
 from ocfield import (
     SystemParams,
     array_gain,
+    conditional_outage_cdf,
     delta_const,
     gamma_from_beta,
     outage_cdf,
-    outage_interference_limited,
-    outage_noise_limited,
     sir_mean,
     sir_variance,
-    throughput_density,
 )
 from ocfield.analytic import _TAIL_CUTOFF, _count_outage, _poisson_cdf
+from ocfield.cli import ScenarioConfig, run_analytic
 
 from _oracles import delta_quadrature, sir_moment_quadrature
 
@@ -27,6 +26,33 @@ from _oracles import delta_quadrature, sir_moment_quadrature
 def lam_for_unit_exponent(alpha):
     # density making lam * Delta * gamma^(2/alpha) = 1 at gamma = 1
     return 1.0 / delta_const(alpha)
+
+
+def outage_at(L, lam=0.0, alpha=3.5, sigma2=0.0, gamma=1.0):
+    # at d_r = 1 the threshold beta is gamma itself
+    return outage_cdf(SystemParams(lam=lam, alpha=alpha, sigma2=sigma2, d_r=1.0, L=L, beta=gamma))
+
+
+def chi_square_outage(L, sigma2, gamma):
+    # noise-limited reference: the combined SNR is chi-square with 2L degrees
+    return float(chi2.cdf(2.0 * sigma2 * gamma, 2 * L))
+
+
+def radius_identity_outage(L, lam, alpha, gamma):
+    # interference-limited reference: a Poisson count in the disk of radius
+    # sqrt(Delta/pi) * gamma**(1/alpha) reaches L
+    r = math.sqrt(delta_const(alpha) / math.pi) * gamma ** (1.0 / alpha)
+    return float(poisson.sf(L - 1, lam * math.pi * r * r))
+
+
+def throughput_column(params):
+    # the analytic command's lam * (1 - outage) for one (lambda, L) cell
+    config = ScenarioConfig(
+        alpha=params.alpha, beta=params.beta, d_r=params.d_r, sigma2=params.sigma2,
+        antennas=(params.L,), lambda_grid=(params.lam,),
+    )
+    ((_, _, _, throughput),) = run_analytic(config)
+    return throughput
 
 
 class TestDeltaConst:
@@ -90,15 +116,16 @@ class TestOutageCdf:
         params = SystemParams(lam=lam_for_unit_exponent(4.0), alpha=4.0, sigma2=0.0, d_r=1.0, L=2, beta=1.0)
         assert outage_cdf(params) == approx(1.0 - 2.0 * math.exp(-1.0), rel=1e-12)
 
-    def test_reduces_to_noise_limited_bitwise(self):
+    def test_reduces_to_noise_limited(self):
         for L in (1, 2, 5):
             params = SystemParams(lam=0.0, alpha=3.5, sigma2=0.37, d_r=3.0, L=L, beta=2.0)
-            assert outage_cdf(params) == outage_noise_limited(L, 0.37, params.gamma)
+            assert outage_cdf(params) == approx(chi_square_outage(L, 0.37, params.gamma), abs=1e-14)
 
-    def test_reduces_to_interference_limited_bitwise(self):
+    def test_reduces_to_interference_limited(self):
         for L in (1, 3, 4):
             params = SystemParams(lam=2e-3, alpha=3.5, sigma2=0.0, d_r=10.0, L=L, beta=1.9)
-            assert outage_cdf(params) == outage_interference_limited(L, 2e-3, 3.5, params.gamma)
+            expected = radius_identity_outage(L, 2e-3, 3.5, params.gamma)
+            assert outage_cdf(params) == approx(expected, abs=1e-14)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -118,38 +145,33 @@ class TestOutageCdf:
 
 class TestSpecialCases:
     def test_noise_limited_zero_threshold(self):
-        assert outage_noise_limited(1, 1.0, 0.0) == 0.0
+        # outage_cdf takes beta > 0; an empty frozen field is the same law
+        assert conditional_outage_cdf([], 1.0, 1, 0.0) == 0.0
 
     def test_noise_limited_half(self):
-        assert outage_noise_limited(1, 1.0, math.log(2.0)) == approx(0.5, rel=1e-15)
+        assert outage_at(1, sigma2=1.0, gamma=math.log(2.0)) == approx(0.5, rel=1e-15)
 
     def test_noise_limited_three_antennas(self):
         expected = 1.0 - 2.5 * math.exp(-1.0)
-        assert outage_noise_limited(3, 1.0, 1.0) == approx(expected, rel=1e-14)
+        assert outage_at(3, sigma2=1.0, gamma=1.0) == approx(expected, rel=1e-14)
         assert expected == approx(0.080301, abs=1e-6)
 
     def test_interference_limited_empty_field(self):
-        assert outage_interference_limited(1, 0.0, 3.5, 123.0) == 0.0
+        assert outage_at(1, lam=0.0, alpha=3.5, gamma=123.0) == 0.0
 
     def test_interference_limited_two_antennas(self):
         lam = lam_for_unit_exponent(3.2)
-        assert outage_interference_limited(2, lam, 3.2, 1.0) == approx(
+        assert outage_at(2, lam=lam, alpha=3.2, gamma=1.0) == approx(
             1.0 - 2.0 * math.exp(-1.0), rel=1e-12
         )
 
     def test_poisson_radius_identity(self):
         # outage equals the chance that a Poisson disk count reaches L
-        scipy_stats = pytest.importorskip("scipy.stats")
         for L in (1, 2, 3, 5, 8):
             for lam in (1e-4, 1e-3, 5e-3):
                 for gamma in (10.0, 6309.573444801933):
-                    alpha = 3.5
-                    r = math.sqrt(delta_const(alpha) / math.pi) * gamma ** (1.0 / alpha)
-                    mean = lam * math.pi * r * r
-                    expected = float(scipy_stats.poisson.sf(L - 1, mean))
-                    assert outage_interference_limited(L, lam, alpha, gamma) == approx(
-                        expected, abs=1e-14
-                    )
+                    expected = radius_identity_outage(L, lam, 3.5, gamma)
+                    assert outage_at(L, lam=lam, alpha=3.5, gamma=gamma) == approx(expected, abs=1e-14)
 
 
 class TestSirMoments:
@@ -208,16 +230,16 @@ class TestArrayGain:
 class TestThroughputDensity:
     def test_zero_density(self):
         params = SystemParams(lam=0.0, alpha=3.5, sigma2=1.0, d_r=1.0, L=2, beta=1.0)
-        assert throughput_density(params) == 0.0
+        assert throughput_column(params) == 0.0
 
     def test_vanishing_threshold_recovers_density(self):
         params = SystemParams(lam=2e-3, alpha=3.5, sigma2=1e-5, d_r=10.0, L=2, beta=1e-250)
-        assert throughput_density(params) == approx(2e-3, rel=1e-12)
+        assert throughput_column(params) == approx(2e-3, rel=1e-12)
 
     def test_unit_exponent_single_antenna(self):
         lam = lam_for_unit_exponent(4.0)
         params = SystemParams(lam=lam, alpha=4.0, sigma2=0.0, d_r=1.0, L=1, beta=1.0)
-        assert throughput_density(params) == approx(lam * math.exp(-1.0), rel=1e-12)
+        assert throughput_column(params) == approx(lam * math.exp(-1.0), rel=1e-12)
 
 
 system_params = st.builds(
@@ -260,11 +282,11 @@ def test_outage_decreasing_in_antennas(params):
 @settings(max_examples=100)
 def test_special_case_identities_everywhere(params):
     no_noise = replace(params, sigma2=0.0)
-    assert outage_cdf(no_noise) == outage_interference_limited(
-        params.L, params.lam, params.alpha, no_noise.gamma
-    )
+    expected = radius_identity_outage(params.L, params.lam, params.alpha, params.gamma)
+    assert outage_cdf(no_noise) == approx(expected, abs=1e-14)
     no_field = replace(params, lam=0.0)
-    assert outage_cdf(no_field) == outage_noise_limited(params.L, params.sigma2, no_field.gamma)
+    expected = chi_square_outage(params.L, params.sigma2, params.gamma)
+    assert outage_cdf(no_field) == approx(expected, abs=1e-14)
 
 
 @given(st.integers(1, 40), st.floats(2.05, 8.0), st.floats(1e-8, 0.05), st.floats(0.1, 50.0))

@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy.stats import poisson
 
-from ocfield import (
-    SystemParams,
-    delta_const,
-    g_of_l,
-    outage_cdf,
-    throughput_density,
-    throughput_max,
-)
+from ocfield import SystemParams, contention_optimum, delta_const, outage_cdf
 from ocfield.cli import (
     ANALYTIC_HEADER,
     OPTIMIZE_HEADER,
@@ -197,8 +190,9 @@ class TestAnalyticCommand:
             params = SystemParams(
                 lam=float(lam_s), alpha=3.5, sigma2=1e-5, d_r=10.0, L=int(L_s), beta=10.0**0.3
             )
-            assert float(outage_s) == outage_cdf(params)
-            assert float(tput_s) == throughput_density(params)
+            outage = outage_cdf(params)
+            assert float(outage_s) == outage
+            assert float(tput_s) == params.lam * (1.0 - outage)
 
     def test_stdout_default(self, capsys):
         assert main(["analytic", "--lambda-grid", "1e-3", "--L", "2"]) == 0
@@ -275,8 +269,9 @@ class TestOptimizeCommand:
         assert [row[4] for row in rows] == ["closed-form"] * 3
         gamma = 10.0**0.3 * 10.0**3.5
         for row, L in zip(rows, (1, 2, 3)):
-            assert float(row[1]) == g_of_l(L)
-            assert float(row[3]) == approx(throughput_max(L, 3.5, gamma), rel=1e-15)
+            opt = contention_optimum(L, 3.5, gamma)
+            assert float(row[1]) == opt.g
+            assert float(row[3]) == approx(opt.t_max, rel=1e-15)
 
     def test_grid_search_mode_labeled(self, tmp_path):
         header, rows = run_main(tmp_path, "optimize", "--sigma2-db", "-57", "--L", "2")
@@ -356,9 +351,10 @@ class TestFigurePresets:
         base = float(rows[0][2])
         for row in rows:
             L = int(row[0])
-            assert float(row[2]) / base == approx(g_of_l(L), rel=1e-12)
+            g = contention_optimum(L, 3.5, 1.0).g
+            assert float(row[2]) / base == approx(g, rel=1e-12)
             # normalized geometry: lambda_max equals g(L) outright
-            assert float(row[2]) == approx(g_of_l(L), rel=1e-12)
+            assert float(row[2]) == approx(g, rel=1e-12)
 
     def test_bad_figure_number(self):
         assert main(["figure", "9"]) == 2

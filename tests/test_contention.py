@@ -6,15 +6,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import ocfield.contention as contention_module
-from ocfield import (
-    BracketViolation,
-    contention_optimum,
-    delta_const,
-    g_of_l,
-    lambda_max,
-    outage_interference_limited,
-    throughput_max,
-)
+from ocfield import BracketViolation, SystemParams, contention_optimum, delta_const, outage_cdf
 
 from _oracles import contention_q_scaled, throughput_optimum
 
@@ -24,6 +16,16 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 def gamma_for_unit_area(alpha):
     # gamma making Delta * gamma^(2/alpha) = 1
     return delta_const(alpha) ** (-alpha / 2.0)
+
+
+def g_root(L):
+    # g(L) is the noise-free optimum load, whatever alpha and gamma
+    return contention_optimum(L, 3.5, 1.0).g
+
+
+def interference_limited_outage(L, lam, alpha, gamma):
+    # at d_r = 1 the threshold beta is gamma itself
+    return outage_cdf(SystemParams(lam=lam, alpha=alpha, sigma2=0.0, d_r=1.0, L=L, beta=gamma))
 
 
 def bisect_cubic_root():
@@ -44,27 +46,27 @@ def bisect_cubic_root():
 
 class TestGofL:
     def test_one_antenna_exact(self):
-        assert g_of_l(1) == 1.0
+        assert g_root(1) == 1.0
 
     def test_two_antennas_golden(self):
-        assert g_of_l(2) == approx(GOLDEN, abs=1e-12)
+        assert g_root(2) == approx(GOLDEN, abs=1e-12)
 
     def test_three_antennas_vs_bisection_oracle(self):
-        assert g_of_l(3) == approx(bisect_cubic_root(), abs=1e-10)
+        assert g_root(3) == approx(bisect_cubic_root(), abs=1e-10)
 
     def test_large_l_root_is_interior(self):
         # the root stays strictly inside (L/2, L) where exp(-t) underflows
-        g = g_of_l(900)
+        g = g_root(900)
         assert 450.0 < g < 900.0
         assert g == approx(834.6333, abs=1e-4)
-        assert 1000.0 < g_of_l(2000) < 2000.0
+        assert 1000.0 < g_root(2000) < 2000.0
 
     def test_bracket_and_residual_through_200(self):
         previous = 0.0
         for L in range(1, 201):
             assert contention_q_scaled(L, 0.5 * L) > 0.0
             assert contention_q_scaled(L, float(L)) <= 0.0
-            g = g_of_l(L)
+            g = g_root(L)
             assert 0.5 * L <= g <= L
             assert abs(contention_q_scaled(L, g)) <= 1e-10
             assert g > previous
@@ -73,25 +75,29 @@ class TestGofL:
 
 class TestOptimum:
     def test_lambda_max_unit_area_single_antenna(self):
-        assert lambda_max(1, 4.0, gamma_for_unit_area(4.0)) == approx(1.0, rel=1e-12)
+        opt = contention_optimum(1, 4.0, gamma_for_unit_area(4.0))
+        assert opt.lambda_max == approx(1.0, rel=1e-12)
 
     def test_lambda_max_unit_area_two_antennas(self):
-        assert lambda_max(2, 4.0, gamma_for_unit_area(4.0)) == approx(GOLDEN, rel=1e-12)
+        opt = contention_optimum(2, 4.0, gamma_for_unit_area(4.0))
+        assert opt.lambda_max == approx(GOLDEN, rel=1e-12)
 
     def test_lambda_max_ratio_is_g(self):
         gamma = 42.0
-        base = lambda_max(1, 3.5, gamma)
+        base = contention_optimum(1, 3.5, gamma).lambda_max
         for L in (2, 3, 8, 16):
-            assert lambda_max(L, 3.5, gamma) / base == approx(g_of_l(L), rel=1e-12)
+            ratio = contention_optimum(L, 3.5, gamma).lambda_max / base
+            assert ratio == approx(g_root(L), rel=1e-12)
 
     def test_throughput_max_single_antenna(self):
-        assert throughput_max(1, 4.0, gamma_for_unit_area(4.0)) == approx(
+        assert contention_optimum(1, 4.0, gamma_for_unit_area(4.0)).t_max == approx(
             math.exp(-1.0), rel=1e-12
         )
 
     def test_throughput_max_two_antennas(self):
         expected = GOLDEN**3 * math.exp(-GOLDEN)
-        assert throughput_max(2, 4.0, gamma_for_unit_area(4.0)) == approx(expected, rel=1e-12)
+        opt = contention_optimum(2, 4.0, gamma_for_unit_area(4.0))
+        assert opt.t_max == approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 7, 8, 100, 1000, 10_000])
     def test_peak_matches_mpmath(self, L):
@@ -112,41 +118,40 @@ class TestOptimum:
     @pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 20])
     def test_consistent_with_outage_curve(self, L):
         alpha, gamma = 3.5, 977.0
-        lam = lambda_max(L, alpha, gamma)
-        achieved = lam * (1.0 - outage_interference_limited(L, lam, alpha, gamma))
-        assert throughput_max(L, alpha, gamma) == approx(achieved, rel=1e-12)
+        opt = contention_optimum(L, alpha, gamma)
+        lam = opt.lambda_max
+        achieved = lam * (1.0 - interference_limited_outage(L, lam, alpha, gamma))
+        assert opt.t_max == approx(achieved, rel=1e-12)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_grid_confirms_optimality(self, L):
         alpha, gamma = 4.0, gamma_for_unit_area(4.0)
-        lam_star = lambda_max(L, alpha, gamma)
-        t_star = throughput_max(L, alpha, gamma)
+        opt = contention_optimum(L, alpha, gamma)
+        lam_star, t_star = opt.lambda_max, opt.t_max
         for k in range(1000):
             lam = lam_star * (0.01 + (3.0 - 0.01) * k / 999.0)
-            t = lam * (1.0 - outage_interference_limited(L, lam, alpha, gamma))
+            t = lam * (1.0 - interference_limited_outage(L, lam, alpha, gamma))
             assert t <= t_star + 1e-12
 
     def test_zero_gamma_rejected(self):
         with pytest.raises(ValueError):
-            lambda_max(1, 4.0, 0.0)
-        with pytest.raises(ValueError):
-            throughput_max(1, 4.0, 0.0)
+            contention_optimum(1, 4.0, 0.0)
 
     def test_bundle_matches_parts(self):
         opt = contention_optimum(3, 3.5, 977.0)
         assert opt.L == 3
-        assert opt.g == g_of_l(3)
-        assert opt.lambda_max == approx(lambda_max(3, 3.5, 977.0), rel=1e-15)
-        assert opt.t_max == approx(throughput_max(3, 3.5, 977.0), rel=1e-15)
+        assert opt.g == g_root(3)
+        area = delta_const(3.5) * 977.0 ** (2.0 / 3.5)
+        assert opt.lambda_max == approx(opt.g / area, rel=1e-15)
 
 
 class TestGridSearchExtension:
     def test_recovers_closed_form_when_noise_vanishes(self):
         alpha, gamma = 3.5, 100.0
         opt = contention_optimum(2, alpha, gamma, sigma2=1e-300)
-        lam, t = opt.lambda_max, opt.t_max
-        assert lam == approx(lambda_max(2, alpha, gamma), rel=1e-6)
-        assert t == approx(throughput_max(2, alpha, gamma), rel=1e-9)
+        clean = contention_optimum(2, alpha, gamma)
+        assert opt.lambda_max == approx(clean.lambda_max, rel=1e-6)
+        assert opt.t_max == approx(clean.t_max, rel=1e-9)
 
     def test_noise_lowers_the_peak(self):
         alpha, gamma = 3.5, 6309.573444801933
@@ -183,7 +188,7 @@ class TestNoisyOptimum:
         assert 0.0 < opt.t_max <= opt.lambda_max
 
     def test_noise_only_lowers_the_load(self):
-        clean = g_of_l(16)
+        clean = g_root(16)
         loads = [contention_optimum(16, 3.5, 100.0, s).g for s in (1e-4, 1e-3, 1e-2, 1e-1)]
         assert clean > loads[0] > loads[1] > loads[2] > loads[3] > 1.0
 
@@ -196,7 +201,7 @@ class TestSolverFailures:
     def test_undefined_condition(self, monkeypatch):
         monkeypatch.setattr(contention_module, "_log_ratio", lambda L, x: math.nan)
         with pytest.raises(BracketViolation):
-            g_of_l(4)
+            g_root(4)
 
     def test_wrong_sign_at_bracket_end(self, monkeypatch):
         # the condition must be <= 0 at u = L
@@ -207,13 +212,13 @@ class TestSolverFailures:
     def test_no_convergence(self, monkeypatch):
         monkeypatch.setattr(contention_module, "_MAX_STEPS", 1)
         with pytest.raises(BracketViolation):
-            g_of_l(64)
+            g_root(64)
 
 
 @given(st.integers(1, 150))
 @settings(max_examples=60, deadline=None)
 def test_root_properties_randomized(L):
-    g = g_of_l(L)
+    g = g_root(L)
     assert 0.5 * L <= g <= L
     assert abs(contention_q_scaled(L, g)) <= 1e-10
-    assert g_of_l(L + 1) > g
+    assert g_root(L + 1) > g

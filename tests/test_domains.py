@@ -18,25 +18,20 @@ from ocfield import (
     delta_const,
     estimate_outage,
     estimate_outage_conditional,
-    estimate_sir_moments,
-    g_of_l,
     gamma_from_beta,
-    lambda_max,
-    outage_interference_limited,
-    outage_noise_limited,
     receiver_label,
     sir_mean,
     sir_variance,
-    throughput_max,
 )
 
 NAN, INF = math.nan, math.inf
 REALS = [NAN, INF, -INF, -1.0]  # outside every real domain
 POSITIVE = [*REALS, 0.0]  # outside a domain that excludes 0
 ALPHAS = [*REALS, 2.0]
-COUNTS = [NAN, INF, -1, 0, 2.0]  # outside "an integer >= 1"
-SEEDS = [NAN, -1, 1 << 64, 1.0]
-PZF = [NAN, INF, -1, 1.0]
+BOOLS = [True, False]  # ints to Python, never counts
+COUNTS = [NAN, INF, -1, 0, 2.0, *BOOLS]  # outside "an integer >= 1"
+SEEDS = [NAN, -1, 1 << 64, 1.0, *BOOLS]
+PZF = [NAN, INF, -1, 1.0, *BOOLS]
 RECEIVER = ["dfe", None]
 POWERS = [[NAN], [INF], [-1.0], [0.0], [1.0, NAN], np.array([1.0, NAN]), np.array([0.0])]
 
@@ -64,19 +59,11 @@ ENTRY_POINTS = [
     (gamma_from_beta, dict(beta=2.0, d_r=10.0, alpha=3.5),
      dict(beta=POSITIVE, d_r=POSITIVE, alpha=ALPHAS)),
     (delta_const, dict(alpha=3.5), dict(alpha=ALPHAS)),
-    (outage_noise_limited, dict(L=2, sigma2=1e-5, gamma=1e3),
-     dict(L=COUNTS, sigma2=REALS, gamma=REALS)),
-    (outage_interference_limited, dict(L=2, lam=1e-3, alpha=3.5, gamma=1e3),
-     dict(L=COUNTS, lam=REALS, alpha=ALPHAS, gamma=REALS)),
     (array_gain, dict(L=2, alpha=3.5), dict(L=COUNTS, alpha=ALPHAS)),
     (sir_mean, dict(L=2, alpha=3.5, lam=1e-3, d_r=10.0),
      dict(L=COUNTS, alpha=ALPHAS, lam=POSITIVE, d_r=POSITIVE)),
     (sir_variance, dict(L=2, alpha=3.5, lam=1e-3, d_r=10.0),
      dict(L=COUNTS, alpha=ALPHAS, lam=POSITIVE, d_r=POSITIVE)),
-    (g_of_l, dict(L=2), dict(L=COUNTS)),
-    (lambda_max, dict(L=2, alpha=3.5, gamma=1e3), dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE)),
-    (throughput_max, dict(L=2, alpha=3.5, gamma=1e3),
-     dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE)),
     (contention_optimum, dict(L=2, alpha=3.5, gamma=1e3, sigma2=1e-5),
      dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE, sigma2=[*REALS, 1e306])),
     (TrialStream, dict(master_seed=1), dict(master_seed=SEEDS)),
@@ -93,9 +80,6 @@ ENTRY_POINTS = [
     (estimate_outage, dict(params=params(), **SIMULATOR, **RUN),
      dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
           n_trials=COUNTS, master_seed=SEEDS, workers=COUNTS)),
-    (estimate_sir_moments, dict(params=params(sigma2=0.0), **SIMULATOR, **RUN),
-     dict(params=[params(lam=0.0, sigma2=0.0)], receiver=RECEIVER, expected_count=COUNTS,
-          pzf_k=PZF, n_trials=[1, *COUNTS], master_seed=SEEDS, workers=COUNTS)),
 ]
 
 

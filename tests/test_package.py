@@ -18,7 +18,6 @@ EXPORTS = [
     "BracketViolation",
     "ContentionOptimum",
     "OutageEstimate",
-    "SirMomentsEstimate",
     "SystemParams",
     "TrialStream",
     "array_gain",
@@ -29,18 +28,11 @@ EXPORTS = [
     "delta_const",
     "estimate_outage",
     "estimate_outage_conditional",
-    "estimate_sir_moments",
-    "g_of_l",
     "gamma_from_beta",
-    "lambda_max",
     "outage_cdf",
-    "outage_interference_limited",
-    "outage_noise_limited",
     "receiver_label",
     "sir_mean",
     "sir_variance",
-    "throughput_density",
-    "throughput_max",
 ]
 
 # each step runs in one fresh interpreter, in order, and reports whether
@@ -88,6 +80,16 @@ def test_every_export_is_listed_and_star_importable():
     exec("from ocfield import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
     assert set(EXPORTS) <= set(dir(ocfield))
+
+
+@pytest.mark.parametrize("name", [
+    "SirMomentsEstimate", "estimate_sir_moments", "g_of_l", "lambda_max",
+    "outage_interference_limited", "outage_noise_limited", "throughput_density", "throughput_max",
+])
+def test_wrappers_of_the_entry_points_are_gone(name):
+    # each was outage_cdf, contention_optimum or block_sinr under another signature
+    with pytest.raises(AttributeError):
+        getattr(ocfield, name)
 
 
 def test_lazy_exports_are_the_simulate_objects():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
+from scipy.stats import chi2
 
 from ocfield import (
     BLOCK,
@@ -15,10 +16,7 @@ from ocfield import (
     default_pzf_k,
     estimate_outage,
     estimate_outage_conditional,
-    estimate_sir_moments,
     outage_cdf,
-    outage_interference_limited,
-    outage_noise_limited,
     receiver_label,
 )
 from ocfield.simulate import (
@@ -26,6 +24,7 @@ from ocfield.simulate import (
     _combining_ratio,
     _covariance,
     _draw_fields,
+    _map_blocks,
     _oc_ratio,
     _weights,
 )
@@ -306,10 +305,11 @@ class TestConditionalOutage:
         # one count law: an empty field and lam = 0 both take the Poisson path
         for L in (1, 2, 4):
             for sigma2, gamma in ((1.0, 0.7), (0.3, 2.0), (0.0, 5.0)):
-                expected = outage_noise_limited(L, sigma2, gamma)
-                assert conditional_outage_cdf([], sigma2, L, gamma) == expected
                 empty = SystemParams(lam=0.0, alpha=3.5, sigma2=sigma2, d_r=1.0, L=L, beta=gamma)
-                assert outage_cdf(empty) == expected
+                expected = outage_cdf(empty)
+                assert conditional_outage_cdf([], sigma2, L, gamma) == expected
+                # the chi-square CDF of the combined SNR
+                assert expected == approx(chi2.cdf(2.0 * sigma2 * gamma, 2 * L), abs=1e-14)
 
     def test_single_antenna_closed_form(self):
         powers, sigma2, gamma = [0.5, 2.0, 0.1], 0.25, 1.5
@@ -441,6 +441,20 @@ class TestEstimateOutage:
             ]
             assert all(r == results[0] for r in results), n_trials
 
+    def test_blocks_come_back_in_order_for_any_worker_count(self):
+        params = make_params(lam=1e-3, L=1, sigma2=0.0)
+        stream = TrialStream(44)
+        for n_trials in (1, 63, 64, 65, 2000):
+            serial = [
+                block_sinr(params, "oc", stream.at(b), min(BLOCK, n_trials - b * BLOCK))
+                for b in range(-(-n_trials // BLOCK))
+            ]
+            for w in (1, 2, 3, 8):
+                blocks = _map_blocks(
+                    lambda rng, size: block_sinr(params, "oc", rng, size), lambda s: s, n_trials, 44, w
+                )
+                assert np.array_equal(np.concatenate(blocks), np.concatenate(serial)), (n_trials, w)
+
     def test_env_var_controls_workers(self, monkeypatch):
         params = make_params(lam=2e-3, L=2)
         baseline = estimate_outage(params, n_trials=1500, master_seed=36, workers=1)
@@ -511,15 +525,14 @@ class TestBlockEngine:
         # pivot tolerance of a Gram-built R would let a finite value through
         params = make_params(lam=1e-3, L=3, sigma2=0.0)
         stream = TrialStream(48)
-        low = 0
+        low = infinite = 0
         for b in range(300):
             counts = stream.at(b).poisson(1, BLOCK)  # a block draws its node counts first
             sinr = block_sinr(params, "oc", stream.at(b), expected_count=1)
             assert np.isinf(sinr[counts < params.L]).all(), b
             low += int(np.count_nonzero(counts < params.L))
-        with pytest.warns(UserWarning, match="infinite SIR"):
-            est = estimate_sir_moments(params, n_trials=300 * BLOCK, master_seed=48, expected_count=1)
-        assert est.n_infinite == low
+            infinite += int(np.count_nonzero(np.isinf(sinr)))
+        assert infinite == low
 
     @pytest.mark.parametrize("sigma2", [1e-5, 0.0])
     def test_oc_dominates_every_combiner_on_two_blocks(self, sigma2):
@@ -534,34 +547,14 @@ class TestBlockEngine:
 
 
 class TestSirMoments:
-    def test_noise_must_be_zero(self):
-        with pytest.raises(ValueError):
-            estimate_sir_moments(make_params(lam=1e-3, L=1), n_trials=10, master_seed=41)
-
     def test_distance_scaling_is_exact_per_sample(self):
+        # the same draws at twice the distance: every SIR scales by 2**-alpha
         near = make_params(lam=1e-3, L=2, sigma2=0.0, d_r=1.0)
         far = make_params(lam=1e-3, L=2, sigma2=0.0, d_r=2.0)
-        m_near = estimate_sir_moments(near, n_trials=3000, master_seed=42)
-        m_far = estimate_sir_moments(far, n_trials=3000, master_seed=42)
-        assert m_far.mean / m_near.mean == approx(2.0**-3.5, rel=1e-12)
-        assert m_far.variance / m_near.variance == approx(2.0**-7.0, rel=1e-12)
-
-    def test_infinite_samples_warn_and_are_counted(self):
-        params = make_params(lam=1e-3, L=2, sigma2=0.0)
-        with pytest.warns(UserWarning, match="infinite SIR"):
-            est = estimate_sir_moments(params, n_trials=60, master_seed=43, expected_count=1)
-        assert est.n_infinite > 0
-        assert math.isfinite(est.mean)
-
-    def test_worker_determinism(self):
-        # n_trials = 1 is outside the domain (a variance needs two samples)
-        params = make_params(lam=1e-3, L=1, sigma2=0.0)
-        for n_trials in (63, 64, 65, 2000):
-            results = [
-                estimate_sir_moments(params, n_trials=n_trials, master_seed=44, workers=w)
-                for w in (1, 2, 3, 8)
-            ]
-            assert all(r == results[0] for r in results), n_trials
+        stream = TrialStream(42)
+        for b in range(-(-3000 // BLOCK)):
+            ratio = block_sinr(far, "oc", stream.at(b)) / block_sinr(near, "oc", stream.at(b))
+            assert ratio == approx(2.0**-3.5, rel=1e-12), b
 
 
 class TestNearestNeighborIdentity:
@@ -579,5 +572,5 @@ class TestNearestNeighborIdentity:
         lth = np.partition(pad(counts, radii), L - 1, axis=1)[:, L - 1]
         p_hat = np.count_nonzero(lth < r_star) / n
         stderr = math.sqrt(p_hat * (1 - p_hat) / n)
-        expected = outage_interference_limited(L, lam, alpha, gamma)
-        assert abs(p_hat - expected) <= 4.0 * stderr
+        no_noise = SystemParams(lam=lam, alpha=alpha, sigma2=0.0, d_r=1.0, L=L, beta=gamma)
+        assert abs(p_hat - outage_cdf(no_noise)) <= 4.0 * stderr
