@@ -46,6 +46,20 @@ def fresh_block_sinr(**kwargs):
     return block_sinr(rng=TrialStream(1).at(0), **kwargs)
 
 
+# g(L), lambda_max and t_max are fields of contention_optimum; each row
+# checks the arguments of its quantity through that one entry point
+def g_of_l(L):
+    return contention_optimum(L, 3.5, 100.0).g
+
+
+def lambda_max(L, alpha, gamma):
+    return contention_optimum(L, alpha, gamma).lambda_max
+
+
+def throughput_max(L, alpha, gamma):
+    return contention_optimum(L, alpha, gamma).t_max
+
+
 RUN = dict(n_trials=64, master_seed=1, workers=1)
 FROZEN = dict(powers=[1.0, 0.5], sigma2=1e-3, L=2, gamma=1.0)
 SIMULATOR = dict(receiver="oc", expected_count=10, pzf_k=None)
@@ -64,6 +78,10 @@ ENTRY_POINTS = [
      dict(L=COUNTS, alpha=ALPHAS, lam=POSITIVE, d_r=POSITIVE)),
     (sir_variance, dict(L=2, alpha=3.5, lam=1e-3, d_r=10.0),
      dict(L=COUNTS, alpha=ALPHAS, lam=POSITIVE, d_r=POSITIVE)),
+    (g_of_l, dict(L=2), dict(L=COUNTS)),
+    (lambda_max, dict(L=2, alpha=3.5, gamma=1e3), dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE)),
+    (throughput_max, dict(L=2, alpha=3.5, gamma=1e3),
+     dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE)),
     (contention_optimum, dict(L=2, alpha=3.5, gamma=1e3, sigma2=1e-5),
      dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE, sigma2=[*REALS, 1e306])),
     (TrialStream, dict(master_seed=1), dict(master_seed=SEEDS)),
