@@ -12,8 +12,9 @@ microseconds of `outage_cdf`, `contention_optimum` and
 REPEATS runs, since cores and clocks are not pinned.  The file also records
 the CPU count, the Python and numpy versions, the worker count and the time
 of the benchmark's anchor kernel (`ocbench/anchor.py`), which tracks the
-speed of the machine, and `src_lines`, the line count of
-`src/ocfield/*.py` (what `wc -l` totals).  Runs outside the test suite.
+speed of the machine, and the size of the package: `src_lines`, the line
+count of `src/ocfield/*.py` (what `wc -l` totals), and `exports`, the number
+of names in `ocfield.__all__`.  Runs outside the test suite.
 """
 
 import argparse
@@ -33,6 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "ocbench")]
 import anchor  # noqa: E402
 import numpy  # noqa: E402
 
+import ocfield  # noqa: E402
 from ocfield import (  # noqa: E402
     SystemParams,
     conditional_outage_cdf,
@@ -112,6 +114,7 @@ def main() -> int:
         "us_per_call": {name: statistics.median(t) for name, t in calls.items()},
         "anchor_s": statistics.median(anchors),
         "src_lines": src_lines(),
+        "exports": len(ocfield.__all__),
         "provenance": {
             "cpu_count": os.cpu_count(),
             "cpus_available": len(os.sched_getaffinity(0)),

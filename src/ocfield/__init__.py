@@ -5,8 +5,8 @@ optimization, and a from-scratch Monte Carlo simulator of the physical model
 to validate them.  Each quantity has one entry point: `outage_cdf` (the
 noise- and interference-limited laws are its lam = 0 and sigma2 = 0 cases),
 `contention_optimum` and, for the Monte Carlo, `block_sinr` and its
-estimators.  numpy is loaded only by the simulator: the names taken from
-`simulate` are imported on first access (PEP 562).
+estimator `estimate_outage`.  numpy is loaded only by the simulator: the
+names taken from `simulate` are imported on first access (PEP 562).
 """
 
 from . import analytic, contention
@@ -14,7 +14,7 @@ from .analytic import *  # noqa: F403
 from .contention import *  # noqa: F403
 
 _SIMULATE = ("BLOCK", "OutageEstimate", "TrialStream", "block_sinr", "default_pzf_k",
-             "estimate_outage", "estimate_outage_conditional", "receiver_label")
+             "estimate_outage", "receiver_label")
 __all__ = [*analytic.__all__, *contention.__all__, *_SIMULATE]
 __version__ = "0.1.0"
 

@@ -20,13 +20,10 @@ from .domains import _check_domain
 
 __all__ = [
     "SystemParams",
-    "array_gain",
     "conditional_outage_cdf",
     "delta_const",
     "gamma_from_beta",
     "outage_cdf",
-    "sir_mean",
-    "sir_variance",
 ]
 
 
@@ -232,36 +229,3 @@ def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float
     powers = [float(p) for p in powers]
     _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
     return _count_outage(sigma2 * gamma, L, [p * gamma for p in powers])
-
-
-def _gamma_ratio(a: float, b: float) -> float:
-    # Gamma(a) / Gamma(b); exact library gamma for small arguments, log-domain
-    # difference once either would overflow.
-    if a < 170.0 and b < 170.0:
-        return math.gamma(a) / math.gamma(b)
-    return math.exp(math.lgamma(a) - math.lgamma(b))
-
-
-def array_gain(L: int, alpha: float) -> float:
-    """Mean-SIR gain of the combiner: Gamma(L + alpha/2) / (L-1)!."""
-    _check_domain(L=L, alpha=alpha)
-    return _gamma_ratio(L + 0.5 * alpha, L)
-
-
-def sir_mean(L: int, alpha: float, lam: float, d_r: float) -> float:
-    """Mean SIR in the interference-limited regime.
-
-    Gamma(L + alpha/2)/(L-1)! * d_r**-alpha / (lam * Delta)**(alpha/2).
-    Diverges as lam -> 0, so zero density is a domain error.
-    """
-    _check_domain(L=L, alpha=alpha, d_r=d_r, lam__positive=lam)
-    scale = (lam * delta_const(alpha)) ** (0.5 * alpha)
-    return array_gain(L, alpha) * d_r ** (-alpha) / scale
-
-
-def sir_variance(L: int, alpha: float, lam: float, d_r: float) -> float:
-    """Variance of the SIR in the interference-limited regime."""
-    _check_domain(L=L, alpha=alpha, d_r=d_r, lam__positive=lam)
-    second = _gamma_ratio(L + alpha, L)
-    first = _gamma_ratio(L + 0.5 * alpha, L)
-    return (second - first * first) * d_r ** (-2.0 * alpha) / (lam * delta_const(alpha)) ** alpha

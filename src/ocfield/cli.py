@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .analytic import SystemParams, _count_outage, delta_const, gamma_from_beta, outage_cdf
 from .contention import BracketViolation, contention_optimum
-from .domains import _MASK64, RECEIVERS, _check_domain, _resolve_workers
+from .domains import _MASK64, RECEIVERS, _check_domain, _pzf_count, _resolve_workers
 
 __all__ = [
     "ConfigError",
@@ -90,11 +90,8 @@ class ScenarioConfig:
             raise ConfigError("L must list at least one antenna count")
         if not self.receivers:
             raise ConfigError("receivers must not be empty")
-        # cancelling k >= L interferers nulls the desired channel in every trial
-        if "pzf" in self.receivers and self.pzf_k is not None and self.pzf_k >= min(self.antennas):
-            raise ConfigError(f"pzf_k must be < min(L), got {self.pzf_k} with L = {self.antennas}")
-        if self.lambda_points < 2:
-            raise ConfigError(f"lambda_points must be >= 2 (got {self.lambda_points})")
+        if "pzf" in self.receivers:
+            _in_field("pzf_k", _pzf_count, min(self.antennas), self.pzf_k)
 
     def params_for(self, lam: float, L: int) -> SystemParams:
         return SystemParams(
@@ -117,6 +114,7 @@ _FIELD_DOMAINS = {
     "receivers": "receiver",
     "pzf_k": "pzf_k",
     "lambda_grid": "lam__positive",
+    "lambda_points": "lambda_points",
     "n_trials": "n_trials",
     "master_seed": "master_seed",
     "expected_count": "expected_count",

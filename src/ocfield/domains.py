@@ -1,6 +1,7 @@
 """The one table of parameter domains.  Every entry point checks its own
-arguments against it, and the CLI checks each config field against it and
-the worker count (OC_FIELD_THREADS), resolved here, without loading numpy.
+arguments against it, and the CLI checks each config field against it, the
+PZF cancellation count and the worker count (OC_FIELD_THREADS), both
+resolved here, without loading numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ _COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
 # `name`, and its errors name `name` alone
 _DOMAINS = {
     "lam": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    # the simulator's disk and the SIR moments divide by the density
+    # the simulator's disk divides by the density
     "lam__positive": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
     "alpha": (lambda v: 2.0 < v < math.inf, "finite and > 2"),
     "sigma2": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
@@ -41,6 +42,7 @@ _DOMAINS = {
     "expected_count": _COUNT,
     "workers": _COUNT,
     "size": _COUNT,
+    "lambda_points": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
     "master_seed": (lambda v: type(v) is int and 0 <= v <= _MASK64, "a 64-bit unsigned integer"),
     "pzf_k": (lambda v: v is None or (type(v) is int and v >= 0), "None or an integer >= 0"),
     "receiver": (RECEIVERS.__contains__, f"one of {RECEIVERS}, not an unknown receiver"),
@@ -56,6 +58,18 @@ def _check_domain(**values) -> None:
         inside, domain = _DOMAINS[key]
         if not inside(value):
             raise ValueError(f"{key.partition('__')[0]} must be {domain}, got {value!r}")
+
+
+def _pzf_count(L: int, pzf_k: int | None) -> int:
+    """The partial zero-forcing cancellation count at L antennas: `pzf_k`, or
+    by default ceil(L/2) capped at L - 1 (0 at L = 1).  Cancelling k >= L
+    interferers nulls the desired channel in every trial, so that is refused."""
+    _check_domain(L=L, pzf_k=pzf_k)
+    if pzf_k is None:
+        return min((L + 1) // 2, L - 1)
+    if pzf_k >= L:
+        raise ValueError(f"pzf_k must be < L, got {pzf_k!r} with L = {L}")
+    return pzf_k
 
 
 def _resolve_workers(workers: int | None) -> int:

@@ -1,5 +1,5 @@
 """Monte Carlo simulator of the physical link model: one block engine and the
-estimators built on it.
+outage estimator built on it.
 
 Each trial draws a fresh Poisson field and fresh Rayleigh channels, builds the
 interference-plus-noise covariance, and evaluates the post-combining SINR of
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import SystemParams
-from .domains import _check_domain, _resolve_workers
+from .domains import _check_domain, _pzf_count, _resolve_workers
 from .linalg import batch_project_out, batch_quadratic_form_inverse
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "block_sinr",
     "default_pzf_k",
     "estimate_outage",
-    "estimate_outage_conditional",
     "receiver_label",
 ]
 
@@ -43,7 +42,7 @@ BLOCK = 64  # trials per block, and per substream
 class TrialStream:
     """The substreams of one master seed.
 
-    Substream `index` (a block of trials in the estimators) is SFC64 seeded by
+    Substream `index` (a block of trials in the estimator) is SFC64 seeded by
     child `index` of numpy's SeedSequence(master_seed).spawn, so substreams
     are statistically independent and any one is built without the others.
     """
@@ -117,8 +116,7 @@ def _combining_ratio(w: np.ndarray, desired: np.ndarray, a: np.ndarray, sigma2: 
 def default_pzf_k(L: int) -> int:
     """Default partial zero-forcing cancellation count: ceil(L/2), capped at
     L - 1 so that the desired channel keeps a dimension (0 at L = 1)."""
-    _check_domain(L=L)
-    return min((L + 1) // 2, L - 1)
+    return _pzf_count(L, None)
 
 
 def _weights(
@@ -128,19 +126,16 @@ def _weights(
     nodes sit at radii (B, N); padding rows are zero and sit at +inf.
 
     ZF projects the desired channel orthogonal to the min(n, L-1) strongest
-    interferers, PZF to the min(n, k) strongest; strength is ranked by
-    average received power (position only), ties broken by node index.  A
-    row comes back as the zero vector when the desired channel lies in the
-    cancelled span, and `_combining_ratio` reads that as zero SINR.
+    interferers, PZF to the min(n, k) strongest (k < L, else a ValueError);
+    strength is ranked by average received power (position only), ties
+    broken by node index.  A row comes back as the zero vector when the
+    desired channel lies in the cancelled span, and `_combining_ratio` reads
+    that as zero SINR.
     """
     if receiver == "mrc":
         return desired
     L = desired.shape[1]
-    if receiver == "zf":
-        k = L - 1
-    else:
-        k = default_pzf_k(L) if pzf_k is None else pzf_k
-    k = min(a.shape[1], k)
+    k = min(a.shape[1], L - 1 if receiver == "zf" else _pzf_count(L, pzf_k))
     if k == 0:
         return desired
     strongest = np.argsort(radii, axis=1, kind="stable")[:, :k]
@@ -148,10 +143,11 @@ def _weights(
 
 
 def receiver_label(receiver: str, L: int, pzf_k: int | None = None) -> str:
-    """Canonical row label: oc / mrc / zf / pzf<k>."""
+    """Canonical row label: oc / mrc / zf / pzf<k>; a ValueError for a PZF
+    count k >= L."""
     _check_domain(receiver=receiver, L=L, pzf_k=pzf_k)
     if receiver == "pzf":
-        return f"pzf{default_pzf_k(L) if pzf_k is None else pzf_k}"
+        return f"pzf{_pzf_count(L, pzf_k)}"
     return receiver
 
 
@@ -266,22 +262,6 @@ def _map_blocks(sinr_of_block, reduce, n_trials: int, master_seed: int, workers:
         return [value for chunk in pool.map(run, range(parts)) for value in chunk]
 
 
-def _outage_estimate(
-    sinr_of_block, threshold: float, n_trials: int, master_seed: int, workers: int | None
-) -> OutageEstimate:
-    """Fraction of the trials whose SINR falls below `threshold`."""
-    failures = _map_blocks(
-        sinr_of_block, lambda s: int(np.count_nonzero(s < threshold)), n_trials, master_seed, workers
-    )
-    p = sum(failures) / n_trials
-    return OutageEstimate(
-        p_hat=p,
-        stderr=math.sqrt(p * (1.0 - p) / n_trials),
-        n_trials=n_trials,
-        master_seed=master_seed,
-    )
-
-
 def estimate_outage(
     params: SystemParams,
     receiver: str = "oc",
@@ -297,35 +277,17 @@ def estimate_outage(
     for a given master_seed under any worker count: block b depends only on
     (master_seed, b) and the reduction is a commutative count.
     """
-    return _outage_estimate(
+    failures = _map_blocks(
         lambda rng, size: block_sinr(params, receiver, rng, size, expected_count, pzf_k),
-        params.beta,
+        lambda sinr: int(np.count_nonzero(sinr < params.beta)),
         n_trials,
         master_seed,
         workers,
     )
-
-
-def estimate_outage_conditional(
-    powers: np.ndarray,
-    sigma2: float,
-    L: int,
-    gamma: float,
-    n_trials: int = 10_000,
-    master_seed: int = 0,
-    workers: int | None = None,
-) -> OutageEstimate:
-    """Fading-only outage for a frozen set of received powers.
-
-    The field is held fixed and only the channels are redrawn, so this
-    estimates exactly the quantity `analytic.conditional_outage_cdf` computes.
-    """
-    _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
-    amplitudes = np.sqrt(np.asarray(powers, dtype=np.float64))
-
-    def sinr_of_block(rng, size):
-        counts = np.full(size, amplitudes.shape[0])
-        desired, a = _channel_block(counts, np.tile(amplitudes, size), L, rng)
-        return _oc_ratio(desired, a, counts, sigma2)
-
-    return _outage_estimate(sinr_of_block, gamma, n_trials, master_seed, workers)
+    p = sum(failures) / n_trials
+    return OutageEstimate(
+        p_hat=p,
+        stderr=math.sqrt(p * (1.0 - p) / n_trials),
+        n_trials=n_trials,
+        master_seed=master_seed,
+    )

@@ -1,8 +1,8 @@
 """Independent numerical oracles used only by the test suite.
 
 These deliberately avoid the production code paths: the eigensolver is a
-hand-rolled cyclic Jacobi (not the production Cholesky), and the integrals
-use adaptive quadrature.
+hand-rolled cyclic Jacobi (not the production Cholesky), the integrals use
+adaptive quadrature, and the closed forms use scipy's special functions.
 """
 
 import math
@@ -83,6 +83,20 @@ def delta_quadrature(alpha):
     # substitute s -> 1/t on [1, inf)
     outer, _ = quad(lambda t: t ** (alpha - 3.0) / (t**alpha + 1.0), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
     return 2.0 * math.pi * (inner + outer)
+
+
+def sir_moments(L, alpha, lam, d_r):
+    """Mean and variance of the interference-limited SIR in closed form.
+
+    E[SIR^m] = Gamma(L + m alpha/2) / Gamma(L) * s**m, s = d_r**-alpha /
+    (lam Delta)**(alpha/2), with Delta = pi Gamma(1 + 2/alpha) Gamma(1 - 2/alpha);
+    the gamma ratios are scipy's Pochhammer symbols.  The mean's ratio,
+    Gamma(L + alpha/2) / Gamma(L), is the array gain.
+    """
+    delta = math.pi * special.gamma(1.0 + 2.0 / alpha) * special.gamma(1.0 - 2.0 / alpha)
+    scale = d_r**-alpha / (lam * delta) ** (0.5 * alpha)
+    first, second = special.poch(L, 0.5 * alpha), special.poch(L, alpha)
+    return first * scale, (second - first * first) * scale * scale
 
 
 def sir_moment_quadrature(L, alpha, lam, d_r, delta):

@@ -127,6 +127,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_trials"):
             ScenarioConfig(n_trials=0).validate()
 
+    @pytest.mark.parametrize("points", [1, True, 2.5])
+    def test_lambda_points_error_reads_like_every_domain_error(self, points):
+        expected = rf"^lambda_points: lambda_points must be an integer >= 2, got {points!r}$"
+        with pytest.raises(ConfigError, match=expected):
+            ScenarioConfig(lambda_points=points).validate()
+
     @pytest.mark.parametrize(
         "file_data, argv, field, expected",
         [

@@ -10,18 +10,14 @@ import pytest
 from ocfield import (
     SystemParams,
     TrialStream,
-    array_gain,
     block_sinr,
     conditional_outage_cdf,
     contention_optimum,
     default_pzf_k,
     delta_const,
     estimate_outage,
-    estimate_outage_conditional,
     gamma_from_beta,
     receiver_label,
-    sir_mean,
-    sir_variance,
 )
 
 NAN, INF = math.nan, math.inf
@@ -73,11 +69,6 @@ ENTRY_POINTS = [
     (gamma_from_beta, dict(beta=2.0, d_r=10.0, alpha=3.5),
      dict(beta=POSITIVE, d_r=POSITIVE, alpha=ALPHAS)),
     (delta_const, dict(alpha=3.5), dict(alpha=ALPHAS)),
-    (array_gain, dict(L=2, alpha=3.5), dict(L=COUNTS, alpha=ALPHAS)),
-    (sir_mean, dict(L=2, alpha=3.5, lam=1e-3, d_r=10.0),
-     dict(L=COUNTS, alpha=ALPHAS, lam=POSITIVE, d_r=POSITIVE)),
-    (sir_variance, dict(L=2, alpha=3.5, lam=1e-3, d_r=10.0),
-     dict(L=COUNTS, alpha=ALPHAS, lam=POSITIVE, d_r=POSITIVE)),
     (g_of_l, dict(L=2), dict(L=COUNTS)),
     (lambda_max, dict(L=2, alpha=3.5, gamma=1e3), dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE)),
     (throughput_max, dict(L=2, alpha=3.5, gamma=1e3),
@@ -89,9 +80,6 @@ ENTRY_POINTS = [
     (receiver_label, dict(receiver="pzf", L=3, pzf_k=None),
      dict(receiver=RECEIVER, L=COUNTS, pzf_k=PZF)),
     (conditional_outage_cdf, FROZEN, dict(powers=POWERS, sigma2=REALS, L=COUNTS, gamma=REALS)),
-    (estimate_outage_conditional, {**FROZEN, **RUN},
-     dict(powers=POWERS, sigma2=REALS, L=COUNTS, gamma=REALS, n_trials=COUNTS,
-          master_seed=SEEDS, workers=COUNTS)),
     (fresh_block_sinr, dict(params=params(), size=8, **SIMULATOR),
      dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
           size=COUNTS)),

@@ -15,7 +15,6 @@ from ocfield import (
     conditional_outage_cdf,
     default_pzf_k,
     estimate_outage,
-    estimate_outage_conditional,
     outage_cdf,
     receiver_label,
 )
@@ -28,6 +27,8 @@ from ocfield.simulate import (
     _oc_ratio,
     _weights,
 )
+
+from _frozen_field import estimate_frozen_outage
 
 FIG_PARAMS = dict(alpha=3.5, sigma2=1e-5, d_r=10.0, beta=10.0**0.3)
 
@@ -275,12 +276,14 @@ class TestCombinerWeights:
 
     def test_ranking_ties_broken_by_index(self):
         radii = np.array([[5.0, 5.0, 1.0]])
-        desired, h, a = hand_block(radii, 2, 3.5, np.random.default_rng(27))
-        w = _weights("zf", desired, a, radii, None)  # cancels min(3, 1) = 1: node 2 only
+        desired, h, a = hand_block(radii, 3, 3.5, np.random.default_rng(27))
+        w = _weights("pzf", desired, a, radii, 1)  # node 2 only
         assert_orthogonal(w[0], h[0, 2])
-        # then projecting out node 0 (not node 1) is what pzf_k=2 adds
-        w2 = _weights("pzf", desired, a, radii, 2)
+        # then projecting out node 0 (not node 1) is what zf's second count adds
+        w2 = _weights("zf", desired, a, radii, None)
+        assert_orthogonal(w2[0], h[0, 2])
         assert_orthogonal(w2[0], h[0, 0])
+        assert abs(np.vdot(w2[0], h[0, 1])) > 1e-3 * np.linalg.norm(w2[0])  # node 1 is kept
 
     def test_zf_cancels_at_most_available_nodes(self):
         radii = np.array([[2.0]])
@@ -288,6 +291,23 @@ class TestCombinerWeights:
         w = _weights("zf", desired, a, radii, None)  # only one node to cancel
         assert_orthogonal(w[0], h[0, 0])
         assert np.linalg.norm(w[0]) > 0.0
+
+    def test_pzf_count_of_l_or_more_rejected(self):
+        # cancelling k >= L interferers would null the desired channel of
+        # every trial and report outage 1
+        params = make_params(L=2, sigma2=0.0)
+        _, radii, desired, _, a = random_block(1e-3, 50, 8, 2, 3.5, TrialStream(29).at(0))
+        for reject in (
+            lambda: block_sinr(params, "pzf", TrialStream(1).at(0), size=8, pzf_k=2),
+            lambda: estimate_outage(params, "pzf", n_trials=256, pzf_k=2),
+            lambda: receiver_label("pzf", 2, pzf_k=5),
+            lambda: _weights("pzf", desired, a, radii, 2),
+        ):
+            with pytest.raises(ValueError, match=r"^pzf_k must be < L, got \d+ with L = 2$"):
+                reject()
+        # the other receivers ignore the count
+        assert receiver_label("oc", 2, pzf_k=5) == "oc"
+        assert block_sinr(params, "zf", TrialStream(1).at(0), size=8, pzf_k=2).shape == (8,)
 
     def test_unknown_receiver_rejected(self):
         with pytest.raises(ValueError, match="unknown receiver"):
@@ -407,7 +427,7 @@ class TestConditionalOutage:
             powers = rng.uniform(0.05, 0.6, size=12) ** 2
             gamma = 3.0
             exact = conditional_outage_cdf(powers, sigma2, L, gamma)
-            est = estimate_outage_conditional(powers, sigma2, L, gamma, n_trials=20_000, master_seed=32)
+            est = estimate_frozen_outage(powers, sigma2, L, gamma, n_trials=20_000, master_seed=32)
             assert abs(est.p_hat - exact) <= 4.0 * max(est.stderr, 1e-4)
 
     def test_domain(self):
@@ -454,6 +474,20 @@ class TestEstimateOutage:
                     lambda rng, size: block_sinr(params, "oc", rng, size), lambda s: s, n_trials, 44, w
                 )
                 assert np.array_equal(np.concatenate(blocks), np.concatenate(serial)), (n_trials, w)
+
+    @pytest.mark.parametrize("L, sigma2, failures", [
+        (3, 0.0, {"oc": 139, "mrc": 410, "zf": 385, "pzf": 385}),
+        (4, 1e-5, {"oc": 48, "mrc": 341, "zf": 308, "pzf": 130}),
+    ])
+    def test_failure_counts_are_pinned(self, L, sigma2, failures):
+        # which trials fail is fixed by the stream layout (BLOCK, substream
+        # per block, draw order); a change to it must update these on purpose
+        params = make_params(lam=1.5e-3, L=L, sigma2=sigma2)
+        got = {}
+        for receiver in failures:
+            est = estimate_outage(params, receiver, n_trials=1000, master_seed=50)
+            got[receiver] = round(est.p_hat * est.n_trials)
+        assert got == failures
 
     def test_env_var_controls_workers(self, monkeypatch):
         params = make_params(lam=2e-3, L=2)
