@@ -11,12 +11,17 @@ import math
 import numpy as np
 
 from ocfield import OutageEstimate
+from ocfield.domains import _check_domain
 from ocfield.simulate import _channel_block, _map_blocks, _oc_ratio
 
 
-def estimate_frozen_outage(powers, sigma2, L, gamma, n_trials, master_seed, workers=None):
+def estimate_outage_conditional(
+    powers, sigma2, L, gamma, n_trials=10_000, master_seed=0, workers=None
+):
     """Fraction of n_trials fading draws whose optimum-combiner SINR against
-    the received `powers` (and noise sigma2) falls below `gamma`."""
+    the received `powers` (and noise sigma2) falls below `gamma`.  Arguments
+    are checked against the package's domain table, as the engine checks its own."""
+    _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
     amplitudes = np.sqrt(np.asarray(powers, dtype=np.float64))
 
     def sinr_of_block(rng, size):

@@ -26,7 +26,7 @@ from ocfield import (
     outage_cdf,
 )
 
-from _frozen_field import estimate_frozen_outage
+from _frozen_field import estimate_outage_conditional
 from _oracles import contention_q_scaled, delta_quadrature
 
 BETA_3DB = 10.0**0.3
@@ -97,7 +97,7 @@ def test_criterion_2_conditional_oracle():
         powers = radii**-3.5
         exact = conditional_outage_cdf(powers, sigma2, L, gamma)
         assert 0.01 < exact < 0.99, "realization lost its statistical power"
-        est = estimate_frozen_outage(
+        est = estimate_outage_conditional(
             powers, sigma2, L, gamma, n_trials=n_draws, master_seed=20_000 + k
         )
         pull = abs(est.p_hat - exact) / max(est.stderr, 1e-12)

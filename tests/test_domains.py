@@ -1,6 +1,8 @@
 """Every public entry point rejects each argument outside its domain with a
 ValueError that names the parameter: one case per (entry point, parameter,
-value), all checked against the one table in `ocfield.domains`."""
+value), all checked against the one table in `ocfield.domains`.  The
+frozen-field estimator of the tests, built on the engine's `_map_blocks`, is
+held to the same table."""
 
 import math
 
@@ -19,6 +21,8 @@ from ocfield import (
     gamma_from_beta,
     receiver_label,
 )
+
+from _frozen_field import estimate_outage_conditional
 
 NAN, INF = math.nan, math.inf
 REALS = [NAN, INF, -INF, -1.0]  # outside every real domain
@@ -80,6 +84,9 @@ ENTRY_POINTS = [
     (receiver_label, dict(receiver="pzf", L=3, pzf_k=None),
      dict(receiver=RECEIVER, L=COUNTS, pzf_k=PZF)),
     (conditional_outage_cdf, FROZEN, dict(powers=POWERS, sigma2=REALS, L=COUNTS, gamma=REALS)),
+    (estimate_outage_conditional, {**FROZEN, **RUN},
+     dict(powers=POWERS, sigma2=REALS, L=COUNTS, gamma=REALS, n_trials=COUNTS,
+          master_seed=SEEDS, workers=COUNTS)),
     (fresh_block_sinr, dict(params=params(), size=8, **SIMULATOR),
      dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
           size=COUNTS)),

@@ -28,7 +28,7 @@ from ocfield.simulate import (
     _weights,
 )
 
-from _frozen_field import estimate_frozen_outage
+from _frozen_field import estimate_outage_conditional
 
 FIG_PARAMS = dict(alpha=3.5, sigma2=1e-5, d_r=10.0, beta=10.0**0.3)
 
@@ -427,7 +427,9 @@ class TestConditionalOutage:
             powers = rng.uniform(0.05, 0.6, size=12) ** 2
             gamma = 3.0
             exact = conditional_outage_cdf(powers, sigma2, L, gamma)
-            est = estimate_frozen_outage(powers, sigma2, L, gamma, n_trials=20_000, master_seed=32)
+            est = estimate_outage_conditional(
+                powers, sigma2, L, gamma, n_trials=20_000, master_seed=32
+            )
             assert abs(est.p_hat - exact) <= 4.0 * max(est.stderr, 1e-4)
 
     def test_domain(self):
