@@ -210,9 +210,14 @@ def outage_cdf(params: SystemParams) -> float:
     L, i.e. that the L-th strongest interferer sits inside the rescaled
     threshold radius.
     """
-    gamma = params.gamma
-    x = params.lam * delta_const(params.alpha) * gamma ** (2.0 / params.alpha) + params.sigma2 * gamma
+    x = _poisson_mean(params.lam, params.alpha, params.gamma, params.sigma2)
     return _count_outage(x, params.L)
+
+
+def _poisson_mean(lam: float, alpha: float, gamma: float, sigma2: float) -> float:
+    # the count law's mean lam * Delta * gamma**(2/alpha) + sigma2 * gamma;
+    # the CLI's analytic rows share it across antenna counts
+    return lam * delta_const(alpha) * gamma ** (2.0 / alpha) + sigma2 * gamma
 
 
 def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float:

@@ -37,7 +37,9 @@ _DOMAINS = {
     "gamma__positive": (lambda v: sys.float_info.min <= v < math.inf, "finite, normal and > 0"),
     # a threshold or noise level given in dB, converted to linear
     "linear": (lambda v: sys.float_info.min <= v < math.inf, "finite, normal and > 0"),
-    "L": _COUNT,
+    # the cap keeps one Poisson window walk under ~2e4 terms whatever the
+    # mean: the walk costs O(sqrt(x)) steps, and steps past L are not taken
+    "L": (lambda v: type(v) is int and 1 <= v <= 10**6, "an integer in [1, 1000000]"),
     "n_trials": _COUNT,
     "expected_count": _COUNT,
     "workers": _COUNT,

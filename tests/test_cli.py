@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -15,6 +16,7 @@ from scipy.stats import poisson
 
 from ocfield import SystemParams, contention_optimum, delta_const, outage_cdf
 from ocfield.cli import (
+    _COMMANDS,
     ANALYTIC_HEADER,
     OPTIMIZE_HEADER,
     SIMULATE_HEADER,
@@ -25,6 +27,7 @@ from ocfield.cli import (
     default_lambda_grid,
     derive_row_seed,
     main,
+    run_analytic,
 )
 
 
@@ -205,6 +208,92 @@ class TestAnalyticCommand:
         captured = capsys.readouterr().out.splitlines()
         assert captured[0] == ANALYTIC_HEADER
         assert len(captured) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(2.05, 20.0),
+        beta=st.floats(1e-3, 1e3),
+        d_r=st.floats(0.1, 100.0),
+        sigma2=st.one_of(st.just(0.0), st.floats(1e-12, 1e-2)),
+        lambda_grid=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=3),
+        antennas=st.lists(st.integers(1, 2000), min_size=1, max_size=3),
+    )
+    def test_rows_are_outage_cdf_bit_for_bit(self, alpha, beta, d_r, sigma2, lambda_grid, antennas):
+        config = ScenarioConfig(alpha=alpha, beta=beta, d_r=d_r, sigma2=sigma2,
+                                antennas=tuple(antennas), lambda_grid=tuple(lambda_grid))
+        try:
+            config.validate()
+        except ConfigError:  # gamma outside the normal doubles
+            return
+        rows = run_analytic(config)
+        expected = [(lam, L, outage_cdf(config.params_for(lam, L)))
+                    for lam in lambda_grid for L in antennas]
+        assert [row[:3] for row in rows] == expected
+        assert [row[3] for row in rows] == [lam * (1.0 - outage) for lam, _, outage in expected]
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("alpha", 2.0, "alpha"), ("lambda_grid", (-1e-3,), "lam"), ("antennas", (0,), "L")],
+    )
+    def test_unvalidated_config_is_refused(self, field, value, named):
+        config = ScenarioConfig(lambda_grid=(1e-3,))
+        setattr(config, field, value)
+        with pytest.raises(ValueError, match=rf"\b{named} must be "):
+            run_analytic(config)
+
+
+class TestOutputFile:
+    """--out rewrites a file in place and cuts it to the new text; other
+    targets are written and never truncated."""
+
+    ARGV = ["analytic", "--lambda-grid", "1e-4,1e-3", "--L", "1,2"]
+
+    def test_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"x" * 100_000)
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        assert main(self.ARGV) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_dev_null_is_written(self):
+        assert main([*self.ARGV, "--out", os.devnull]) == 0
+
+    def test_dev_stdout_prints_the_csv(self):
+        result = run_cli([*self.ARGV, "--out", "/dev/stdout"])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == run_cli(self.ARGV).stdout
+        assert result.stdout.startswith(ANALYTIC_HEADER + "\n")
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        previous = os.umask(0o027)
+        try:
+            assert main([*self.ARGV, "--out", str(tmp_path / "new.csv")]) == 0
+            with open(tmp_path / "plain.csv", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+
+    @pytest.mark.parametrize("target", ["missing/a.csv", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_exits_two_before_any_row(self, tmp_path, target, monkeypatch, capsys):
+        def no_rows(config):
+            raise AssertionError("rows computed for an unwritable --out")
+
+        monkeypatch.setitem(_COMMANDS, "analytic", (ANALYTIC_HEADER, no_rows))
+        assert main([*self.ARGV, "--out", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --out: ")
+        assert captured.out == ""
+
+    def test_failed_run_keeps_an_existing_file_and_leaves_no_new_one(self, tmp_path):
+        # sigma2 * gamma overflows: refused by the contention solver, after --out is open
+        argv = ["optimize", "--alpha", "8", "--beta", "1", "--d-r", "16", "--sigma2", "1e300"]
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"old bytes\n")
+        assert main([*argv, "--out", str(existing)]) == 2
+        assert existing.read_bytes() == b"old bytes\n"
+        assert main([*argv, "--out", str(tmp_path / "new.csv")]) == 2
+        assert not (tmp_path / "new.csv").exists()
 
 
 class TestSimulateCommand:
@@ -397,6 +486,21 @@ class TestErrorPaths:
         assert "config error" in captured.err
         assert captured.out == ""
 
+    def test_antenna_count_above_the_cap_exits_fast(self, capsys):
+        # a Poisson mean near 1e14: under an L above it, one outage once walked
+        # its Poisson window for about a minute
+        config = ScenarioConfig()
+        lam = 1e14 / (delta_const(config.alpha) * config.gamma ** (2.0 / config.alpha))
+        start = time.perf_counter()
+        assert main(["analytic", "--L", str(10**6 + 1), "--lambda-grid", repr(lam)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "L must be an integer in [1, 1000000]" in capsys.readouterr().err
+        # at or below the cap the same mean is legal and fast: a sure outage
+        assert main(["analytic", "--L", f"1,{10**6}", "--lambda-grid", repr(lam)]) == 0
+        assert time.perf_counter() - start < 1.0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(row[2]) for row in rows] == [1.0, 1.0]
+
     def test_bad_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -478,8 +582,8 @@ class TestErrorPaths:
                     "--L", "1"], "gamma"),
             (None, ["analytic", "--beta", "1e-300", "--d-r", "1e-10", "--alpha", "3", "--L", "1"],
              "gamma"),
-            # the default grid needs a Poisson mean near L, beyond the bisection's range
-            (None, ["analytic", "--L", "1,2000000000"], "L = 2000000000"),
+            # above the antenna cap, which also keeps the default grid's bisection in range
+            (None, ["analytic", "--L", "1,2000000000"], "antennas: L must be an integer in"),
             # gamma is normal but the simulator's d_r**-alpha overflows
             (None, ["simulate", "--d-r", "1e-10", "--alpha", "31", "--beta", "1e10",
                     "--L", "2", "--n-trials", "64"], "d_r: d_r must be"),

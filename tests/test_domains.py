@@ -30,6 +30,7 @@ POSITIVE = [*REALS, 0.0]  # outside a domain that excludes 0
 ALPHAS = [*REALS, 2.0]
 BOOLS = [True, False]  # ints to Python, never counts
 COUNTS = [NAN, INF, -1, 0, 2.0, *BOOLS]  # outside "an integer >= 1"
+ANTENNAS = [*COUNTS, 10**6 + 1]  # outside "an integer in [1, 1000000]"
 SEEDS = [NAN, -1, 1 << 64, 1.0, *BOOLS]
 PZF = [NAN, INF, -1, 1.0, *BOOLS]
 RECEIVER = ["dfe", None]
@@ -69,23 +70,23 @@ SIMULATOR = dict(receiver="oc", expected_count=10, pzf_k=None)
 # its "params" rows carry lam = 0 and must name lam.
 ENTRY_POINTS = [
     (SystemParams, PHYSICAL,
-     dict(lam=REALS, alpha=ALPHAS, sigma2=REALS, d_r=POSITIVE, L=COUNTS, beta=POSITIVE)),
+     dict(lam=REALS, alpha=ALPHAS, sigma2=REALS, d_r=POSITIVE, L=ANTENNAS, beta=POSITIVE)),
     (gamma_from_beta, dict(beta=2.0, d_r=10.0, alpha=3.5),
      dict(beta=POSITIVE, d_r=POSITIVE, alpha=ALPHAS)),
     (delta_const, dict(alpha=3.5), dict(alpha=ALPHAS)),
-    (g_of_l, dict(L=2), dict(L=COUNTS)),
-    (lambda_max, dict(L=2, alpha=3.5, gamma=1e3), dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE)),
+    (g_of_l, dict(L=2), dict(L=ANTENNAS)),
+    (lambda_max, dict(L=2, alpha=3.5, gamma=1e3), dict(L=ANTENNAS, alpha=ALPHAS, gamma=POSITIVE)),
     (throughput_max, dict(L=2, alpha=3.5, gamma=1e3),
-     dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE)),
+     dict(L=ANTENNAS, alpha=ALPHAS, gamma=POSITIVE)),
     (contention_optimum, dict(L=2, alpha=3.5, gamma=1e3, sigma2=1e-5),
-     dict(L=COUNTS, alpha=ALPHAS, gamma=POSITIVE, sigma2=[*REALS, 1e306])),
+     dict(L=ANTENNAS, alpha=ALPHAS, gamma=POSITIVE, sigma2=[*REALS, 1e306])),
     (TrialStream, dict(master_seed=1), dict(master_seed=SEEDS)),
-    (default_pzf_k, dict(L=2), dict(L=COUNTS)),
+    (default_pzf_k, dict(L=2), dict(L=ANTENNAS)),
     (receiver_label, dict(receiver="pzf", L=3, pzf_k=None),
-     dict(receiver=RECEIVER, L=COUNTS, pzf_k=PZF)),
-    (conditional_outage_cdf, FROZEN, dict(powers=POWERS, sigma2=REALS, L=COUNTS, gamma=REALS)),
+     dict(receiver=RECEIVER, L=ANTENNAS, pzf_k=PZF)),
+    (conditional_outage_cdf, FROZEN, dict(powers=POWERS, sigma2=REALS, L=ANTENNAS, gamma=REALS)),
     (estimate_outage_conditional, {**FROZEN, **RUN},
-     dict(powers=POWERS, sigma2=REALS, L=COUNTS, gamma=REALS, n_trials=COUNTS,
+     dict(powers=POWERS, sigma2=REALS, L=ANTENNAS, gamma=REALS, n_trials=COUNTS,
           master_seed=SEEDS, workers=COUNTS)),
     (fresh_block_sinr, dict(params=params(), size=8, **SIMULATOR),
      dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
