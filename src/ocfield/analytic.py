@@ -86,16 +86,24 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # largest term the Poisson terms fall off faster than geometrically, so for
 # x up to 1e8 the dropped tail stays under an ulp of the sum.
 _NEGLIGIBLE = 2.0**-64
-# Below this, 1 - P(Poisson(x) < L) has lost half its digits to the cdf's
-# rounding error, so `_count_outage` sums the tail directly instead.
-_TAIL_CUTOFF = 2.0**-30
+
+
+# _stirling_error(n) for n = 1..15, each the double nearest the exact value
+# (Loader's table): formed from lgamma, a difference of terms near 40 that
+# leaves ~0.005, it was off by up to 7.4e-15
+_STIRLING_ERRORS = (
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
 
 
 def _stirling_error(n: int) -> float:
-    # log(n!) - (n + 1/2) log(n) + n - log(sqrt(2 pi)) for n >= 1: direct for
-    # small n, else the asymptotic series, which is exact to an ulp past 15
+    # log(n!) - (n + 1/2) log(n) + n - log(sqrt(2 pi)) for n >= 1: tabulated
+    # for small n, else the asymptotic series, which is exact to an ulp past 15
     if n <= 15:
-        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
+        return _STIRLING_ERRORS[n - 1]
     nn = float(n) * n
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
 
@@ -167,15 +175,16 @@ def _poisson_cdf(x: float, count: int) -> float:
 
 def _count_outage(mean: float, L: int, capture=()) -> float:
     """P(sum_k Bernoulli(s_k / (1 + s_k)) + Poisson(mean) >= L) for capture
-    odds s_k in [0, inf].  Without Bernoulli terms this is one Poisson sum
-    (the tail summed directly below _TAIL_CUTOFF); with them, a dynamic
-    program over their count truncated at L (the top state collects every
-    count >= L) costs O(nL) and cannot overflow.
+    odds s_k in [0, inf].  Without Bernoulli terms this is one Poisson sum:
+    for mean < L the tail itself, summed upward from L, so that a small tail
+    keeps its relative precision instead of inheriting the cdf's rounding
+    error; otherwise 1 - P(Poisson(mean) < L), a tail near 1/2 or more.
+    With them, a dynamic program over their count truncated at L (the top
+    state collects every count >= L) costs O(nL) and cannot overflow.
     """
     if not capture:
-        tail = 1.0 - _poisson_cdf(mean, L)
-        if tail >= _TAIL_CUTOFF or not 0.0 < mean < L:
-            return max(0.0, tail)
+        if not 0.0 < mean < L:
+            return max(0.0, 1.0 - _poisson_cdf(mean, L))
         total = term = 1.0  # sum_{i>=L} pmf(i)/pmf(L): each ratio mean/i is below 1
         for i in itertools.count(L + 1):
             term *= mean / i

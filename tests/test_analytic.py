@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from ocfield import (
     gamma_from_beta,
     outage_cdf,
 )
-from ocfield.analytic import _TAIL_CUTOFF, _count_outage, _poisson_cdf
+from ocfield.analytic import _count_outage, _poisson_cdf, _stirling_error
 from ocfield.cli import ScenarioConfig, run_analytic
 
 from _oracles import delta_quadrature, sir_moment_quadrature, sir_moments
@@ -324,8 +325,41 @@ class TestTinyTail:
 
     @given(poisson_cases())
     @settings(max_examples=200, deadline=None)
-    def test_above_the_cutoff_is_the_complement(self, case):
+    def test_tail_summed_below_l_else_the_complement(self, case):
+        # below L a normal tail keeps its relative precision, however small:
+        # what exp makes of a few ulps of the log-domain terms, which are of
+        # size L and log(tail); a subnormal one keeps its absolute precision
         L, x = case
-        complement = 1.0 - _poisson_cdf(x, L)
-        if complement >= _TAIL_CUTOFF:
-            assert _count_outage(x, L) == complement
+        if 0.0 < x < L:
+            mpmath = pytest.importorskip("mpmath")
+            with mpmath.workdps(40):
+                exact = mpmath.gammainc(L, 0, mpmath.mpf(x), regularized=True)
+                error = float(abs(mpmath.mpf(_count_outage(x, L)) - exact))
+                relative = 4.0 * sys.float_info.epsilon * (L + float(abs(mpmath.log(exact))))
+                assert error <= relative * float(exact) + 1e-320
+        else:
+            assert _count_outage(x, L) == max(0.0, 1.0 - _poisson_cdf(x, L))
+
+
+class TestStirlingError:
+    """The Stirling-series remainder that anchors every Poisson pmf, against
+    mpmath at 50 digits."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_tabulated_within_an_ulp_then_the_series(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = (mpmath.loggamma(n + 1) - (n + mpmath.mpf(0.5)) * mpmath.log(n) + n
+                     - mpmath.log(2 * mpmath.pi) / 2)
+            error = abs(mpmath.mpf(_stirling_error(n)) - exact)
+        # past 15 the five-term series leaves at most 1.1e-16 absolute (n = 16)
+        assert error <= (math.ulp(float(exact)) if n <= 15 else 1.2e-16)
+
+    def test_outage_anchored_at_a_small_index(self):
+        # the window's largest term sits at m = 14, where the lgamma
+        # difference was off by 7.4e-15 and this outage by 8e-11
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = mpmath.gammainc(31, 0, mpmath.mpf(14.37), regularized=True)
+            assert float(abs(mpmath.mpf(_count_outage(14.37, 31)) - exact) / exact) <= 1e-14
+
