@@ -8,7 +8,9 @@ End to end: the wall time of a fresh interpreter that imports `ocfield.cli`,
 or runs `figure 1 --n-trials 2500`, `figure 3` or `figure 4` (CSV to
 /dev/null), beside a bare interpreter start for reference.  Per call: the
 microseconds of `outage_cdf`, `contention_optimum` and
-`conditional_outage_cdf` on fixed arguments.  Every number is the median of
+`conditional_outage_cdf` on fixed arguments, and of the in-process commands
+`analytic --L 1,8,64` and `figure 3`, each rewriting a CSV that an untimed
+first run created.  Every number is the median of
 REPEATS runs, since cores and clocks are not pinned.  The file also records
 the CPU count, the Python and numpy versions, the worker count and the time
 of the benchmark's anchor kernel (`ocbench/anchor.py`), which tracks the
@@ -24,6 +26,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import timeit
 from pathlib import Path
@@ -35,6 +38,7 @@ import anchor  # noqa: E402
 import numpy  # noqa: E402
 
 import ocfield  # noqa: E402
+import ocfield.cli  # noqa: E402
 from ocfield import (  # noqa: E402
     SystemParams,
     conditional_outage_cdf,
@@ -78,6 +82,24 @@ CALLS = {
 }
 
 
+COMMANDS = {
+    "cli analytic --L 1,8,64": ["analytic", "--L", "1,8,64"],
+    "cli figure 3": ["figure", "3"],
+}
+
+
+def command_calls(directory: Path) -> dict:
+    """`COMMANDS` run in process, each rewriting its own CSV in `directory`;
+    the first, untimed run creates the file."""
+    calls = {}
+    for name, argv in COMMANDS.items():
+        out = str(directory / f"{len(calls)}.csv")
+        calls[name] = lambda argv=[*argv, "--out", out]: ocfield.cli.main(argv)
+        if calls[name]() != 0:
+            raise RuntimeError(f"{name} failed")
+    return calls
+
+
 def process_seconds(argv: list[str], env: dict[str, str]) -> float:
     start = time.perf_counter()
     subprocess.run([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, check=True)
@@ -100,14 +122,16 @@ def main() -> int:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     processes = {name: [] for name in PROCESSES}
-    calls = {name: [] for name in CALLS}
     anchors = []
-    for _ in range(REPEATS):  # interleaved, so drift in machine speed hits every number alike
-        anchors.append(anchor.anchor_seconds())
-        for name, argv in PROCESSES.items():
-            processes[name].append(process_seconds(argv, env))
-        for name, fn in CALLS.items():
-            calls[name].append(us_per_call(fn))
+    with tempfile.TemporaryDirectory() as tmp:
+        functions = {**CALLS, **command_calls(Path(tmp))}
+        calls = {name: [] for name in functions}
+        for _ in range(REPEATS):  # interleaved, so drift in machine speed hits every number alike
+            anchors.append(anchor.anchor_seconds())
+            for name, argv in PROCESSES.items():
+                processes[name].append(process_seconds(argv, env))
+            for name, fn in functions.items():
+                calls[name].append(us_per_call(fn))
     result = {
         "repeats": REPEATS,
         "process_wall_s": {name: statistics.median(t) for name, t in processes.items()},

@@ -347,9 +347,8 @@ def write_csv(out, header: str, rows: list[tuple]) -> None:
     The text overwrites a file from its start, and a regular file is then
     cut to the text's length; other targets (/dev/null, a pipe, a terminal)
     are written and never truncated.  Rewriting in place, rather than
-    truncating to 0 first as open(path, "w") does, keeps ext4 (auto_da_alloc)
-    from starting a writeback at close: a 20 kB rewrite took 150-390 us that
-    way and 9-30 us in place.
+    truncating to 0 first as open(path, "w") does, keeps ext4 (with its
+    default auto_da_alloc) from starting a writeback when the file closes.
     """
     text = header + "\n" + "".join(",".join(_format_value(v) for v in row) + "\n" for row in rows)
     if out is None:

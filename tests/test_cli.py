@@ -487,12 +487,12 @@ class TestErrorPaths:
         assert captured.out == ""
 
     def test_antenna_count_above_the_cap_exits_fast(self, capsys):
-        # a Poisson mean near 1e14: under an L above it, one outage once walked
-        # its Poisson window for about a minute
+        # a Poisson mean near 1e14 under an L above it: one outage once walked
+        # its Poisson window for over 20 s
         config = ScenarioConfig()
         lam = 1e14 / (delta_const(config.alpha) * config.gamma ** (2.0 / config.alpha))
         start = time.perf_counter()
-        assert main(["analytic", "--L", str(10**6 + 1), "--lambda-grid", repr(lam)]) == 2
+        assert main(["analytic", "--L", str(2 * 10**14), "--lambda-grid", repr(lam)]) == 2
         assert time.perf_counter() - start < 1.0
         assert "L must be an integer in [1, 1000000]" in capsys.readouterr().err
         # at or below the cap the same mean is legal and fast: a sure outage
