@@ -68,9 +68,17 @@ def db_to_linear(value_db: float) -> float:
     return linear
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """One CLI scenario; `beta` and `sigma2` are stored linear."""
+    """One CLI scenario; `beta` and `sigma2` are stored linear.
+
+    Checked once, when built, so every config that exists is valid: a
+    ConfigError names the first field outside its domain, each field against
+    the parameter table, then the derived threshold, the worker count
+    (OC_FIELD_THREADS) and the checks that span fields.  An empty
+    `lambda_grid` stands for the default grid, which the row functions
+    resolve.
+    """
 
     alpha: float = 3.5
     beta: float = db_to_linear(3.0)
@@ -86,10 +94,7 @@ class ScenarioConfig:
     expected_count: int = 100
     output: str = "-"
 
-    def validate(self) -> None:
-        """Raise ConfigError naming the first field outside its domain: each
-        field against the parameter table, then the derived threshold, the
-        worker count (OC_FIELD_THREADS) and the checks that span fields."""
+    def __post_init__(self) -> None:
         for field, key in _FIELD_DOMAINS.items():
             value = getattr(self, field)
             for item in value if isinstance(value, tuple) else (value,):
@@ -184,24 +189,21 @@ def default_lambda_grid(config: ScenarioConfig) -> tuple[float, ...]:
         raise ConfigError("cannot place the lambda grid: outage saturated by noise alone")
     if lo is None or lo >= hi:
         lo = hi / 1000.0
-    return _log_grid(lo, hi, config.lambda_points)
+    grid = _log_grid(lo, hi, config.lambda_points)
+    for lam in grid:
+        _in_field("lambda_grid", _check_domain, lam__positive=lam)
+    return grid
 
 
 def run_analytic(config: ScenarioConfig) -> list[tuple]:
     """One row per (lambda, L): closed-form outage and throughput density.
 
-    Each parameter is checked once, in the domain a SystemParams gives it
-    (a zero density included); each density's Poisson mean is then computed
-    once and shared by its antenna counts, bit for bit the `outage_cdf` of
-    every row.
+    Each density's Poisson mean is computed once and shared by its antenna
+    counts, bit for bit the `outage_cdf` of every row.
     """
-    gamma = config.gamma  # checks alpha, beta, d_r and gamma itself
-    _check_domain(sigma2=config.sigma2)
-    for L in config.antennas:
-        _check_domain(L=L)
+    gamma = config.gamma
     rows = []
-    for lam in config.lambda_grid:
-        _check_domain(lam=lam)
+    for lam in config.lambda_grid or default_lambda_grid(config):
         mean = _poisson_mean(lam, config.alpha, gamma, config.sigma2)
         for L in config.antennas:
             outage = _count_outage(mean, L)
@@ -222,7 +224,7 @@ def run_simulation(config: ScenarioConfig) -> list[tuple]:
     _in_field("d_r", _distance_gain, config.d_r, config.alpha)
     rows = []
     cell_index = 0
-    for lam in config.lambda_grid:
+    for lam in config.lambda_grid or default_lambda_grid(config):
         for L in config.antennas:
             params = config.params_for(lam, L)
             analytic = outage_cdf(params)
@@ -278,21 +280,18 @@ def figure_preset(number: int) -> tuple[str, ScenarioConfig]:
     4: optimum contention density vs L, normalized geometry (optimize)
     """
     if number == 1:
-        config = ScenarioConfig(sigma2=db_to_linear(-50.0))
-        return "simulate", replace(config, lambda_grid=default_lambda_grid(config))
+        return "simulate", ScenarioConfig(sigma2=db_to_linear(-50.0))
     if number == 2:
-        config = ScenarioConfig(
+        return "simulate", ScenarioConfig(
             sigma2=0.0, antennas=(3,), receivers=("oc", "mrc", "zf", "pzf")
         )
-        return "simulate", replace(config, lambda_grid=default_lambda_grid(config))
     if number == 3:
-        config = ScenarioConfig(sigma2=db_to_linear(-57.0), antennas=(1, 2, 3, 4, 5))
-        optima = [
-            contention_optimum(L, config.alpha, config.gamma, config.sigma2).lambda_max
-            for L in config.antennas
-        ]
+        # the default link, with a grid around the optimum of each antenna count
+        alpha, sigma2, antennas = ScenarioConfig.alpha, db_to_linear(-57.0), (1, 2, 3, 4, 5)
+        gamma = gamma_from_beta(ScenarioConfig.beta, ScenarioConfig.d_r, alpha)
+        optima = [contention_optimum(L, alpha, gamma, sigma2).lambda_max for L in antennas]
         grid = _log_grid(0.2 * min(optima), 5.0 * max(optima), 50)
-        return "analytic", replace(config, lambda_grid=grid)
+        return "analytic", ScenarioConfig(sigma2=sigma2, antennas=antennas, lambda_grid=grid)
     if number == 4:
         alpha = 3.5
         beta = delta_const(alpha) ** (-0.5 * alpha)  # makes Delta * gamma**(2/alpha) = 1
@@ -452,27 +451,29 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _apply(config: ScenarioConfig, values: dict, from_flags: bool) -> None:
+def _apply(fields: dict, values: dict, from_flags: bool) -> None:
+    """Parse each key of `values` into `fields`, keyed by ScenarioConfig field."""
     for key, (field, parse, flag, _) in _KEYS.items():
         if key in values:
             try:
-                setattr(config, field, parse(values[key]))
+                fields[field] = parse(values[key])
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"{flag if from_flags else key}: {exc}") from None
 
 
 def build_config(args: argparse.Namespace, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """The scenario of any command: `base` (the defaults, or a figure preset),
-    then the config file, then the flags, validated once.
+    """The scenario of any command, built once from its layers: `base` (the
+    defaults, or a figure preset), then the config file, then the flags.
 
-    Within one layer a linear key beats its dB twin, and an explicit
-    lambda_grid beats --lambda-min/--lambda-max, which must come together.
+    Within one layer a linear key beats its dB twin.  --lambda-min and
+    --lambda-max, which must come together, make a grid of the layered
+    lambda_points that beats a file's lambda_grid; --lambda-grid beats both.
     """
-    config = ScenarioConfig() if base is None else replace(base)
+    fields = {}
     if getattr(args, "config", None) is not None:
-        _apply(config, _load_config_file(args.config), from_flags=False)
+        _apply(fields, _load_config_file(args.config), from_flags=False)
     flags = {key: value for key in _KEYS if (value := getattr(args, key, None)) is not None}
-    _apply(config, flags, from_flags=True)
+    _apply(fields, flags, from_flags=True)
     lo, hi = getattr(args, "lambda_min", None), getattr(args, "lambda_max", None)
     if (lo is None) != (hi is None):
         raise ConfigError("--lambda-min and --lambda-max must be given together")
@@ -482,9 +483,9 @@ def build_config(args: argparse.Namespace, base: ScenarioConfig | None = None) -
         if not lo < hi:
             raise ConfigError(f"need lambda-min < lambda-max (got {lo}, {hi})")
         if "lambda_grid" not in flags:
-            config.lambda_grid = _log_grid(lo, hi, config.lambda_points)
-    config.validate()
-    return config
+            points = fields.get("lambda_points", (base or ScenarioConfig).lambda_points)
+            fields["lambda_grid"] = _log_grid(lo, hi, points)
+    return ScenarioConfig(**fields) if base is None else replace(base, **fields)
 
 
 @functools.cache
@@ -527,9 +528,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             command, base = args.command, None
         config = build_config(args, base)
-        if command in ("analytic", "simulate") and not config.lambda_grid:
-            config.lambda_grid = default_lambda_grid(config)
-            config.validate()
         header, run = _COMMANDS[command]
         with open_output(config.output) as out:
             write_csv(out, header, run(config))

@@ -220,10 +220,6 @@ class TestArrayGain:
 
 
 class TestThroughputDensity:
-    def test_zero_density(self):
-        params = SystemParams(lam=0.0, alpha=3.5, sigma2=1.0, d_r=1.0, L=2, beta=1.0)
-        assert throughput_column(params) == 0.0
-
     def test_vanishing_threshold_recovers_density(self):
         params = SystemParams(lam=2e-3, alpha=3.5, sigma2=1e-5, d_r=10.0, L=2, beta=1e-250)
         assert throughput_column(params) == approx(2e-3, rel=1e-12)

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -124,17 +125,17 @@ class TestConfig:
 
     def test_validation_messages_name_the_field(self):
         with pytest.raises(ConfigError, match="alpha"):
-            ScenarioConfig(alpha=1.0).validate()
+            ScenarioConfig(alpha=1.0)
         with pytest.raises(ConfigError, match="receivers"):
-            ScenarioConfig(receivers=("dfe",)).validate()
+            ScenarioConfig(receivers=("dfe",))
         with pytest.raises(ConfigError, match="n_trials"):
-            ScenarioConfig(n_trials=0).validate()
+            ScenarioConfig(n_trials=0)
 
     @pytest.mark.parametrize("points", [1, True, 2.5])
     def test_lambda_points_error_reads_like_every_domain_error(self, points):
         expected = rf"^lambda_points: lambda_points must be an integer >= 2, got {points!r}$"
         with pytest.raises(ConfigError, match=expected):
-            ScenarioConfig(lambda_points=points).validate()
+            ScenarioConfig(lambda_points=points)
 
     @pytest.mark.parametrize(
         "file_data, argv, field, expected",
@@ -188,6 +189,77 @@ class TestDefaultGrid:
         assert max(ratios) == approx(min(ratios), rel=1e-9)
 
 
+class TestOneCheckPerRun:
+    """A scenario is checked once, when it is built: one config per command
+    run, on a default grid as on an explicit one, and at most two for a
+    figure (its preset, then the run's settings)."""
+
+    @pytest.mark.parametrize(
+        "argv, most",
+        [
+            (["analytic", "--L", "1,8,64"], 1),
+            (["analytic", "--L", "1,8,64", "--lambda-grid", "1e-3,2e-3"], 1),
+            (["analytic", "--L", "1,3", "--lambda-min", "1e-4", "--lambda-max", "1e-2"], 1),
+            (["simulate", "--L", "2", "--lambda-points", "2", "--n-trials", "64"], 1),
+            (["simulate", "--L", "2", "--lambda-grid", "1e-3", "--n-trials", "64"], 1),
+            (["optimize", "--L", "1,8"], 1),
+            (["optimize", "--L", "1,8", "--lambda-grid", "1e-3"], 1),
+            (["figure", "1", "--n-trials", "64"], 2),
+            (["figure", "2", "--n-trials", "64", "--lambda-grid", "1e-3"], 2),
+            (["figure", "3"], 2),
+            (["figure", "4"], 2),
+        ],
+        ids=["analytic-default", "analytic-grid", "analytic-range", "simulate-default",
+             "simulate-grid", "optimize", "optimize-grid", "figure-1", "figure-2", "figure-3",
+             "figure-4"],
+    )
+    def test_configs_built_per_run(self, argv, most, monkeypatch):
+        built = []
+        check = ScenarioConfig.__post_init__
+
+        def counted(config):
+            check(config)
+            built.append(config)
+
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert 1 <= len(built) <= most
+        if argv[0] != "figure":
+            assert len(built) == 1
+
+
+class TestDefaultGridErrors:
+    """The default grid is resolved when rows are computed, after --out is
+    open: a grid it cannot place exits 2, prints nothing, creates no file and
+    leaves an existing one as it was."""
+
+    # the grid's upper density overflows: gamma is near the least normal double
+    OVERFLOW = ["--alpha", "2.0001", "--beta", "2.3e-308", "--d-r", "1", "--sigma2", "0",
+                "--L", "1000000"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analytic", *OVERFLOW], "lambda_grid: lam must be finite and > 0, got inf"),
+            (["simulate", *OVERFLOW], "lambda_grid: lam must be finite and > 0, got inf"),
+            (["analytic", "--sigma2", "1", "--L", "1"], "cannot place the lambda grid"),
+        ],
+        ids=["overflow-analytic", "overflow-simulate", "noise-saturated"],
+    )
+    def test_exits_two_and_writes_nothing(self, tmp_path, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {message}")
+        assert captured.out == ""
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"old bytes\n")
+        assert main([*argv, "--out", str(existing)]) == 2
+        assert existing.read_bytes() == b"old bytes\n"
+        assert main([*argv, "--out", str(tmp_path / "new.csv")]) == 2
+        assert not (tmp_path / "new.csv").exists()
+
+
 class TestAnalyticCommand:
     def test_rows_match_library_exactly(self, tmp_path):
         header, rows = run_main(
@@ -219,10 +291,9 @@ class TestAnalyticCommand:
         antennas=st.lists(st.integers(1, 2000), min_size=1, max_size=3),
     )
     def test_rows_are_outage_cdf_bit_for_bit(self, alpha, beta, d_r, sigma2, lambda_grid, antennas):
-        config = ScenarioConfig(alpha=alpha, beta=beta, d_r=d_r, sigma2=sigma2,
-                                antennas=tuple(antennas), lambda_grid=tuple(lambda_grid))
         try:
-            config.validate()
+            config = ScenarioConfig(alpha=alpha, beta=beta, d_r=d_r, sigma2=sigma2,
+                                    antennas=tuple(antennas), lambda_grid=tuple(lambda_grid))
         except ConfigError:  # gamma outside the normal doubles
             return
         rows = run_analytic(config)
@@ -233,13 +304,16 @@ class TestAnalyticCommand:
 
     @pytest.mark.parametrize(
         "field, value, named",
-        [("alpha", 2.0, "alpha"), ("lambda_grid", (-1e-3,), "lam"), ("antennas", (0,), "L")],
+        [("alpha", 2.0, "alpha"), ("lambda_grid", (-1e-3,), "lam"), ("antennas", (0,), "L"),
+         ("lambda_grid", (0.0,), "lam")],
     )
     def test_unvalidated_config_is_refused(self, field, value, named):
+        # construction refuses, so no config reaches the rows unchecked
+        with pytest.raises(ConfigError, match=rf"\b{named} must be "):
+            ScenarioConfig(**{"lambda_grid": (1e-3,), field: value})
         config = ScenarioConfig(lambda_grid=(1e-3,))
-        setattr(config, field, value)
-        with pytest.raises(ValueError, match=rf"\b{named} must be "):
-            run_analytic(config)
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, field, value)
 
 
 class TestOutputFile:

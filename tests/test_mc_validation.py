@@ -9,11 +9,12 @@ enlarging the disk closes it.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from ocfield import estimate_outage, outage_cdf
-from ocfield.cli import figure_preset
+from ocfield.cli import default_lambda_grid, figure_preset
 
 from _oracles import finite_disk_outage
 
@@ -21,8 +22,11 @@ N_TRIALS = 20_000
 
 
 def preset_grid():
+    # the preset leaves its grid to the default, resolved here as the CLI does
     _, config = figure_preset(1)
-    return config
+    grid = default_lambda_grid(config)
+    assert len(grid) == 10
+    return replace(config, lambda_grid=grid)
 
 
 class TestFiniteDiskReference:
