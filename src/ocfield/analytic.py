@@ -6,7 +6,8 @@ converting from dB is the CLI's job.  The normalized threshold used
 throughout is gamma = beta * d_r**alpha.  Every entry point checks its
 arguments against the one table of parameter domains, `domains._DOMAINS`.
 Every outage, the fading-conditional law of a frozen field included, is one
-count law evaluated in one place, `_count_outage`.  Pure Python: nothing
+count law evaluated in one place, `_count_outage`, whose Poisson core
+`_poisson_split` also gives the complement that the throughput needs.  Pure Python: nothing
 here imports numpy, so the closed-form commands start without it.
 """
 
@@ -171,24 +172,36 @@ def _poisson_cdf(x: float, count: int) -> float:
     return s * math.exp(_log_pmf(m, x))
 
 
-def _count_outage(mean: float, L: int, capture=()) -> float:
-    """P(sum_k Bernoulli(s_k / (1 + s_k)) + Poisson(mean) >= L) for capture
-    odds s_k in [0, inf].  Without Bernoulli terms this is one Poisson sum:
-    for mean < L the tail itself, summed upward from L, so that a small tail
-    keeps its relative precision instead of inheriting the cdf's rounding
-    error; otherwise 1 - P(Poisson(mean) < L), a tail near 1/2 or more.
-    With them, a dynamic program over their count truncated at L (the top
-    state collects every count >= L) costs O(nL) and cannot overflow.
+def _poisson_split(x: float, count: int) -> tuple[float, float]:
+    """(P(Poisson(x) < count), P(Poisson(x) >= count)) for count >= 1.
+
+    Each is taken from the sum that keeps its relative precision: for
+    0 < x < count the upper tail, summed upward from count, so that a small
+    tail does not inherit the cdf's rounding error; otherwise the cdf, so
+    that a small cdf does not cancel against 1.  The other value, 1 minus
+    the summed one, is 1/e or more.  One walk of the Poisson terms either way.
     """
-    if not capture:
-        if not 0.0 < mean < L:
-            return max(0.0, 1.0 - _poisson_cdf(mean, L))
-        total = term = 1.0  # sum_{i>=L} pmf(i)/pmf(L): each ratio mean/i is below 1
-        for i in itertools.count(L + 1):
-            term *= mean / i
+    if 0.0 < x < count:
+        total = term = 1.0  # sum_{i>=count} pmf(i)/pmf(count): each ratio x/i is below 1
+        for i in itertools.count(count + 1):
+            term *= x / i
             total += term
             if term < _NEGLIGIBLE * total:
-                return total * math.exp(_log_pmf(L, mean))
+                tail = total * math.exp(_log_pmf(count, x))
+                return 1.0 - tail, tail
+    below = _poisson_cdf(x, count)
+    return below, max(0.0, 1.0 - below)
+
+
+def _count_outage(mean: float, L: int, capture=()) -> float:
+    """P(sum_k Bernoulli(s_k / (1 + s_k)) + Poisson(mean) >= L) for capture
+    odds s_k in [0, inf].  Without Bernoulli terms this is the upper tail of
+    `_poisson_split`.  With them, a dynamic program over their count
+    truncated at L (the top state collects every count >= L) costs O(nL)
+    and cannot overflow.
+    """
+    if not capture:
+        return _poisson_split(mean, L)[1]
     dist = [1.0] + [0.0] * L  # P(Bernoulli count = i) for i < L; dist[L] = P(count >= L)
     for s in capture:
         # an odds of inf captures surely; 1/(1+s) keeps its miss exactly 0

@@ -22,6 +22,7 @@ from .analytic import (
     SystemParams,
     _count_outage,
     _poisson_mean,
+    _poisson_split,
     delta_const,
     gamma_from_beta,
     outage_cdf,
@@ -199,15 +200,17 @@ def run_analytic(config: ScenarioConfig) -> list[tuple]:
     """One row per (lambda, L): closed-form outage and throughput density.
 
     Each density's Poisson mean is computed once and shared by its antenna
-    counts, bit for bit the `outage_cdf` of every row.
+    counts, bit for bit the `outage_cdf` of every row.  The throughput is
+    lam * P(N < L) from the same count law, not lam * (1 - outage), which
+    cancels as the outage nears 1.
     """
     gamma = config.gamma
     rows = []
     for lam in config.lambda_grid or default_lambda_grid(config):
         mean = _poisson_mean(lam, config.alpha, gamma, config.sigma2)
         for L in config.antennas:
-            outage = _count_outage(mean, L)
-            rows.append((lam, L, outage, lam * (1.0 - outage)))
+            below, outage = _poisson_split(mean, L)
+            rows.append((lam, L, outage, lam * below))
     return rows
 
 

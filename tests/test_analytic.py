@@ -15,7 +15,7 @@ from ocfield import (
     gamma_from_beta,
     outage_cdf,
 )
-from ocfield.analytic import _count_outage, _poisson_cdf, _stirling_error
+from ocfield.analytic import _count_outage, _poisson_cdf, _poisson_mean, _stirling_error
 from ocfield.cli import ScenarioConfig, run_analytic
 
 from _oracles import delta_quadrature, sir_moment_quadrature, sir_moments
@@ -44,7 +44,7 @@ def radius_identity_outage(L, lam, alpha, gamma):
 
 
 def throughput_column(params):
-    # the analytic command's lam * (1 - outage) for one (lambda, L) cell
+    # the analytic command's lam * P(N < L) for one (lambda, L) cell
     config = ScenarioConfig(
         alpha=params.alpha, beta=params.beta, d_r=params.d_r, sigma2=params.sigma2,
         antennas=(params.L,), lambda_grid=(params.lam,),
@@ -223,6 +223,19 @@ class TestThroughputDensity:
     def test_vanishing_threshold_recovers_density(self):
         params = SystemParams(lam=2e-3, alpha=3.5, sigma2=1e-5, d_r=10.0, L=2, beta=1e-250)
         assert throughput_column(params) == approx(2e-3, rel=1e-12)
+
+    def test_keeps_its_precision_as_the_outage_nears_one(self):
+        # Poisson mean 1.3 L at L = 512: lam * (1 - outage) kept only 8 digits
+        alpha, beta, d_r, sigma2, L = 3.2, 10.0, 15.0, 4e-6, 512
+        gamma = gamma_from_beta(beta, d_r, alpha)
+        lam = 1.3 * L / (delta_const(alpha) * gamma ** (2.0 / alpha))
+        params = SystemParams(lam=lam, alpha=alpha, sigma2=sigma2, d_r=d_r, L=L, beta=beta)
+        mean = _poisson_mean(lam, alpha, gamma, sigma2)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            below = mpmath.gammainc(L, mpmath.mpf(mean), mpmath.inf, regularized=True)
+            error = abs(throughput_column(params) / (lam * below) - 1)
+        assert error < 1e-13
 
     def test_unit_exponent_single_antenna(self):
         lam = lam_for_unit_exponent(4.0)

@@ -32,6 +32,9 @@ from ocfield.cli import (
 )
 
 
+EPS = sys.float_info.epsilon
+
+
 def run_main(tmp_path, *argv):
     out = tmp_path / "out.csv"
     code = main([*argv, "--out", str(out)])
@@ -273,7 +276,11 @@ class TestAnalyticCommand:
             )
             outage = outage_cdf(params)
             assert float(outage_s) == outage
-            assert float(tput_s) == params.lam * (1.0 - outage)
+            # lam * P(N < L), within rounding of lam * (1 - outage) and to 1e-12 of scipy
+            assert abs(float(tput_s) - params.lam * (1.0 - outage)) <= 2 * EPS * params.lam
+            x = params.lam * delta_const(3.5) * params.gamma ** (2.0 / 3.5) + 1e-5 * params.gamma
+            reference = params.lam * poisson.cdf(params.L - 1, x)
+            assert abs(float(tput_s) / reference - 1.0) <= 1e-12
 
     def test_stdout_default(self, capsys):
         assert main(["analytic", "--lambda-grid", "1e-3", "--L", "2"]) == 0
@@ -300,7 +307,10 @@ class TestAnalyticCommand:
         expected = [(lam, L, outage_cdf(config.params_for(lam, L)))
                     for lam in lambda_grid for L in antennas]
         assert [row[:3] for row in rows] == expected
-        assert [row[3] for row in rows] == [lam * (1.0 - outage) for lam, _, outage in expected]
+        # lam * P(N < L): the complement of the outage to within rounding
+        for (lam, _, outage), (_, _, _, throughput) in zip(expected, rows):
+            assert abs(throughput - lam * (1.0 - outage)) <= 2 * EPS * lam
+            assert 0.0 <= throughput <= lam
 
     @pytest.mark.parametrize(
         "field, value, named",
