@@ -13,8 +13,8 @@ from . import analytic, contention
 from .analytic import *  # noqa: F403
 from .contention import *  # noqa: F403
 
-_SIMULATE = ("BLOCK", "OutageEstimate", "TrialStream", "block_sinr", "default_pzf_k",
-             "estimate_outage", "receiver_label")
+_SIMULATE = ("BLOCK", "OutageEstimate", "TrialStream", "block_sinr", "estimate_outage",
+             "receiver_label")
 __all__ = [*analytic.__all__, *contention.__all__, *_SIMULATE]
 __version__ = "0.1.0"
 

@@ -31,7 +31,6 @@ __all__ = [
     "OutageEstimate",
     "TrialStream",
     "block_sinr",
-    "default_pzf_k",
     "estimate_outage",
     "receiver_label",
 ]
@@ -111,12 +110,6 @@ def _combining_ratio(w: np.ndarray, desired: np.ndarray, a: np.ndarray, sigma2: 
     num = s.real**2 + s.imag**2
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0))
-
-
-def default_pzf_k(L: int) -> int:
-    """Default partial zero-forcing cancellation count: ceil(L/2), capped at
-    L - 1 so that the desired channel keeps a dimension (0 at L = 1)."""
-    return _pzf_count(L, None)
 
 
 def _weights(

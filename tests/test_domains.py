@@ -15,12 +15,12 @@ from ocfield import (
     block_sinr,
     conditional_outage_cdf,
     contention_optimum,
-    default_pzf_k,
     delta_const,
     estimate_outage,
     gamma_from_beta,
     receiver_label,
 )
+from ocfield.domains import _pzf_count
 
 from _frozen_field import estimate_outage_conditional
 
@@ -59,6 +59,11 @@ def lambda_max(L, alpha, gamma):
 
 def throughput_max(L, alpha, gamma):
     return contention_optimum(L, alpha, gamma).t_max
+
+
+# the default PZF cancellation count, as the simulator and the CLI resolve it
+def default_pzf_k(L):
+    return _pzf_count(L, None)
 
 
 RUN = dict(n_trials=64, master_seed=1, workers=1)

@@ -23,7 +23,6 @@ EXPORTS = [
     "block_sinr",
     "conditional_outage_cdf",
     "contention_optimum",
-    "default_pzf_k",
     "delta_const",
     "estimate_outage",
     "gamma_from_beta",
@@ -81,12 +80,13 @@ def test_every_export_is_listed_and_star_importable():
 @pytest.mark.parametrize("name", [
     "SirMomentsEstimate", "estimate_sir_moments", "g_of_l", "lambda_max",
     "outage_interference_limited", "outage_noise_limited", "throughput_density", "throughput_max",
-    "array_gain", "estimate_outage_conditional", "sir_mean", "sir_variance",
+    "array_gain", "estimate_outage_conditional", "sir_mean", "sir_variance", "default_pzf_k",
 ])
 def test_wrappers_of_the_entry_points_are_gone(name):
     # each was outage_cdf, contention_optimum or block_sinr under another
     # signature, or a quantity only tests used: the SIR moments are now a test
-    # reference, the frozen-field estimator a test helper on the block engine
+    # reference, the frozen-field estimator a test helper on the block engine,
+    # and the default PZF count is domains._pzf_count(L, None)
     with pytest.raises(AttributeError):
         getattr(ocfield, name)
 

@@ -13,11 +13,11 @@ from ocfield import (
     TrialStream,
     block_sinr,
     conditional_outage_cdf,
-    default_pzf_k,
     estimate_outage,
     outage_cdf,
     receiver_label,
 )
+from ocfield.domains import _pzf_count
 from ocfield.simulate import (
     _channel_block,
     _combining_ratio,
@@ -264,7 +264,7 @@ class TestCombinerWeights:
         assert np.array_equal(zf, pzf)
 
     def test_default_pzf_cancel_count(self):
-        assert [default_pzf_k(L) for L in (1, 2, 3, 4, 5)] == [0, 1, 2, 2, 3]
+        assert [_pzf_count(L, None) for L in (1, 2, 3, 4, 5)] == [0, 1, 2, 2, 3]
 
     def test_zf_orthogonal_to_strongest(self):
         _, radii, desired, h, a = random_block(1e-3, 80, BLOCK, 4, 3.5, TrialStream(26).at(0))
