@@ -689,7 +689,20 @@ class TestErrorPaths:
         assert captured.out == ""
 
 
-NORMAL = st.floats(sys.float_info.min, sys.float_info.max)
+# log2 of the normal doubles, less the top binade, so that 2**x never overflows
+LOG2_NORMAL = (math.log2(sys.float_info.min), math.log2(sys.float_info.max) - 1.0)
+
+
+@st.composite
+def links(draw):
+    """(alpha, beta, d_r) whose threshold gamma = beta * d_r**alpha is
+    log-spread over the normal doubles; d_r is drawn so that beta, derived
+    from gamma and d_r, is a normal double too."""
+    alpha = draw(st.floats(2.0 + 1e-9, 1e3))
+    lo, hi = LOG2_NORMAL
+    log_gamma = draw(st.floats(lo, hi))
+    log_d_r = draw(st.floats(max(lo, (log_gamma - hi) / alpha), min(hi, (log_gamma - lo) / alpha)))
+    return alpha, 2.0 ** (log_gamma - alpha * log_d_r), 2.0 ** log_d_r
 
 
 class TestDomainSweep:
@@ -701,9 +714,7 @@ class TestDomainSweep:
     @given(
         command=st.sampled_from(["analytic", "optimize", "simulate"]),
         from_file=st.booleans(),
-        alpha=st.floats(2.0 + 1e-9, 1e3),
-        beta=NORMAL,
-        d_r=NORMAL,
+        link=links(),
         antennas=st.lists(st.integers(1, 10_000), min_size=1, max_size=3),
         sigma2=st.floats(0.0, 1e300),
         receivers=st.lists(st.sampled_from(["oc", "mrc", "zf", "pzf"]), min_size=1, max_size=4,
@@ -711,14 +722,15 @@ class TestDomainSweep:
         n_trials=st.integers(1, 64),
     )
     # sigma2 * gamma overflows: once an OverflowError out of the contention solver
-    @example(command="optimize", from_file=False, alpha=8.0, beta=1.0, d_r=16.0, antennas=[1],
+    @example(command="optimize", from_file=False, link=(8.0, 1.0, 16.0), antennas=[1],
              sigma2=1e300, receivers=["oc"], n_trials=1)
     # d_r**-alpha overflows while gamma stays normal: once an OverflowError in the simulator
-    @example(command="simulate", from_file=True, alpha=31.0, beta=1e10, d_r=1e-10, antennas=[2],
+    @example(command="simulate", from_file=True, link=(31.0, 1e10, 1e-10), antennas=[2],
              sigma2=0.0, receivers=["oc", "zf"], n_trials=64)
     def test_finite_rows_or_config_error(
-        self, command, from_file, alpha, beta, d_r, antennas, sigma2, receivers, n_trials
+        self, command, from_file, link, antennas, sigma2, receivers, n_trials
     ):
+        alpha, beta, d_r = link
         scenario = dict(alpha=alpha, beta=beta, d_r=d_r, sigma2=sigma2, L=antennas,
                         lambda_points=3)
         if command == "simulate":
