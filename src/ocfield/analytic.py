@@ -173,14 +173,11 @@ def _poisson_cdf(x: float, count: int) -> float:
 
 
 def _poisson_split(x: float, count: int) -> tuple[float, float]:
-    """(P(Poisson(x) < count), P(Poisson(x) >= count)) for count >= 1.
-
-    Each is taken from the sum that keeps its relative precision: for
-    0 < x < count the upper tail, summed upward from count, so that a small
-    tail does not inherit the cdf's rounding error; otherwise the cdf, so
-    that a small cdf does not cancel against 1.  The other value, 1 minus
-    the summed one, is 1/e or more.  One walk of the Poisson terms either way.
-    """
+    """(P(N < count), P(N >= count)) for N ~ Poisson(x) and count >= 1, in
+    one walk of the terms.  For 0 < x < count the tail is summed upward from
+    count, so that a small tail keeps its relative precision; otherwise the
+    cdf is, so that a small cdf does not cancel against 1.  The other value,
+    1 minus the summed one, is at least 1/e."""
     if 0.0 < x < count:
         total = term = 1.0  # sum_{i>=count} pmf(i)/pmf(count): each ratio x/i is below 1
         for i in itertools.count(count + 1):

@@ -16,7 +16,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .analytic import (
     SystemParams,
@@ -71,15 +71,9 @@ def db_to_linear(value_db: float) -> float:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One CLI scenario; `beta` and `sigma2` are stored linear.
-
-    Checked once, when built, so every config that exists is valid: a
-    ConfigError names the first field outside its domain, each field against
-    the parameter table, then the derived threshold, the worker count
-    (OC_FIELD_THREADS) and the checks that span fields.  An empty
-    `lambda_grid` stands for the default grid, which the row functions
-    resolve.
-    """
+    """One CLI scenario, checked when built, so every config that exists is
+    valid.  `beta` and `sigma2` are stored linear; an empty `lambda_grid`
+    stands for the default grid, which the row functions resolve."""
 
     alpha: float = 3.5
     beta: float = db_to_linear(3.0)
@@ -96,10 +90,15 @@ class ScenarioConfig:
     output: str = "-"
 
     def __post_init__(self) -> None:
-        for field, key in _FIELD_DOMAINS.items():
-            value = getattr(self, field)
-            for item in value if isinstance(value, tuple) else (value,):
-                _in_field(field, _check_domain, **{key: item})
+        """Raise ConfigError naming the first field outside its domain: each
+        field against the parameter table, then the derived threshold, the
+        worker count (OC_FIELD_THREADS) and the checks that span fields."""
+        for field in fields(self):
+            if field.name != "output":  # the one field without a domain
+                key = _DOMAIN_KEYS.get(field.name, field.name)
+                value = getattr(self, field.name)
+                for item in value if isinstance(value, tuple) else (value,):
+                    _in_field(field.name, _check_domain, **{key: item})
         _in_field("gamma", gamma_from_beta, self.beta, self.d_r, self.alpha)
         _in_field("OC_FIELD_THREADS", _resolve_workers, None)
         if not self.antennas:
@@ -119,22 +118,9 @@ class ScenarioConfig:
         return gamma_from_beta(self.beta, self.d_r, self.alpha)
 
 
-# ScenarioConfig field -> key of its domain in the parameter table; each
-# entry of a tuple field is checked on its own
-_FIELD_DOMAINS = {
-    "alpha": "alpha",
-    "beta": "beta",
-    "d_r": "d_r",
-    "sigma2": "sigma2",
-    "antennas": "L",
-    "receivers": "receiver",
-    "pzf_k": "pzf_k",
-    "lambda_grid": "lam__positive",
-    "lambda_points": "lambda_points",
-    "n_trials": "n_trials",
-    "master_seed": "master_seed",
-    "expected_count": "expected_count",
-}
+# ScenarioConfig fields whose key in the parameter table is not their own
+# name; each entry of a tuple field is checked on its own
+_DOMAIN_KEYS = {"antennas": "L", "receivers": "receiver", "lambda_grid": "lam__positive"}
 
 
 def derive_row_seed(master_seed: int, row_index: int) -> int:
@@ -454,12 +440,12 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _apply(fields: dict, values: dict, from_flags: bool) -> None:
-    """Parse each key of `values` into `fields`, keyed by ScenarioConfig field."""
+def _apply(layered: dict, values: dict, from_flags: bool) -> None:
+    """Parse each key of `values` into `layered`, keyed by ScenarioConfig field."""
     for key, (field, parse, flag, _) in _KEYS.items():
         if key in values:
             try:
-                fields[field] = parse(values[key])
+                layered[field] = parse(values[key])
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"{flag if from_flags else key}: {exc}") from None
 
@@ -472,11 +458,11 @@ def build_config(args: argparse.Namespace, base: ScenarioConfig | None = None) -
     --lambda-max, which must come together, make a grid of the layered
     lambda_points that beats a file's lambda_grid; --lambda-grid beats both.
     """
-    fields = {}
+    layered = {}
     if getattr(args, "config", None) is not None:
-        _apply(fields, _load_config_file(args.config), from_flags=False)
+        _apply(layered, _load_config_file(args.config), from_flags=False)
     flags = {key: value for key in _KEYS if (value := getattr(args, key, None)) is not None}
-    _apply(fields, flags, from_flags=True)
+    _apply(layered, flags, from_flags=True)
     lo, hi = getattr(args, "lambda_min", None), getattr(args, "lambda_max", None)
     if (lo is None) != (hi is None):
         raise ConfigError("--lambda-min and --lambda-max must be given together")
@@ -486,9 +472,9 @@ def build_config(args: argparse.Namespace, base: ScenarioConfig | None = None) -
         if not lo < hi:
             raise ConfigError(f"need lambda-min < lambda-max (got {lo}, {hi})")
         if "lambda_grid" not in flags:
-            points = fields.get("lambda_points", (base or ScenarioConfig).lambda_points)
-            fields["lambda_grid"] = _log_grid(lo, hi, points)
-    return ScenarioConfig(**fields) if base is None else replace(base, **fields)
+            points = layered.get("lambda_points", (base or ScenarioConfig).lambda_points)
+            layered["lambda_grid"] = _log_grid(lo, hi, points)
+    return ScenarioConfig(**layered) if base is None else replace(base, **layered)
 
 
 @functools.cache
