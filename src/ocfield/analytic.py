@@ -6,9 +6,10 @@ converting from dB is the CLI's job.  The normalized threshold used
 throughout is gamma = beta * d_r**alpha.  Every entry point checks its
 arguments against the one table of parameter domains, `domains._DOMAINS`.
 Every outage, the fading-conditional law of a frozen field included, is one
-count law evaluated in one place, `_count_outage`, whose Poisson core
-`_poisson_split` also gives the complement that the throughput needs.  Pure Python: nothing
-here imports numpy, so the closed-form commands start without it.
+count law evaluated in one place, `_count_outage`; its Poisson core,
+`_poisson_split`, also gives the complement that the throughput needs.  Pure
+Python: nothing here imports numpy, so the closed-form commands start
+without it.
 """
 
 from __future__ import annotations
