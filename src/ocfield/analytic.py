@@ -112,7 +112,8 @@ def _deviance(k: int, x: float) -> float:
     # k log(k/x) + x - k >= 0, by its series in v = (k-x)/(k+x) near k = x,
     # where the direct form cancels
     if abs(k - x) >= 0.1 * (k + x):
-        return k * math.log(k / x) + x - k
+        ratio = k / x  # overflows only at a subnormal x, where log(k) - log(x) does not
+        return k * (math.log(ratio) if ratio < math.inf else math.log(k) - math.log(x)) + x - k
     v = (k - x) / (k + x)
     total = (k - x) * v
     term = 2.0 * k * v
@@ -162,24 +163,16 @@ def _poisson_window(x: float, count: int) -> tuple[int, float]:
     return m, total
 
 
-def _poisson_cdf(x: float, count: int) -> float:
-    # P(Poisson(x) < count), count >= 1, anchored at the largest term in
-    # range so that it neither underflows nor overflows for any x.
-    if x == 0.0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
-    m, s = _poisson_window(x, count)
-    return s * math.exp(_log_pmf(m, x))
-
-
 def _poisson_split(x: float, count: int) -> tuple[float, float]:
     """(P(N < count), P(N >= count)) for N ~ Poisson(x) and count >= 1, in
     one walk of the terms.  For 0 < x < count the tail is summed upward from
-    count, so that a small tail keeps its relative precision; otherwise the
-    cdf is, so that a small cdf does not cancel against 1.  The other value,
-    1 minus the summed one, is at least 1/e."""
-    if 0.0 < x < count:
+    count, so that a small tail keeps its relative precision; for x >= count
+    the cdf is, anchored at its largest term so that a small cdf neither
+    underflows nor cancels against 1.  The other value, 1 minus the summed
+    one, is at least 1/e."""
+    if x == 0.0:
+        return 1.0, 0.0
+    if x < count:
         total = term = 1.0  # sum_{i>=count} pmf(i)/pmf(count): each ratio x/i is below 1
         for i in itertools.count(count + 1):
             term *= x / i
@@ -187,7 +180,10 @@ def _poisson_split(x: float, count: int) -> tuple[float, float]:
             if term < _NEGLIGIBLE * total:
                 tail = total * math.exp(_log_pmf(count, x))
                 return 1.0 - tail, tail
-    below = _poisson_cdf(x, count)
+    if x == math.inf:
+        return 0.0, 1.0
+    m, s = _poisson_window(x, count)
+    below = s * math.exp(_log_pmf(m, x))
     return below, max(0.0, 1.0 - below)
 
 

@@ -18,15 +18,7 @@ import stat
 import sys
 from dataclasses import dataclass, fields, replace
 
-from .analytic import (
-    SystemParams,
-    _count_outage,
-    _poisson_mean,
-    _poisson_split,
-    delta_const,
-    gamma_from_beta,
-    outage_cdf,
-)
+from .analytic import SystemParams, _poisson_mean, _poisson_split, delta_const, gamma_from_beta
 from .contention import BracketViolation, contention_optimum
 from .domains import _MASK64, RECEIVERS, _check_domain, _pzf_count, _resolve_workers
 
@@ -135,13 +127,13 @@ def _poisson_tail_exponent(L: int, target_outage: float) -> float:
     # x with P(Poisson(x) >= L) = target, bisected on the monotone tail
     # until no double lies strictly between the bracket ends
     lo, hi = 0.0, 1.0
-    while _count_outage(hi, L) < target_outage:
+    while _poisson_split(hi, L)[1] < target_outage:
         hi *= 2.0
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        if _count_outage(mid, L) < target_outage:
+        if _poisson_split(mid, L)[1] < target_outage:
             lo = mid
         else:
             hi = mid
@@ -203,43 +195,40 @@ def run_analytic(config: ScenarioConfig) -> list[tuple]:
 def run_simulation(config: ScenarioConfig) -> list[tuple]:
     """Monte Carlo rows per (lambda, L, receiver), reproducible per seed.
 
-    Rows sharing a (lambda, L) cell also share their seed, so receivers are
-    compared on identical trials (paired estimates).  The analytic column
-    carries the optimum-combining closed form; other receivers have no
+    Each `run_analytic` row is a cell; its index derives the cell's seed,
+    which every receiver shares, so receivers are compared on identical
+    trials (paired estimates).  The analytic column carries the
+    optimum-combining closed form of that row; other receivers have no
     closed form here and get nan.
     """
     from .simulate import _distance_gain, estimate_outage, receiver_label  # loads numpy
 
     _in_field("d_r", _distance_gain, config.d_r, config.alpha)
     rows = []
-    cell_index = 0
-    for lam in config.lambda_grid or default_lambda_grid(config):
-        for L in config.antennas:
-            params = config.params_for(lam, L)
-            analytic = outage_cdf(params)
-            seed = derive_row_seed(config.master_seed, cell_index)
-            cell_index += 1
-            for receiver in config.receivers:
-                estimate = estimate_outage(
-                    params,
-                    receiver=receiver,
-                    n_trials=config.n_trials,
-                    master_seed=seed,
-                    expected_count=config.expected_count,
-                    pzf_k=config.pzf_k,
+    for cell_index, (lam, L, analytic, _) in enumerate(run_analytic(config)):
+        params = config.params_for(lam, L)
+        seed = derive_row_seed(config.master_seed, cell_index)
+        for receiver in config.receivers:
+            estimate = estimate_outage(
+                params,
+                receiver=receiver,
+                n_trials=config.n_trials,
+                master_seed=seed,
+                expected_count=config.expected_count,
+                pzf_k=config.pzf_k,
+            )
+            rows.append(
+                (
+                    lam,
+                    L,
+                    receiver_label(receiver, L, config.pzf_k),
+                    analytic if receiver == "oc" else math.nan,
+                    estimate.p_hat,
+                    estimate.stderr,
+                    estimate.n_trials,
+                    estimate.master_seed,
                 )
-                rows.append(
-                    (
-                        lam,
-                        L,
-                        receiver_label(receiver, L, config.pzf_k),
-                        analytic if receiver == "oc" else math.nan,
-                        estimate.p_hat,
-                        estimate.stderr,
-                        estimate.n_trials,
-                        estimate.master_seed,
-                    )
-                )
+            )
     return rows
 
 

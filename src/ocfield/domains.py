@@ -42,7 +42,9 @@ _DOMAINS = {
     "L": (lambda v: type(v) is int and 1 <= v <= 10**6, "an integer in [1, 1000000]"),
     "n_trials": _COUNT,
     "expected_count": _COUNT,
-    "workers": _COUNT,
+    # each worker is an OS thread that a run starts at once; the count comes
+    # from outside (OC_FIELD_THREADS), and a typo must not ask for thousands
+    "workers": (lambda v: type(v) is int and 1 <= v <= 256, "an integer in [1, 256]"),
     "size": _COUNT,
     "lambda_points": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
     "master_seed": (lambda v: type(v) is int and 0 <= v <= _MASK64, "a 64-bit unsigned integer"),

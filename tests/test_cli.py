@@ -66,10 +66,10 @@ def exit_code(argv):
 
 class TestDbConversion:
     def test_three_db(self):
-        assert db_to_linear(3.0) == approx(10.0**0.3, rel=1e-15)
+        assert db_to_linear(3.0) == approx(10.0**0.3, rel=1e-15, abs=0.0)
 
     def test_minus_fifty_db(self):
-        assert db_to_linear(-50.0) == approx(1e-5, rel=1e-12)
+        assert db_to_linear(-50.0) == approx(1e-5, rel=1e-12, abs=0.0)
 
     def test_zero_db_is_unity(self):
         assert db_to_linear(0.0) == 1.0
@@ -115,7 +115,7 @@ class TestConfig:
         args = build_parser().parse_args(["analytic", "--config", str(cfg)])
         from ocfield.cli import build_config
 
-        assert build_config(args).sigma2 == approx(10.0**-5.7, rel=1e-12)
+        assert build_config(args).sigma2 == approx(10.0**-5.7, rel=1e-12, abs=0.0)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -167,7 +167,7 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(file_data))
         args = build_parser().parse_args(["analytic", "--config", str(cfg), *argv])
-        assert getattr(build_config(args), field) == approx(expected, rel=1e-12)
+        assert getattr(build_config(args), field) == approx(expected, rel=1e-12, abs=0.0)
 
     def test_row_seed_derivation_is_stable(self):
         seeds = {derive_row_seed(1, i) for i in range(100)}
@@ -431,6 +431,20 @@ class TestSimulateCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize(
+        "grid", [[], ["--lambda-grid", "8e-4,2e-3,5e-3"]], ids=["default-grid", "explicit-grid"]
+    )
+    def test_oc_cells_are_the_analytic_rows(self, tmp_path, grid):
+        # (lambda, L, analytic_outage) of each OC row is an analytic row, byte for byte
+        scenario = ["--alpha", "3.2", "--sigma2-db", "-50", "--L", "1,3", *grid]
+        _, analytic = run_main(tmp_path, "analytic", *scenario)
+        _, simulated = run_main(
+            tmp_path, "simulate", *scenario, "--receivers", "mrc,oc", "--n-trials", "50"
+        )
+        oc_cells = [[lam, L, outage] for lam, L, receiver, outage, *_ in simulated if receiver == "oc"]
+        assert oc_cells == [row[:3] for row in analytic]
+        assert len(oc_cells) == (10 if not grid else 3) * 2
+
     def test_round_trip_precision(self, tmp_path):
         header, rows = run_main(
             tmp_path, "simulate", "--lambda-grid", "1.2345678901234567e-3",
@@ -448,14 +462,14 @@ class TestOptimizeCommand:
         for row, L in zip(rows, (1, 2, 3)):
             opt = contention_optimum(L, 3.5, gamma)
             assert float(row[1]) == opt.g
-            assert float(row[3]) == approx(opt.t_max, rel=1e-15)
+            assert float(row[3]) == approx(opt.t_max, rel=1e-15, abs=0.0)
 
     def test_grid_search_mode_labeled(self, tmp_path):
         header, rows = run_main(tmp_path, "optimize", "--sigma2-db", "-57", "--L", "2")
         assert rows[0][4] == "root"
         gamma = 10.0**0.3 * 10.0**3.5
         area = delta_const(3.5) * gamma ** (2.0 / 3.5)
-        assert float(rows[0][1]) == approx(float(rows[0][2]) * area, rel=1e-15)
+        assert float(rows[0][1]) == approx(float(rows[0][2]) * area, rel=1e-15, abs=0.0)
         assert float(rows[0][2]) > 0.0
 
 
@@ -481,7 +495,7 @@ class TestLargeL:
             # the benchmark's tolerance on analytic rows
             assert abs(value - reference) <= 1e-9 * reference + 5e-14 * 1001
             outages.append(value)
-        assert outages[0] == approx(3.7e-12, rel=0.05)
+        assert outages[0] == approx(3.7e-12, rel=0.05, abs=0.0)
         assert outages[1] == approx(6.5e-4, rel=0.05)
 
 
@@ -622,7 +636,7 @@ class TestErrorPaths:
         assert rows[0][4:] == rows[1][4:]
         assert 0.0 < float(rows[0][4]) < 1.0
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-1", "2.5", ""])
+    @pytest.mark.parametrize("threads", ["abc", "0", "-1", "2.5", "", "257"])
     def test_bad_thread_count_is_a_config_error(self, threads, monkeypatch, capsys):
         monkeypatch.setenv("OC_FIELD_THREADS", threads)
         argv = ["simulate", "--L", "2", "--lambda-grid", "1e-3", "--n-trials", "100"]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from pytest import approx
 
 import ocfield.contention as contention_module
 from ocfield import BracketViolation, SystemParams, contention_optimum, delta_const, outage_cdf
+from ocfield.analytic import _poisson_split
 
 from _oracles import contention_q_scaled, throughput_optimum
 
@@ -91,19 +93,18 @@ class TestOptimum:
 
     def test_throughput_max_single_antenna(self):
         assert contention_optimum(1, 4.0, gamma_for_unit_area(4.0)).t_max == approx(
-            math.exp(-1.0), rel=1e-12
+            math.exp(-1.0), rel=1e-12, abs=0.0
         )
 
     def test_throughput_max_two_antennas(self):
         expected = GOLDEN**3 * math.exp(-GOLDEN)
         opt = contention_optimum(2, 4.0, gamma_for_unit_area(4.0))
-        assert opt.t_max == approx(expected, rel=1e-12)
+        assert opt.t_max == approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 7, 8, 100, 1000, 10_000])
     def test_peak_matches_mpmath(self, L):
         # t_max = u**2 * pmf(L-1; u) / area at figure 4's geometry, against
         # the same formula in 50-digit arithmetic at the solver's u
-        mpmath = pytest.importorskip("mpmath")
         alpha = 3.5
         gamma = gamma_for_unit_area(alpha)
         opt = contention_optimum(L, alpha, gamma)
@@ -121,7 +122,7 @@ class TestOptimum:
         opt = contention_optimum(L, alpha, gamma)
         lam = opt.lambda_max
         achieved = lam * (1.0 - interference_limited_outage(L, lam, alpha, gamma))
-        assert opt.t_max == approx(achieved, rel=1e-12)
+        assert opt.t_max == approx(achieved, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_grid_confirms_optimality(self, L):
@@ -142,7 +143,7 @@ class TestOptimum:
         assert opt.L == 3
         assert opt.g == g_root(3)
         area = delta_const(3.5) * 977.0 ** (2.0 / 3.5)
-        assert opt.lambda_max == approx(opt.g / area, rel=1e-15)
+        assert opt.lambda_max == approx(opt.g / area, rel=1e-15, abs=0.0)
 
 
 class TestGridSearchExtension:
@@ -162,15 +163,13 @@ class TestGridSearchExtension:
         assert lam_noisy > 0.0
 
     def test_result_is_a_grid_maximum(self):
-        from ocfield.analytic import _poisson_cdf
-
         alpha, gamma, sigma2, L = 3.5, 6309.573444801933, 2e-6, 4
         area = delta_const(alpha) * gamma ** (2.0 / alpha)
         opt = contention_optimum(L, alpha, gamma, sigma2)
         lam_star, t_star = opt.lambda_max, opt.t_max
         for k in range(600):
             lam = lam_star * (0.05 + 4.0 * k / 599.0)
-            t = lam * _poisson_cdf(lam * area + sigma2 * gamma, L)
+            t = lam * _poisson_split(lam * area + sigma2 * gamma, L)[0]
             assert t <= t_star * (1.0 + 1e-9)
 
 
@@ -184,7 +183,7 @@ class TestNoisyOptimum:
         opt = contention_optimum(L, alpha, gamma, sigma2)
         assert opt.g == approx(u_ref, rel=1e-9)
         assert opt.lambda_max == approx(u_ref / area, rel=1e-9)
-        assert opt.t_max == approx(t_ref / area, rel=1e-9)
+        assert opt.t_max == approx(t_ref / area, rel=1e-9, abs=0.0)
         assert 0.0 < opt.t_max <= opt.lambda_max
 
     def test_noise_only_lowers_the_load(self):

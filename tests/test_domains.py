@@ -31,6 +31,7 @@ ALPHAS = [*REALS, 2.0]
 BOOLS = [True, False]  # ints to Python, never counts
 COUNTS = [NAN, INF, -1, 0, 2.0, *BOOLS]  # outside "an integer >= 1"
 ANTENNAS = [*COUNTS, 10**6 + 1]  # outside "an integer in [1, 1000000]"
+WORKERS = [*COUNTS, 257]  # outside "an integer in [1, 256]"
 SEEDS = [NAN, -1, 1 << 64, 1.0, *BOOLS]
 PZF = [NAN, INF, -1, 1.0, *BOOLS]
 RECEIVER = ["dfe", None]
@@ -92,13 +93,13 @@ ENTRY_POINTS = [
     (conditional_outage_cdf, FROZEN, dict(powers=POWERS, sigma2=REALS, L=ANTENNAS, gamma=REALS)),
     (estimate_outage_conditional, {**FROZEN, **RUN},
      dict(powers=POWERS, sigma2=REALS, L=ANTENNAS, gamma=REALS, n_trials=COUNTS,
-          master_seed=SEEDS, workers=COUNTS)),
+          master_seed=SEEDS, workers=WORKERS)),
     (fresh_block_sinr, dict(params=params(), size=8, **SIMULATOR),
      dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
           size=COUNTS)),
     (estimate_outage, dict(params=params(), **SIMULATOR, **RUN),
      dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
-          n_trials=COUNTS, master_seed=SEEDS, workers=COUNTS)),
+          n_trials=COUNTS, master_seed=SEEDS, workers=WORKERS)),
 ]
 
 

@@ -96,7 +96,7 @@ class TestQuadraticFormInverse:
 
     def test_diagonal(self):
         m = np.diag([2.0 + 0j, 5.0])
-        assert one_quadratic_form(np.array([1.0, 0j]), m) == approx(0.5, rel=1e-15)
+        assert one_quadratic_form(np.array([1.0, 0j]), m) == approx(0.5, rel=1e-15, abs=0.0)
 
     def test_outside_column_space_is_infinite(self):
         v = np.array([1.0, 1.0j])
@@ -153,7 +153,9 @@ class TestQuadraticFormInverse:
                 m = random_hermitian_pd(rng, n)
                 c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 x = np.linalg.solve(m, c)
-                assert one_quadratic_form(c, m) == approx(float(np.vdot(c, x).real), rel=1e-12)
+                assert one_quadratic_form(c, m) == approx(
+                    float(np.vdot(c, x).real), rel=1e-12, abs=0.0
+                )
 
     def test_nonnegative(self):
         rng = np.random.default_rng(11)
@@ -217,7 +219,7 @@ class TestBatched:
         got = batch_quadratic_form_inverse(c, m)
         for b in range(64):
             expected = float(np.vdot(c[b], np.linalg.solve(m[b], c[b])).real)
-            assert got[b] == approx(expected, rel=1e-10)
+            assert got[b] == approx(expected, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (4, 3), (8, 7), (8, 4)])
     def test_projection_matches_qr_oracle(self, n, k):

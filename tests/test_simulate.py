@@ -178,7 +178,7 @@ class TestBuildCovariance:
         _, radii, _, h, a = random_block(2e-3, 50, 50, 4, 3.5, TrialStream(14).at(0))
         cov = _covariance(a, 1e-5)
         expected = np.sum(radii**-3.5 * np.sum(np.abs(h) ** 2, axis=2), axis=1) + 4 * 1e-5
-        assert np.trace(cov, axis1=1, axis2=2).real == approx(expected, rel=1e-12)
+        assert np.trace(cov, axis1=1, axis2=2).real == approx(expected, rel=1e-12, abs=0.0)
         for m in cov:
             assert np.max(np.abs(m - m.conj().T)) <= 1e-14 * np.max(np.abs(m))
 
@@ -187,13 +187,15 @@ class TestOcSinr:
     def test_pure_noise_unit_vector(self):
         desired = np.array([[1.0, 0.0]], dtype=complex)
         empty = np.zeros((1, 0, 2), dtype=complex)
-        assert _oc_ratio(desired, empty, np.array([0]), 1.0)[0] == approx(1.0, rel=1e-14)
+        assert _oc_ratio(desired, empty, np.array([0]), 1.0)[0] == approx(1.0, rel=1e-14, abs=0.0)
 
     def test_pure_noise_generic_vector_is_norm(self):
         desired = cn(np.random.default_rng(16), 8, 3)
         empty = np.zeros((8, 0, 3), dtype=complex)
         expected = np.vecdot(desired, desired).real
-        assert _oc_ratio(desired, empty, np.zeros(8, dtype=int), 1.0) == approx(expected, rel=1e-13)
+        assert _oc_ratio(desired, empty, np.zeros(8, dtype=int), 1.0) == approx(
+            expected, rel=1e-13, abs=0.0
+        )
 
     def test_single_antenna_scalar_reduction(self):
         params = make_params(lam=1e-3, L=1)
@@ -224,7 +226,9 @@ class TestCombiners:
         desired = cn(np.random.default_rng(20), 8, 3)
         empty = np.zeros((8, 0, 3), dtype=complex)
         expected = np.vecdot(desired, desired).real
-        assert _combining_ratio(desired, desired, empty, 1.0) == approx(expected, rel=1e-13)
+        assert _combining_ratio(desired, desired, empty, 1.0) == approx(
+            expected, rel=1e-13, abs=0.0
+        )
 
     def test_random_weights_never_beat_optimum(self):
         params = make_params(lam=2e-3, L=3)
@@ -334,10 +338,12 @@ class TestConditionalOutage:
     def test_single_antenna_closed_form(self):
         powers, sigma2, gamma = [0.5, 2.0, 0.1], 0.25, 1.5
         expected = 1.0 - math.exp(-sigma2 * gamma) / np.prod([1 + p * gamma for p in powers])
-        assert conditional_outage_cdf(powers, sigma2, 1, gamma) == approx(expected, rel=1e-14)
+        assert conditional_outage_cdf(powers, sigma2, 1, gamma) == approx(
+            expected, rel=1e-14, abs=0.0
+        )
 
     def test_two_antennas_two_unit_interferers(self):
-        assert conditional_outage_cdf([1.0, 1.0], 0.0, 2, 1.0) == approx(0.25, rel=1e-14)
+        assert conditional_outage_cdf([1.0, 1.0], 0.0, 2, 1.0) == approx(0.25, rel=1e-14, abs=0.0)
 
     def test_zero_threshold(self):
         assert conditional_outage_cdf([1.0, 2.0], 0.5, 3, 0.0) == 0.0
@@ -590,7 +596,7 @@ class TestSirMoments:
         stream = TrialStream(42)
         for b in range(-(-3000 // BLOCK)):
             ratio = block_sinr(far, "oc", stream.at(b)) / block_sinr(near, "oc", stream.at(b))
-            assert ratio == approx(2.0**-3.5, rel=1e-12), b
+            assert ratio == approx(2.0**-3.5, rel=1e-12, abs=0.0), b
 
 
 class TestNearestNeighborIdentity:
