@@ -8,9 +8,10 @@ End to end: the wall time of a fresh interpreter that imports `ocfield.cli`,
 or runs `figure 1 --n-trials 2500`, `figure 3` or `figure 4` (CSV to
 /dev/null), beside a bare interpreter start for reference.  Per call: the
 microseconds of `outage_cdf`, `contention_optimum` and
-`conditional_outage_cdf` on fixed arguments, and of the in-process commands
-`analytic --L 1,8,64` and `figure 3`, each rewriting a CSV that an untimed
-first run created.  Every number is the median of
+`conditional_outage_cdf` on fixed arguments, of `cli.default_lambda_grid`
+on figure 1's preset and on L = 2,256,512 at sigma2 = 1e-5, and of the
+in-process commands `analytic --L 1,8,64` and `figure 3`, each rewriting a
+CSV that an untimed first run created.  Every number is the median of
 REPEATS runs, since cores and clocks are not pinned.  The file also records
 the CPU count, the Python and numpy versions, the worker count and the time
 of the benchmark's anchor kernel (`ocbench/anchor.py`), which tracks the
@@ -20,6 +21,7 @@ of names in `ocfield.__all__`.  Runs outside the test suite.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -79,6 +81,14 @@ CALLS = {
         )
         for L in (1, 8)
     },
+    # the configs are built outside the timing
+    "default_lambda_grid figure 1": functools.partial(
+        ocfield.cli.default_lambda_grid, ocfield.cli.figure_preset(1)[1]
+    ),
+    "default_lambda_grid L=2,256,512 sigma2=1e-05": functools.partial(
+        ocfield.cli.default_lambda_grid,
+        ocfield.cli.ScenarioConfig(sigma2=1e-5, antennas=(2, 256, 512)),
+    ),
 }
 
 

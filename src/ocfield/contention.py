@@ -37,8 +37,9 @@ __all__ = [
     "contention_optimum",
 ]
 
-# Newton converges in under ten steps at realistic noise levels; the bound
-# only turns a runaway iteration into a loud failure.
+# Newton converges in under ten steps here at realistic noise levels, and on
+# the CLI's count-law roots; the bound only turns a runaway iteration into a
+# loud failure.
 _MAX_STEPS = 100
 
 

@@ -3,6 +3,8 @@
 These deliberately avoid the production code paths: the eigensolver is a
 hand-rolled cyclic Jacobi (not the production Cholesky), the integrals use
 adaptive quadrature, and the closed forms use scipy's special functions.
+The one exception is `poisson_tail_bisection`, whose answer is defined by the
+package's own count law.
 """
 
 import math
@@ -11,6 +13,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize, special, stats
 from scipy.integrate import quad
+
+from ocfield.analytic import _poisson_split
 
 
 def jacobi_eigh(matrix, sweeps=100, tol=1e-14):
@@ -215,3 +219,22 @@ def contention_q_scaled(L, t):
         term *= x / i
         total += term
     return math.exp(-t) * float(total - term * x)
+
+
+def poisson_tail_bisection(L, target):
+    """x with P(Poisson(x) >= L) = target on `_poisson_split`'s tail: double
+    from 1 until the tail reaches the target, then bisect until no double lies
+    strictly between the bracket ends.  The default density grid's ends must
+    be exactly the doubles this returns; it evaluates the tail about 60 times.
+    """
+    lo, hi = 0.0, 1.0
+    while _poisson_split(hi, L)[1] < target:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if _poisson_split(mid, L)[1] < target:
+            lo = mid
+        else:
+            hi = mid

@@ -12,9 +12,12 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from _oracles import poisson_tail_bisection
 from pytest import approx
+from scipy.stats import gamma as gamma_dist
 from scipy.stats import poisson
 
+import ocfield.cli as cli_module
 from ocfield import SystemParams, contention_optimum, delta_const, outage_cdf
 from ocfield.cli import (
     _COMMANDS,
@@ -27,6 +30,7 @@ from ocfield.cli import (
     db_to_linear,
     default_lambda_grid,
     derive_row_seed,
+    _poisson_tail_exponent,
     main,
     run_analytic,
 )
@@ -177,19 +181,77 @@ class TestConfig:
 
 
 class TestDefaultGrid:
-    def test_spans_target_outages(self):
-        config = ScenarioConfig(sigma2=db_to_linear(-50.0))
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-7, 1e-5])
+    @pytest.mark.parametrize(
+        "antennas",
+        [(1, 2, 3, 4), (1, 8, 16, 32), (4, 64, 128), (2, 256, 512), (1000,)],
+        ids=lambda antennas: "L" + ",".join(map(str, antennas)),
+    )
+    def test_spans_target_outages(self, antennas, sigma2):
+        config = ScenarioConfig(sigma2=sigma2, antennas=antennas)
         grid = default_lambda_grid(config)
         assert len(grid) == 10
-        low = outage_cdf(config.params_for(grid[0], max(config.antennas)))
-        high = outage_cdf(config.params_for(grid[-1], min(config.antennas)))
-        assert low == approx(0.01, rel=1e-6)
-        assert high == approx(0.99, rel=1e-6)
+        high = outage_cdf(config.params_for(grid[-1], min(antennas)))
+        assert high == approx(0.99, rel=1e-12, abs=0.0)
+        # P(Poisson(x) >= L) is the Gamma(L, 1) cdf at x; the low end falls back
+        # to three decades under the top unless noise < x_low < x_high
+        x_low, x_high = gamma_dist.ppf(0.01, max(antennas)), gamma_dist.ppf(0.99, min(antennas))
+        if sigma2 * config.gamma < x_low < x_high:
+            low = outage_cdf(config.params_for(grid[0], max(antennas)))
+            assert low == approx(0.01, rel=1e-12, abs=0.0)
+        else:
+            assert grid[0] == grid[-1] / 1000.0
 
     def test_log_spacing(self):
         grid = default_lambda_grid(ScenarioConfig(sigma2=db_to_linear(-50.0)))
         ratios = [grid[i + 1] / grid[i] for i in range(len(grid) - 1)]
         assert max(ratios) == approx(min(ratios), rel=1e-9)
+
+
+# the (L, target) pairs of the benchmark's default grids: the low target at
+# the largest L of each antenna set, the high target at the smallest
+BENCHMARK_ENDS = [(1, 0.99), (2, 0.99), (4, 0.01), (4, 0.99), (32, 0.01), (128, 0.01), (512, 0.01)]
+
+
+class TestGridEndpoints:
+    """Each end of the default grid is the double that bisecting
+    `_poisson_split`'s tail returns, found with a fraction of its evaluations."""
+
+    @pytest.mark.parametrize("target", [0.01, 0.99])
+    def test_same_double_as_the_bisection(self, target):
+        for L in [*range(1, 1201), 1500, 2000, 5000, 10**4, 10**5, 10**6]:
+            assert _poisson_tail_exponent(L, target) == poisson_tail_bisection(L, target), L
+
+    def test_pinned_end(self):
+        # a Newton root alone lands a few ulps off here, and the benchmark's
+        # (4, 64, 128) grids use this end
+        assert _poisson_tail_exponent(128, 0.01) == 103.15896909454793
+
+    @pytest.mark.parametrize("L, target", BENCHMARK_ENDS)
+    def test_evaluations_per_end(self, L, target, monkeypatch):
+        split = cli_module._poisson_split
+        points = []
+
+        def counted(x, count):
+            points.append(x)
+            return split(x, count)
+
+        monkeypatch.setattr(cli_module, "_poisson_split", counted)
+        assert _poisson_tail_exponent(L, target) == poisson_tail_bisection(L, target)
+        assert len(points) <= 20  # the bisection alone takes 54-63
+
+    def test_unconverged_newton_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "_MAX_STEPS", 2)
+        assert main(["analytic", "--L", "128"]) == 3
+        assert "no count-law root in 2 steps" in capsys.readouterr().err
+
+    def test_root_outside_the_band_exits_three(self, monkeypatch, capsys):
+        root = cli_module._count_law_root
+        monkeypatch.setattr(
+            cli_module, "_count_law_root", lambda L, target: root(L, target) * (1.0 + 1e-12)
+        )
+        assert main(["analytic", "--L", "128"]) == 3
+        assert "bisection ended outside the band" in capsys.readouterr().err
 
 
 class TestOneCheckPerRun:
@@ -678,7 +740,7 @@ class TestErrorPaths:
                     "--L", "1"], "gamma"),
             (None, ["analytic", "--beta", "1e-300", "--d-r", "1e-10", "--alpha", "3", "--L", "1"],
              "gamma"),
-            # above the antenna cap, which also keeps the default grid's bisection in range
+            # above the antenna cap, which also bounds the default grid's count-law sums
             (None, ["analytic", "--L", "1,2000000000"], "antennas: L must be an integer in"),
             # gamma is normal but the simulator's d_r**-alpha overflows
             (None, ["simulate", "--d-r", "1e-10", "--alpha", "31", "--beta", "1e10",
