@@ -5,11 +5,12 @@ Everything here is a pure function of its arguments.  Thresholds are linear;
 converting from dB is the CLI's job.  The normalized threshold used
 throughout is gamma = beta * d_r**alpha.  Every entry point checks its
 arguments against the one table of parameter domains, `domains._DOMAINS`.
-Every outage, the fading-conditional law of a frozen field included, is one
-count law evaluated in one place, `_count_outage`; its Poisson core,
-`_poisson_split`, also gives the complement that the throughput needs.  Pure
-Python: nothing here imports numpy, so the closed-form commands start
-without it.
+Every outage and throughput rests on one Poisson core, `_poisson_split`,
+which gives P(N < L) and P(N >= L) in one walk.  The CLI's rows and its
+default grid's ends call it directly; `outage_cdf` and
+`conditional_outage_cdf` go through `_count_outage`, which adds the
+Bernoulli captures of a frozen field.  Pure Python: nothing here imports
+numpy, so the closed-form commands start without it.
 """
 
 from __future__ import annotations

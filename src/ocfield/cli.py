@@ -94,7 +94,7 @@ class ScenarioConfig:
                 for item in value if isinstance(value, tuple) else (value,):
                     _in_field(field.name, _check_domain, **{key: item})
         _in_field("gamma", gamma_from_beta, self.beta, self.d_r, self.alpha)
-        _in_field("OC_FIELD_THREADS", _resolve_workers, None)
+        _in_field("OC_FIELD_THREADS", _resolve_workers)
         if not self.antennas:
             raise ConfigError("L must list at least one antenna count")
         if not self.receivers:
@@ -326,14 +326,6 @@ def figure_preset(number: int) -> tuple[str, ScenarioConfig]:
     raise ConfigError(f"figure must be 1, 2, 3 or 4 (got {number})")
 
 
-def _format_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
-
-
 @contextlib.contextmanager
 def open_output(path: str):
     """The binary file `path` opened for writing but not truncated, or None
@@ -363,9 +355,9 @@ def open_output(path: str):
             raise
 
 
-def write_csv(out, header: str, rows: list[tuple]) -> None:
-    """Write the CSV text to `out`, a file from `open_output`, or to stdout
-    when `out` is None.
+def write_csv(out, header: str, template: str, rows: list[tuple]) -> None:
+    """Write the CSV text, the header and then `template % row` for each
+    row, to `out`, a file from `open_output`, or to stdout when `out` is None.
 
     The text overwrites a file from its start, and a regular file is then
     cut to the text's length; other targets (/dev/null, a pipe, a terminal)
@@ -373,7 +365,7 @@ def write_csv(out, header: str, rows: list[tuple]) -> None:
     truncating to 0 first as open(path, "w") does, keeps ext4 (with its
     default auto_da_alloc) from starting a writeback when the file closes.
     """
-    text = header + "\n" + "".join(",".join(_format_value(v) for v in row) + "\n" for row in rows)
+    text = header + "\n" + "".join(template % row for row in rows)
     if out is None:
         sys.stdout.write(text)
         return
@@ -537,10 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> (CSV header, row template, row function); each column's type is
+# fixed by its header, and %.17g round-trips every double
 _COMMANDS = {
-    "analytic": (ANALYTIC_HEADER, run_analytic),
-    "simulate": (SIMULATE_HEADER, run_simulation),
-    "optimize": (OPTIMIZE_HEADER, run_optimize),
+    "analytic": (ANALYTIC_HEADER, "%.17g,%d,%.17g,%.17g\n", run_analytic),
+    "simulate": (SIMULATE_HEADER, "%.17g,%d,%s,%.17g,%.17g,%.17g,%d,%d\n", run_simulation),
+    "optimize": (OPTIMIZE_HEADER, "%d,%.17g,%.17g,%.17g,%s\n", run_optimize),
 }
 
 
@@ -552,9 +546,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             command, base = args.command, None
         config = build_config(args, base)
-        header, run = _COMMANDS[command]
+        header, template, run = _COMMANDS[command]
         with open_output(config.output) as out:
-            write_csv(out, header, run(config))
+            write_csv(out, header, template, run(config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -562,11 +556,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def entry() -> None:  # console-script shim
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())

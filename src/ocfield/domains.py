@@ -76,10 +76,9 @@ def _pzf_count(L: int, pzf_k: int | None) -> int:
     return pzf_k
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """`workers`, or else the OC_FIELD_THREADS environment variable (default 1)."""
-    if workers is None:
-        text = os.environ.get("OC_FIELD_THREADS", "1")
-        workers = int(text) if text.isdecimal() else text
+def _resolve_workers() -> int:
+    """The worker count, from the OC_FIELD_THREADS environment variable (default 1)."""
+    text = os.environ.get("OC_FIELD_THREADS", "1")
+    workers = int(text) if text.isdecimal() else text
     _check_domain(workers=workers)
     return workers

@@ -230,17 +230,18 @@ def _distance_gain(d_r: float, alpha: float) -> float:
     return gain
 
 
-def _map_blocks(sinr_of_block, reduce, n_trials: int, master_seed: int, workers: int | None) -> list:
+def _map_blocks(sinr_of_block, reduce, n_trials: int, master_seed: int) -> list:
     """reduce(sinr_of_block(rng, size)) for every block of trials, in block order.
 
     Block b covers trials [b * BLOCK, min((b + 1) * BLOCK, n_trials)) and
-    draws from substream (master_seed, b); workers take contiguous runs of
-    whole blocks, so the result does not depend on the worker count.
+    draws from substream (master_seed, b); the workers (OC_FIELD_THREADS)
+    take contiguous runs of whole blocks, so the result does not depend on
+    the worker count.
     """
     _check_domain(n_trials=n_trials)
     stream = TrialStream(master_seed)
     n_blocks = -(-n_trials // BLOCK)
-    parts = min(_resolve_workers(workers), n_blocks)
+    parts = min(_resolve_workers(), n_blocks)
     bounds = [n_blocks * i // parts for i in range(parts + 1)]
 
     def run(part: int) -> list:
@@ -262,7 +263,6 @@ def estimate_outage(
     master_seed: int = 0,
     expected_count: int = 100,
     pzf_k: int | None = None,
-    workers: int | None = None,
 ) -> OutageEstimate:
     """Monte Carlo outage probability: fraction of trials with SINR < beta.
 
@@ -275,7 +275,6 @@ def estimate_outage(
         lambda sinr: int(np.count_nonzero(sinr < params.beta)),
         n_trials,
         master_seed,
-        workers,
     )
     p = sum(failures) / n_trials
     return OutageEstimate(

@@ -15,9 +15,7 @@ from ocfield.domains import _check_domain
 from ocfield.simulate import _channel_block, _map_blocks, _oc_ratio
 
 
-def estimate_outage_conditional(
-    powers, sigma2, L, gamma, n_trials=10_000, master_seed=0, workers=None
-):
+def estimate_outage_conditional(powers, sigma2, L, gamma, n_trials=10_000, master_seed=0):
     """Fraction of n_trials fading draws whose optimum-combiner SINR against
     the received `powers` (and noise sigma2) falls below `gamma`.  Arguments
     are checked against the package's domain table, as the engine checks its own."""
@@ -30,7 +28,7 @@ def estimate_outage_conditional(
         return _oc_ratio(desired, a, counts, sigma2)
 
     failures = _map_blocks(
-        sinr_of_block, lambda s: int(np.count_nonzero(s < gamma)), n_trials, master_seed, workers
+        sinr_of_block, lambda s: int(np.count_nonzero(s < gamma)), n_trials, master_seed
     )
     p = sum(failures) / n_trials
     return OutageEstimate(p, math.sqrt(p * (1.0 - p) / n_trials), n_trials, master_seed)

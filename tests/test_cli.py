@@ -423,7 +423,7 @@ class TestOutputFile:
         def no_rows(config):
             raise AssertionError("rows computed for an unwritable --out")
 
-        monkeypatch.setitem(_COMMANDS, "analytic", (ANALYTIC_HEADER, no_rows))
+        monkeypatch.setitem(_COMMANDS, "analytic", (*_COMMANDS["analytic"][:2], no_rows))
         assert main([*self.ARGV, "--out", str(tmp_path / target)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: --out: ")
@@ -438,6 +438,41 @@ class TestOutputFile:
         assert existing.read_bytes() == b"old bytes\n"
         assert main([*argv, "--out", str(tmp_path / "new.csv")]) == 2
         assert not (tmp_path / "new.csv").exists()
+
+
+def _format_value(value) -> str:
+    """The per-value formatter the row templates replaced: the reference."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+class TestRowTemplates:
+    """Each command's row template prints every value of its columns' types
+    as the per-value formatter did, special values included."""
+
+    REALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, sys.float_info.min,
+             1.7976931348623157e308, 0.1 + 0.2, 1e-3, 1.0, 2.0**53 + 2.0]
+    COUNTS = [1, 8, 10**6, 2**64 - 1]
+    # CSV column -> values of its type
+    COLUMNS = {
+        "lambda": REALS, "analytic_outage": REALS, "throughput_density": REALS,
+        "mc_outage": REALS, "stderr": REALS, "g": REALS, "lambda_max": REALS, "t_max": REALS,
+        "L": COUNTS, "n_trials": COUNTS, "seed": [0, 7134611160154358618, 2**64 - 1],
+        "receiver": ["oc", "mrc", "zf", "pzf0", "pzf1", "pzf4", "pzf999999"],
+        "mode": ["closed-form", "root"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_template_matches_the_per_value_formatter(self, command):
+        header, template, _ = _COMMANDS[command]
+        columns = [self.COLUMNS[name] for name in header.split(",")]
+        # every value of every column appears in some row
+        for k in range(max(map(len, columns))):
+            row = tuple(values[k % len(values)] for values in columns)
+            assert template % row == ",".join(map(_format_value, row)) + "\n", row
 
 
 class TestSimulateCommand:

@@ -460,16 +460,16 @@ class TestEstimateOutage:
         assert est.stderr == 0.0
         assert est.p_hat in (0.0, 1.0)
 
-    def test_worker_count_does_not_change_result(self):
+    def test_worker_count_does_not_change_result(self, monkeypatch):
         params = make_params(lam=2e-3, L=2)
         for n_trials in (1, 63, 64, 65, 4000):
-            results = [
-                estimate_outage(params, n_trials=n_trials, master_seed=35, workers=w)
-                for w in (1, 2, 3, 8)
-            ]
+            results = []
+            for w in ("1", "2", "3", "8"):
+                monkeypatch.setenv("OC_FIELD_THREADS", w)
+                results.append(estimate_outage(params, n_trials=n_trials, master_seed=35))
             assert all(r == results[0] for r in results), n_trials
 
-    def test_blocks_come_back_in_order_for_any_worker_count(self):
+    def test_blocks_come_back_in_order_for_any_worker_count(self, monkeypatch):
         params = make_params(lam=1e-3, L=1, sigma2=0.0)
         stream = TrialStream(44)
         for n_trials in (1, 63, 64, 65, 2000):
@@ -477,9 +477,10 @@ class TestEstimateOutage:
                 block_sinr(params, "oc", stream.at(b), min(BLOCK, n_trials - b * BLOCK))
                 for b in range(-(-n_trials // BLOCK))
             ]
-            for w in (1, 2, 3, 8):
+            for w in ("1", "2", "3", "8"):
+                monkeypatch.setenv("OC_FIELD_THREADS", w)
                 blocks = _map_blocks(
-                    lambda rng, size: block_sinr(params, "oc", rng, size), lambda s: s, n_trials, 44, w
+                    lambda rng, size: block_sinr(params, "oc", rng, size), lambda s: s, n_trials, 44
                 )
                 assert np.array_equal(np.concatenate(blocks), np.concatenate(serial)), (n_trials, w)
 
@@ -499,7 +500,8 @@ class TestEstimateOutage:
 
     def test_env_var_controls_workers(self, monkeypatch):
         params = make_params(lam=2e-3, L=2)
-        baseline = estimate_outage(params, n_trials=1500, master_seed=36, workers=1)
+        monkeypatch.setenv("OC_FIELD_THREADS", "1")
+        baseline = estimate_outage(params, n_trials=1500, master_seed=36)
         monkeypatch.setenv("OC_FIELD_THREADS", "4")
         assert estimate_outage(params, n_trials=1500, master_seed=36) == baseline
 
