@@ -68,9 +68,6 @@ def default_pzf_k(L):
 
 
 RUN = dict(n_trials=64, master_seed=1)
-# a parameter that reaches its entry points through the environment, as text,
-# and is checked against the domain of the same name
-ENVIRONMENT = {"workers": "OC_FIELD_THREADS"}
 FROZEN = dict(powers=[1.0, 0.5], sigma2=1e-3, L=2, gamma=1.0)
 SIMULATOR = dict(receiver="oc", expected_count=10, pzf_k=None)
 
@@ -125,8 +122,8 @@ def test_valid_arguments_pass(entry, valid):
 @pytest.mark.parametrize("entry, valid, parameter, value", _cases())
 def test_out_of_domain_argument_is_named(entry, valid, parameter, value, monkeypatch):
     name = "lam" if parameter == "params" else parameter
-    if parameter in ENVIRONMENT:
-        monkeypatch.setenv(ENVIRONMENT[parameter], str(value))
+    if parameter == "workers":  # the worker count comes from the environment, as text
+        monkeypatch.setenv("OC_FIELD_THREADS", str(value))
     else:
         valid = {**valid, parameter: value}
     with pytest.raises(ValueError, match=rf"^{name} must be "):
