@@ -5,8 +5,10 @@ Usage:
     python scripts/bench.py BENCH_N.json
 
 End to end: the wall time of a fresh interpreter that imports `ocfield.cli`,
-or runs `figure 1 --n-trials 2500`, `figure 3` or `figure 4` (CSV to
-/dev/null), beside a bare interpreter start for reference.  Per call: the
+or runs `figure 1 --n-trials 2500`, `analytic --L 1,8,64` (a closed-form
+command that loads neither numpy nor the contention solver), `figure 3` or
+`figure 4` (CSV to /dev/null), beside a bare interpreter start for
+reference.  Per call: the
 microseconds of `outage_cdf`, `contention_optimum` and
 `conditional_outage_cdf` on fixed arguments, of `cli.default_lambda_grid`
 on figure 1's preset and on L = 2,256,512 at sigma2 = 1e-5, and of the
@@ -55,6 +57,7 @@ PROCESSES = {
     "python -c pass": ["-c", "pass"],
     "import ocfield.cli": ["-c", "import ocfield.cli"],
     "figure 1 --n-trials 2500": ["-m", "ocfield", "figure", "1", "--n-trials", "2500"],
+    "analytic --L 1,8,64": ["-m", "ocfield", "analytic", "--L", "1,8,64"],
     "figure 3": ["-m", "ocfield", "figure", "3"],
     "figure 4": ["-m", "ocfield", "figure", "4"],
 }

@@ -5,27 +5,30 @@ optimization, and a from-scratch Monte Carlo simulator of the physical model
 to validate them.  Each quantity has one entry point: `outage_cdf` (the
 noise- and interference-limited laws are its lam = 0 and sigma2 = 0 cases),
 `contention_optimum` and, for the Monte Carlo, `block_sinr` and its
-estimator `estimate_outage`.  numpy is loaded only by the simulator: the
-names taken from `simulate` are imported on first access (PEP 562).
+estimator `estimate_outage`.  numpy is loaded only by the simulator, and
+the contention solver only where it is used: the names taken from
+`contention` and `simulate` are imported on first access (PEP 562).
 """
 
-from . import analytic, contention
+from . import analytic
 from .analytic import *  # noqa: F403
-from .contention import *  # noqa: F403
 
+_CONTENTION = ("BracketViolation", "ContentionOptimum", "contention_optimum")
 _SIMULATE = ("BLOCK", "OutageEstimate", "TrialStream", "block_sinr", "estimate_outage",
              "receiver_label")
-__all__ = [*analytic.__all__, *contention.__all__, *_SIMULATE]
+__all__ = [*analytic.__all__, *_CONTENTION, *_SIMULATE]
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name not in _SIMULATE:
+    if name in _CONTENTION:
+        from . import contention as module
+    elif name in _SIMULATE:
+        from . import simulate as module
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import simulate
-
-    return getattr(simulate, name)
+    return getattr(module, name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_SIMULATE})
+    return sorted({*globals(), *_CONTENTION, *_SIMULATE})

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .domains import _check_domain
+from .domains import _check_domain, _Record
 
 __all__ = [
     "SystemParams",
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(_Record, namedtuple("SystemParams", "lam alpha sigma2 d_r L beta")):
     """One scenario of the interference field and the desired link.
 
     lam     spatial density of interferers (nodes per m^2)
@@ -43,17 +42,7 @@ class SystemParams:
     beta    linear SINR threshold
     """
 
-    lam: float
-    alpha: float
-    sigma2: float
-    d_r: float
-    L: int
-    beta: float
-
-    def __post_init__(self) -> None:
-        _check_domain(
-            lam=self.lam, alpha=self.alpha, sigma2=self.sigma2, d_r=self.d_r, L=self.L, beta=self.beta
-        )
+    __slots__ = ()
 
     @property
     def gamma(self) -> float:
@@ -82,6 +71,15 @@ def delta_const(alpha: float) -> float:
     """
     _check_domain(alpha=alpha)
     return 2.0 * math.pi**2 / (alpha * math.sin(2.0 * math.pi / alpha))
+
+
+# Newton takes under ten steps on contention roots at realistic noise and on the
+# CLI's count-law roots; the bound only turns a runaway into a loud failure.
+_MAX_STEPS = 100
+
+
+class BracketViolation(RuntimeError):
+    """A root solver's guaranteed sign pattern failed, or it did not converge: a bug."""
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

@@ -11,18 +11,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 
 from .analytic import (
-    SystemParams, _log_pmf, _poisson_mean, _poisson_split, delta_const, gamma_from_beta
+    _MAX_STEPS, BracketViolation, SystemParams, _log_pmf, _poisson_mean, _poisson_split,
+    delta_const, gamma_from_beta,
 )
-from .contention import _MAX_STEPS, BracketViolation, contention_optimum
-from .domains import _MASK64, RECEIVERS, _check_domain, _pzf_count, _resolve_workers
+from .domains import _MASK64, RECEIVERS, _check_domain, _pzf_count, _Record, _resolve_workers
 
 __all__ = [
     "ConfigError",
@@ -63,36 +62,39 @@ def db_to_linear(value_db: float) -> float:
     return linear
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+_DEFAULTS = {
+    "alpha": 3.5,
+    "beta": db_to_linear(3.0),
+    "d_r": 10.0,
+    "sigma2": 1e-5,
+    "antennas": (1, 2, 3, 4),
+    "receivers": ("oc",),
+    "pzf_k": None,
+    "lambda_grid": (),
+    "lambda_points": 10,
+    "n_trials": 100_000,
+    "master_seed": 1,
+    "expected_count": 100,
+    "output": "-",
+}
+
+
+class ScenarioConfig(_Record, namedtuple("ScenarioConfig", _DEFAULTS, defaults=_DEFAULTS.values())):
     """One CLI scenario, checked when built, so every config that exists is
     valid.  `beta` and `sigma2` are stored linear; an empty `lambda_grid`
     stands for the default grid, which the row functions resolve."""
 
-    alpha: float = 3.5
-    beta: float = db_to_linear(3.0)
-    d_r: float = 10.0
-    sigma2: float = 1e-5
-    antennas: tuple[int, ...] = (1, 2, 3, 4)
-    receivers: tuple[str, ...] = ("oc",)
-    pzf_k: int | None = None
-    lambda_grid: tuple[float, ...] = ()
-    lambda_points: int = 10
-    n_trials: int = 100_000
-    master_seed: int = 1
-    expected_count: int = 100
-    output: str = "-"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         """Raise ConfigError naming the first field outside its domain: each
         field against the parameter table, then the derived threshold, the
         worker count (OC_FIELD_THREADS) and the checks that span fields."""
-        for field in fields(self):
-            if field.name != "output":  # the one field without a domain
-                key = _DOMAIN_KEYS.get(field.name, field.name)
-                value = getattr(self, field.name)
+        for name, value in zip(self._fields, self):
+            if name != "output":  # the one field without a domain
+                key = _DOMAIN_KEYS.get(name, name)
                 for item in value if isinstance(value, tuple) else (value,):
-                    _in_field(field.name, _check_domain, **{key: item})
+                    _in_field(name, _check_domain, **{key: item})
         _in_field("gamma", gamma_from_beta, self.beta, self.d_r, self.alpha)
         _in_field("OC_FIELD_THREADS", _resolve_workers)
         if not self.antennas:
@@ -285,6 +287,8 @@ def run_optimize(config: ScenarioConfig) -> list[tuple]:
     polynomial); sigma2 > 0 rows are labeled root (g is the optimum
     normalized load lambda_max * Delta * gamma**(2/alpha)).
     """
+    from .contention import contention_optimum
+
     gamma = config.gamma
     _in_field("sigma2", _check_domain, sigma2__scaled=config.sigma2 * gamma)
     mode = "closed-form" if config.sigma2 == 0.0 else "root"
@@ -311,8 +315,10 @@ def figure_preset(number: int) -> tuple[str, ScenarioConfig]:
         )
     if number == 3:
         # the default link, with a grid around the optimum of each antenna count
-        alpha, sigma2, antennas = ScenarioConfig.alpha, db_to_linear(-57.0), (1, 2, 3, 4, 5)
-        gamma = gamma_from_beta(ScenarioConfig.beta, ScenarioConfig.d_r, alpha)
+        from .contention import contention_optimum
+
+        alpha, sigma2, antennas = _DEFAULTS["alpha"], db_to_linear(-57.0), (1, 2, 3, 4, 5)
+        gamma = gamma_from_beta(_DEFAULTS["beta"], _DEFAULTS["d_r"], alpha)
         optima = [contention_optimum(L, alpha, gamma, sigma2).lambda_max for L in antennas]
         grid = _log_grid(0.2 * min(optima), 5.0 * max(optima), 50)
         return "analytic", ScenarioConfig(sigma2=sigma2, antennas=antennas, lambda_grid=grid)
@@ -452,6 +458,8 @@ def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
 
 
 def _load_config_file(path: str) -> dict:
+    import json
+
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -499,9 +507,9 @@ def build_config(args: argparse.Namespace, base: ScenarioConfig | None = None) -
         if not lo < hi:
             raise ConfigError(f"need lambda-min < lambda-max (got {lo}, {hi})")
         if "lambda_grid" not in flags:
-            points = layered.get("lambda_points", (base or ScenarioConfig).lambda_points)
-            layered["lambda_grid"] = _log_grid(lo, hi, points)
-    return ScenarioConfig(**layered) if base is None else replace(base, **layered)
+            default = base.lambda_points if base else _DEFAULTS["lambda_points"]
+            layered["lambda_grid"] = _log_grid(lo, hi, layered.get("lambda_points", default))
+    return ScenarioConfig(**layered) if base is None else base._replace(**layered)
 
 
 @functools.cache

@@ -26,10 +26,10 @@ optimum density and the peak throughput are fields of its result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .analytic import _log_pmf, _poisson_window, delta_const
-from .domains import _check_domain
+from .analytic import _MAX_STEPS, BracketViolation, _log_pmf, _poisson_window, delta_const
+from .domains import _check_domain, _Record
 
 __all__ = [
     "BracketViolation",
@@ -37,19 +37,8 @@ __all__ = [
     "contention_optimum",
 ]
 
-# Newton converges in under ten steps here at realistic noise levels, and on
-# the CLI's count-law roots; the bound only turns a runaway iteration into a
-# loud failure.
-_MAX_STEPS = 100
 
-
-class BracketViolation(RuntimeError):
-    """The guaranteed sign pattern of the optimality condition failed, or the
-    root solver did not converge: implementation bug."""
-
-
-@dataclass(frozen=True)
-class ContentionOptimum:
+class ContentionOptimum(_Record, namedtuple("ContentionOptimum", "L g lambda_max t_max")):
     """Throughput optimum for one antenna count.
 
     g is the optimum normalized load lambda_max * Delta * gamma**(2/alpha):
@@ -58,10 +47,7 @@ class ContentionOptimum:
     unit area.
     """
 
-    L: int
-    g: float
-    lambda_max: float
-    t_max: float
+    __slots__ = ()
 
 
 def _log_ratio(L: int, x: float) -> float:

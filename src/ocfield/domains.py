@@ -48,6 +48,7 @@ _DOMAINS = {
     "size": _COUNT,
     "lambda_points": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
     "master_seed": (lambda v: type(v) is int and 0 <= v <= _MASK64, "a 64-bit unsigned integer"),
+    "p_hat": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "pzf_k": (lambda v: v is None or (type(v) is int and v >= 0), "None or an integer >= 0"),
     "receiver": (RECEIVERS.__contains__, f"one of {RECEIVERS}, not an unknown receiver"),
     # one received power per interferer
@@ -62,6 +63,24 @@ def _check_domain(**values) -> None:
         inside, domain = _DOMAINS[key]
         if not inside(value):
             raise ValueError(f"{key.partition('__')[0]} must be {domain}, got {value!r}")
+
+
+class _Record:
+    """Base, before a namedtuple, of the package's immutable records.  Each
+    record runs `_check` whenever it is built, by the constructor, `_make` or
+    `_replace`; by default that checks every field named in `_DOMAINS`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def _check(self) -> None:
+        _check_domain(**{key: value for key, value in zip(self._fields, self) if key in _DOMAINS})
 
 
 def _pzf_count(L: int, pzf_k: int | None) -> int:

@@ -17,13 +17,13 @@ bit-identical for any worker count (OC_FIELD_THREADS) and any scheduling.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import SystemParams
-from .domains import _check_domain, _pzf_count, _resolve_workers
+from .domains import _check_domain, _pzf_count, _Record, _resolve_workers
 from .linalg import batch_project_out, batch_quadratic_form_inverse
 
 __all__ = [
@@ -56,14 +56,10 @@ class TrialStream:
         return np.random.Generator(np.random.SFC64(seed))
 
 
-@dataclass(frozen=True)
-class OutageEstimate:
+class OutageEstimate(_Record, namedtuple("OutageEstimate", "p_hat stderr n_trials master_seed")):
     """Monte Carlo outage estimate with its binomial standard error."""
 
-    p_hat: float
-    stderr: float
-    n_trials: int
-    master_seed: int
+    __slots__ = ()
 
 
 def _draw_fields(

@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import mpmath
 import pytest
@@ -264,13 +263,13 @@ def test_outage_within_unit_interval(params):
 def test_outage_monotone_in_scalars(params, factor):
     base = outage_cdf(params)
     for name in ("beta", "lam", "sigma2", "d_r"):
-        scaled = replace(params, **{name: getattr(params, name) * factor})
+        scaled = params._replace(**{name: getattr(params, name) * factor})
         assert outage_cdf(scaled) >= base - 1e-12
 
 
 @given(system_params)
 def test_outage_decreasing_in_antennas(params):
-    more = replace(params, L=params.L + 1)
+    more = params._replace(L=params.L + 1)
     f_more, f_base = outage_cdf(more), outage_cdf(params)
     assert f_more <= f_base + 1e-15
     x = params.lam * delta_const(params.alpha) * params.gamma ** (2.0 / params.alpha)
@@ -282,10 +281,10 @@ def test_outage_decreasing_in_antennas(params):
 @given(system_params)
 @settings(max_examples=100)
 def test_special_case_identities_everywhere(params):
-    no_noise = replace(params, sigma2=0.0)
+    no_noise = params._replace(sigma2=0.0)
     expected = radius_identity_outage(params.L, params.lam, params.alpha, params.gamma)
     assert outage_cdf(no_noise) == approx(expected, abs=1e-14)
-    no_field = replace(params, lam=0.0)
+    no_field = params._replace(lam=0.0)
     expected = chi_square_outage(params.L, params.sigma2, params.gamma)
     assert outage_cdf(no_field) == approx(expected, abs=1e-14)
 

@@ -9,7 +9,6 @@ enlarging the disk closes it.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -26,7 +25,7 @@ def preset_grid():
     _, config = figure_preset(1)
     grid = default_lambda_grid(config)
     assert len(grid) == 10
-    return replace(config, lambda_grid=grid)
+    return config._replace(lambda_grid=grid)
 
 
 class TestFiniteDiskReference:
