@@ -167,7 +167,7 @@ def test_record_is_immutable_and_built_alike_by_position_and_keyword(name):
         setattr(record, field, value)
     with pytest.raises(AttributeError):
         record.no_such_field = 1
-    assert record == cls(**fields)
+    assert record == cls(**fields)  # the refused assignments changed nothing
 
 
 @pytest.mark.parametrize("build", BUILDS)
