@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 
 from .analytic import (
-    _MAX_STEPS, BracketViolation, SystemParams, _log_pmf, _poisson_mean, _poisson_split,
+    BracketViolation, SystemParams, _poisson_mean, _poisson_split, _poisson_tail_exponent,
     delta_const, gamma_from_beta,
 )
 from .domains import _MASK64, RECEIVERS, _check_domain, _pzf_count, _Record, _resolve_workers
@@ -125,66 +125,6 @@ def derive_row_seed(master_seed: int, row_index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-# A Newton step below this relative size ends the root search: the error it
-# leaves is of the order of its square, far inside the band.
-_NEWTON_TOLERANCE = 2.0**-30
-# Half-width of the band, relative to the Newton root, inside which the
-# bisection's probes are evaluated (256 to 512 ulps).  Outside it the count
-# law's rounding error is far below its change, so a probe's side is its side
-# of the root.
-_BAND = 2.0**-44
-
-
-def _count_law_root(L: int, target: float) -> float:
-    """x with P(Poisson(x) >= L) = target, by Newton on the log of the half of
-    the count law that is small there (the tail for target < 0.5, else
-    P(N < L)), whose derivative is +-pmf(L-1; x).  Both halves are log-concave
-    in x and in log x, so after one step the iterates close in on the root
-    from one side.  The tail, near x**L at small x, runs in log x; P(N < L),
-    near exp(-x) at large x, runs in x and stays at or above the root."""
-    tail_half = target < 0.5
-    goal = math.log(target if tail_half else 1.0 - target)
-    x = float(L)
-    for _ in range(_MAX_STEPS):
-        below, tail = _poisson_split(x, L)
-        log_half = math.log(tail if tail_half else below)
-        # a Newton step in log x, since d log(half) / d log x = +-x * pmf(L-1; x) / half
-        step = (log_half - goal) / (x * math.exp(_log_pmf(L - 1, x) - log_half))
-        x = x * math.exp(-step) if tail_half else x * (1.0 + step)
-        if abs(step) <= _NEWTON_TOLERANCE:
-            return x
-    raise BracketViolation(f"no count-law root in {_MAX_STEPS} steps (L = {L}, target = {target})")
-
-
-def _poisson_tail_exponent(L: int, target_outage: float) -> float:
-    """x with P(Poisson(x) >= L) = target_outage (the grid's 0.01 or 0.99):
-    the double that doubling from 1, then bisecting the tail to adjacent
-    doubles returns.  That search is replayed, but a probe is evaluated only
-    within the band of `_count_law_root`: about 17 sums instead of 60.  A
-    search that ends outside the band raises BracketViolation."""
-    root = _count_law_root(L, target_outage)
-    band = _BAND * root
-
-    def below_target(x: float) -> bool:
-        if abs(x - root) > band:
-            return x < root
-        return _poisson_split(x, L)[1] < target_outage
-
-    lo, hi = 0.0, 1.0
-    while below_target(hi):
-        hi *= 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            if max(abs(lo - root), abs(hi - root)) > band:
-                raise BracketViolation(f"bisection ended outside the band of {root!r} (L = {L})")
-            return mid
-        if below_target(mid):
-            lo = mid
-        else:
-            hi = mid
 
 
 def _log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -335,30 +275,32 @@ def figure_preset(number: int) -> tuple[str, ScenarioConfig]:
 @contextlib.contextmanager
 def open_output(path: str):
     """The binary file `path` opened for writing but not truncated, or None
-    for "-" (stdout); an OSError is a ConfigError on --out.
+    for "-" (stdout).  An OSError in opening, writing or closing it is a
+    ConfigError on --out (the rows themselves do no I/O).
 
     Opened before any row is computed, so an unwritable --out costs no work.
     A new file gets mode 0o666 less the umask, as from open(path, "w"); if
-    the run fails, a file this call created is removed and an existing one
-    keeps its bytes.
+    the run fails, a file this call created is removed.  An existing file is
+    rewritten in place, so it keeps its bytes unless the write itself fails
+    part-way.
     """
     if path == "-":
         yield None
         return
+    created = False
     try:
         try:
             fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
         except FileExistsError:
-            fd, created = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False
-    except OSError as exc:
-        raise ConfigError(f"--out: {exc}") from None
-    with open(fd, "wb") as handle:
-        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as handle:
             yield handle
-        except BaseException:
-            if created:
-                os.unlink(path)
-            raise
+    except BaseException as exc:
+        if created:
+            os.unlink(path)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"--out: {exc}") from None
+        raise
 
 
 def write_csv(out, header: str, template: str, rows: list[tuple]) -> None:
@@ -461,11 +403,11 @@ def _load_config_file(path: str) -> dict:
     import json
 
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:  # JSON's encoding, not the locale's
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bytes that are not UTF-8, an overlong integer
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a flat JSON object")

@@ -43,8 +43,7 @@ def batch_quadratic_form_inverse(c: np.ndarray, m: np.ndarray) -> np.ndarray:
     tol = n * _EPS * np.maximum(diag.max(axis=1, initial=0.0), 0.0)
     g = np.zeros((size, n, n), dtype=np.complex128)  # lower factor, zero columns where collapsed
     y = c.copy()
-    residual = np.zeros(size)
-    deficient = np.zeros(size, dtype=bool)
+    residual = np.zeros(size)  # stays 0 unless a pivot collapses
     for j in range(n):
         gj = g[:, j, :j]
         pivot = diag[:, j] - np.vecdot(gj, gj).real
@@ -55,45 +54,40 @@ def batch_quadratic_form_inverse(c: np.ndarray, m: np.ndarray) -> np.ndarray:
         d = np.sqrt(np.where(ok, pivot, 1.0))
         y[:, j] = np.where(ok, r / d, 0.0)
         if not ok.all():
-            deficient |= ~ok
             residual = np.where(ok, residual, np.maximum(residual, np.abs(r)))
         if j + 1 < n:
             col = m[:, j + 1 :, j] - np.vecdot(gj[:, None, :], g[:, j + 1 :, :j])
             g[:, j + 1 :, j] = np.where(ok[:, None], col / d[:, None], 0.0)
     value = np.vecdot(y, y).real
-    value[deficient & (residual > tol * _norms(c))] = np.inf
+    value[residual > tol * _norms(c)] = np.inf
     return value
 
 
 def batch_project_out(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Component of each c_b (B, n) orthogonal to the span of basis_b (B, k, n).
 
-    Modified Gram-Schmidt, vectorized over the stack: each basis vector is
-    orthogonalized twice against the accepted ones and kept when more than
-    1e-10 of its norm survives (zero rows, such as padding, are never kept);
-    then c_b is projected against that basis in exactly two passes (Kahan's
+    Modified Gram-Schmidt, vectorized over the stack: each basis vector, and
+    then c_b, is orthogonalized twice against the accepted ones (Kahan's
     "twice is enough", in Parlett, The Symmetric Eigenvalue Problem).  A
-    row comes back as the zero vector when c_b lies in the span (callers
-    read that as zero SINR).
+    basis vector is kept when more than 1e-10 of its norm survives (zero
+    rows, such as padding, are never kept).  A row comes back as the zero
+    vector when c_b lies in the span (callers read that as zero SINR).
     """
     w = np.array(c, dtype=np.complex128)
     vectors = np.asarray(basis, dtype=np.complex128)
     k = vectors.shape[1]
     ortho = np.zeros_like(vectors)  # accepted unit vectors; rejected slots stay zero
     rank = np.zeros(w.shape[0], dtype=np.int64)
-    for j in range(k):
-        v = vectors[:, j].copy()
+    for j in range(k + 1):
+        v = vectors[:, j].copy() if j < k else w  # c last, against the whole basis
         scale = _norms(v)
         for _ in range(2):
             for u in ortho[:, :j].swapaxes(0, 1):
                 v -= np.vecdot(u, v)[:, None] * u
         size = _norms(v)
+        if j == k:
+            v[(rank > 0) & (size <= 4.0 * rank * _EPS * scale)] = 0.0
+            return v
         keep = size > 1e-10 * scale
         ortho[:, j] = np.where(keep[:, None], v / np.where(keep, size, 1.0)[:, None], 0.0)
         rank += keep
-    c_scale = _norms(w)
-    for _ in range(2):
-        for u in ortho.swapaxes(0, 1):
-            w -= np.vecdot(u, w)[:, None] * u
-    w[(rank > 0) & (_norms(w) <= 4.0 * rank * _EPS * c_scale)] = 0.0
-    return w

@@ -125,8 +125,6 @@ def _weights(
         return desired
     L = desired.shape[1]
     k = min(a.shape[1], L - 1 if receiver == "zf" else _pzf_count(L, pzf_k))
-    if k == 0:
-        return desired
     strongest = np.argsort(radii, axis=1, kind="stable")[:, :k]
     return batch_project_out(desired, np.take_along_axis(a, strongest[:, :, None], axis=1))
 

@@ -315,6 +315,12 @@ def test_poisson_split_cdf_matches_scipy(case):
     assert outage_cdf(params) == approx(reference, rel=1e-9, abs=5e-14 * (L + 1))
 
 
+@pytest.mark.parametrize("L", [1, 2, 10**6])
+def test_poisson_split_at_an_infinite_mean_is_a_sure_outage(L):
+    # a mean that overflowed, e.g. sigma2 * gamma past the largest double
+    assert _poisson_split(math.inf, L) == (0.0, 1.0)
+
+
 # (mean, L) with a tail far below 1 - P(N < L)'s rounding error: the four
 # that once came out as that rounding error (the last truly underflows to 0),
 # then true tails from 1e-300 to 1e-10

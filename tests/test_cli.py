@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -16,8 +17,10 @@ from pytest import approx
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import poisson
 
+import ocfield.analytic as analytic_module
 import ocfield.cli as cli_module
 from ocfield import SystemParams, contention_optimum, delta_const, outage_cdf
+from ocfield.analytic import _poisson_tail_exponent
 from ocfield.cli import (
     _COMMANDS,
     ANALYTIC_HEADER,
@@ -29,7 +32,6 @@ from ocfield.cli import (
     db_to_linear,
     default_lambda_grid,
     derive_row_seed,
-    _poisson_tail_exponent,
     main,
     run_analytic,
 )
@@ -228,26 +230,26 @@ class TestGridEndpoints:
 
     @pytest.mark.parametrize("L, target", BENCHMARK_ENDS)
     def test_evaluations_per_end(self, L, target, monkeypatch):
-        split = cli_module._poisson_split
+        split = analytic_module._poisson_split
         points = []
 
         def counted(x, count):
             points.append(x)
             return split(x, count)
 
-        monkeypatch.setattr(cli_module, "_poisson_split", counted)
+        monkeypatch.setattr(analytic_module, "_poisson_split", counted)
         assert _poisson_tail_exponent(L, target) == poisson_tail_bisection(L, target)
         assert len(points) <= 20  # the bisection alone takes 54-63
 
     def test_unconverged_newton_exits_three(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli_module, "_MAX_STEPS", 2)
+        monkeypatch.setattr(analytic_module, "_MAX_STEPS", 2)
         assert main(["analytic", "--L", "128"]) == 3
         assert "no count-law root in 2 steps" in capsys.readouterr().err
 
     def test_root_outside_the_band_exits_three(self, monkeypatch, capsys):
-        root = cli_module._count_law_root
+        root = analytic_module._count_law_root
         monkeypatch.setattr(
-            cli_module, "_count_law_root", lambda L, target: root(L, target) * (1.0 + 1e-12)
+            analytic_module, "_count_law_root", lambda L, target: root(L, target) * (1.0 + 1e-12)
         )
         assert main(["analytic", "--L", "128"]) == 3
         assert "bisection ended outside the band" in capsys.readouterr().err
@@ -341,6 +343,13 @@ class TestAnalyticCommand:
             reference = params.lam * poisson.cdf(params.L - 1, x)
             assert abs(float(tput_s) / reference - 1.0) <= 1e-12
 
+    def test_overflowing_mean_is_a_sure_outage(self, capsys):
+        # sigma2 * gamma overflows to an infinite Poisson mean
+        argv = ["analytic", "--L", "2", "--sigma2", "1e300", "--d-r", "1e5",
+                "--lambda-grid", "1e-3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{ANALYTIC_HEADER}\n0.001,2,1,0\n"
+
     def test_stdout_default(self, capsys):
         assert main(["analytic", "--lambda-grid", "1e-3", "--L", "2"]) == 0
         captured = capsys.readouterr().out.splitlines()
@@ -427,6 +436,24 @@ class TestOutputFile:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: --out: ")
         assert captured.out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_exits_two(self, capsys):
+        assert main([*self.ARGV, "--out", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert captured.err == f"config error: --out: {full}\n"
+        assert captured.out == ""
+
+    def test_failed_write_leaves_no_new_file(self, tmp_path, monkeypatch, capsys):
+        def part_then_full(out, *args):
+            out.write(b"lambda,L")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli_module, "write_csv", part_then_full)
+        assert main([*self.ARGV, "--out", str(tmp_path / "new.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: --out: ")
+        assert not (tmp_path / "new.csv").exists()
 
     def test_failed_run_keeps_an_existing_file_and_leaves_no_new_one(self, tmp_path):
         # sigma2 * gamma overflows: refused by the contention solver, after --out is open
@@ -779,17 +806,29 @@ class TestErrorPaths:
             # gamma is normal but the simulator's d_r**-alpha overflows
             (None, ["simulate", "--d-r", "1e-10", "--alpha", "31", "--beta", "1e10",
                     "--L", "2", "--n-trials", "64"], "d_r: d_r must be"),
+            (None, ["analytic", "--L", ",", "--lambda-grid", "1e-3"], "L must list at least one"),
+            (None, ["simulate", "--receivers", ",", "--lambda-grid", "1e-3", "--n-trials", "10"],
+             "receivers must not be empty"),
+            (None, ["analytic", "--lambda-min", "1e-2", "--lambda-max", "1e-3", "--L", "1"],
+             "need lambda-min < lambda-max"),
+            (None, ["analytic", "--config", os.curdir], f"cannot read config file {os.curdir}:"),
+            ([1, 2], ["analytic", "--lambda-grid", "1e-3"], "must hold a flat JSON object"),
+            # a UTF-16 byte-order mark, which is not UTF-8
+            (b"\xff\xfe{}", ["analytic"], "cfg.json is not valid JSON: 'utf-8' codec"),
         ],
         ids=["figure-alpha", "figure-config", "L-fraction", "n_trials-fraction",
              "lambda-min-alone", "lambda-points-one", "L-float", "alpha-text",
              "receivers-number", "alpha-null", "gamma-overflow-analytic",
              "gamma-overflow-optimize", "gamma-underflow", "L-beyond-default-grid",
-             "distance-gain-overflow"],
+             "distance-gain-overflow", "L-empty", "receivers-empty", "lambda-range-reversed",
+             "config-directory", "config-list", "config-not-utf8"],
     )
     def test_bad_input_exits_two_and_names_it(self, tmp_path, file_data, argv, named, capsys):
         if file_data is not None:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(file_data))
+            if not isinstance(file_data, bytes):
+                file_data = json.dumps(file_data).encode()
+            cfg.write_bytes(file_data)
             argv = [*argv, "--config", str(cfg)]
         assert exit_code(argv) == 2
         captured = capsys.readouterr()
