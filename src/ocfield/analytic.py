@@ -6,11 +6,11 @@ converting from dB is the CLI's job.  The normalized threshold used
 throughout is gamma = beta * d_r**alpha.  Every entry point checks its
 arguments against the one table of parameter domains, `domains._DOMAINS`.
 Every outage and throughput rests on one Poisson core, `_poisson_split`,
-which gives P(N < L) and P(N >= L) in one walk.  The CLI's rows call it,
-and `_poisson_tail_exponent` inverts it for the CLI's default grid ends;
-`outage_cdf` and `conditional_outage_cdf` go through `_count_outage`, which
-adds the Bernoulli captures of a frozen field.  Pure Python: nothing here
-imports numpy, so the closed-form commands start without it.
+which gives P(N < L) and P(N >= L) in one walk.  The CLI's rows and
+`outage_cdf` read it, `_poisson_tail_exponent` inverts it for the CLI's
+default grid ends, and `conditional_outage_cdf` adds the Bernoulli captures
+of a frozen field to it.  Pure Python: nothing here imports numpy, so the
+closed-form commands start without it.
 """
 
 from __future__ import annotations
@@ -246,30 +246,6 @@ def _poisson_tail_exponent(L: int, target_outage: float) -> float:
             hi = mid
 
 
-def _count_outage(mean: float, L: int, capture=()) -> float:
-    """P(sum_k Bernoulli(s_k / (1 + s_k)) + Poisson(mean) >= L) for capture
-    odds s_k in [0, inf].  Without Bernoulli terms this is the upper tail of
-    `_poisson_split`.  With them, a dynamic program over their count
-    truncated at L (the top state collects every count >= L) costs O(nL)
-    and cannot overflow.
-    """
-    if not capture:
-        return _poisson_split(mean, L)[1]
-    dist = [1.0] + [0.0] * L  # P(Bernoulli count = i) for i < L; dist[L] = P(count >= L)
-    for s in capture:
-        # an odds of inf captures surely; 1/(1+s) keeps its miss exactly 0
-        hit = s / (1.0 + s) if s < math.inf else 1.0
-        stay = 1.0 / (1.0 + s)
-        dist[L] += dist[L - 1] * hit
-        for i in range(L - 1, 0, -1):
-            dist[i] = dist[i] * stay + dist[i - 1] * hit
-        dist[0] *= stay
-    value = dist[L]
-    for i in range(L):  # count i still needs L - i from the Poisson term
-        value += dist[i] * _count_outage(mean, L - i)
-    return min(1.0, value)
-
-
 def outage_cdf(params: SystemParams) -> float:
     """Outage probability of the optimum combiner.
 
@@ -284,7 +260,7 @@ def outage_cdf(params: SystemParams) -> float:
     threshold radius.
     """
     x = _poisson_mean(params.lam, params.alpha, params.gamma, params.sigma2)
-    return _count_outage(x, params.L)
+    return _poisson_split(x, params.L)[1]
 
 
 def _poisson_mean(lam: float, alpha: float, gamma: float, sigma2: float) -> float:
@@ -302,8 +278,26 @@ def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float
     probability s_j / (1 + s_j), and the noise adds a Poisson count.
     Averaged over a Poisson field, this thinning leaves the interferer count
     Poisson with mean lam * Delta * gamma**(2/alpha): the closed form of
-    `outage_cdf`.
+    `outage_cdf`.  The captures are counted by a dynamic program truncated
+    at L (the top state collects every count >= L), which costs O(nL) and
+    cannot overflow.
     """
     powers = [float(p) for p in powers]
     _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
-    return _count_outage(sigma2 * gamma, L, [p * gamma for p in powers])
+    mean = sigma2 * gamma
+    if not powers:
+        return _poisson_split(mean, L)[1]
+    dist = [1.0] + [0.0] * L  # P(capture count = i) for i < L; dist[L] = P(count >= L)
+    for p in powers:
+        s = p * gamma
+        # an odds of inf captures surely; 1/(1+s) keeps its miss exactly 0
+        hit = s / (1.0 + s) if s < math.inf else 1.0
+        stay = 1.0 / (1.0 + s)
+        dist[L] += dist[L - 1] * hit
+        for i in range(L - 1, 0, -1):
+            dist[i] = dist[i] * stay + dist[i - 1] * hit
+        dist[0] *= stay
+    value = dist[L]
+    for i in range(L):  # count i still needs L - i from the Poisson term
+        value += dist[i] * _poisson_split(mean, L - i)[1]
+    return min(1.0, value)

@@ -189,11 +189,12 @@ def run_simulation(config: ScenarioConfig) -> list[tuple]:
     optimum-combining closed form of that row; other receivers have no
     closed form here and get nan.
     """
-    from .simulate import _distance_gain, estimate_outage, receiver_label  # loads numpy
+    cells = run_analytic(config)  # resolves the grid, whose errors come first as in `analytic`
+    _in_field("antennas", _check_domain, L__simulated=max(config.antennas))
+    from .simulate import estimate_outage, receiver_label  # loads numpy
 
-    _in_field("d_r", _distance_gain, config.d_r, config.alpha)
     rows = []
-    for cell_index, (lam, L, analytic, _) in enumerate(run_analytic(config)):
+    for cell_index, (lam, L, analytic, _) in enumerate(cells):
         params = config.params_for(lam, L)
         seed = derive_row_seed(config.master_seed, cell_index)
         for receiver in config.receivers:
@@ -275,8 +276,9 @@ def figure_preset(number: int) -> tuple[str, ScenarioConfig]:
 @contextlib.contextmanager
 def open_output(path: str):
     """The binary file `path` opened for writing but not truncated, or None
-    for "-" (stdout).  An OSError in opening, writing or closing it is a
-    ConfigError on --out (the rows themselves do no I/O).
+    for "-" (stdout).  An OSError in opening, writing or closing it, or in
+    writing or flushing stdout, is a ConfigError on --out (the rows
+    themselves do no I/O).
 
     Opened before any row is computed, so an unwritable --out costs no work.
     A new file gets mode 0o666 less the umask, as from open(path, "w"); if
@@ -284,11 +286,12 @@ def open_output(path: str):
     rewritten in place, so it keeps its bytes unless the write itself fails
     part-way.
     """
-    if path == "-":
-        yield None
-        return
     created = False
     try:
+        if path == "-":
+            yield None
+            sys.stdout.flush()
+            return
         try:
             fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
         except FileExistsError:

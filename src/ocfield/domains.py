@@ -28,8 +28,6 @@ _DOMAINS = {
     "sigma2": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     "sigma2__scaled": (lambda v: v < math.inf, "finite once scaled by gamma"),
     "d_r": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    # the simulator's desired-link gain d_r**-alpha
-    "d_r__gain": (lambda v: v < math.inf, "large enough that d_r**-alpha is finite"),
     "beta": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
     "gamma": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     # the derived threshold beta * d_r**alpha, which the contention optimum
@@ -40,6 +38,9 @@ _DOMAINS = {
     # the cap keeps one Poisson window walk under ~2e4 terms whatever the
     # mean: the walk costs O(sqrt(x)) steps, and steps past L are not taken
     "L": (lambda v: type(v) is int and 1 <= v <= 10**6, "an integer in [1, 1000000]"),
+    # a simulated block of 64 trials holds its (2L, 2L) Grams, covariances
+    # and factors, about 4 KiB * L**2: 268 MB per worker at the cap
+    "L__simulated": (lambda v: type(v) is int and 1 <= v <= 256, "an integer in [1, 256]"),
     "n_trials": _COUNT,
     "expected_count": _COUNT,
     # each worker is an OS thread that a run starts at once; the count comes

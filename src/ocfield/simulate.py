@@ -2,9 +2,11 @@
 outage estimator built on it.
 
 Each trial draws a fresh Poisson field and fresh Rayleigh channels, builds the
-interference-plus-noise covariance, and evaluates the post-combining SINR of
-the chosen receiver.  Trials run in fixed blocks of BLOCK = 64, and every
-step inside a block is vectorized over its trials (`block_sinr`).  Block b
+interference-plus-noise covariance, and evaluates the normalized SINR
+Z = SINR * d_r**alpha of the chosen receiver; the trial is in outage when
+Z < gamma = beta * d_r**alpha, the threshold of every closed form.  Trials
+run in fixed blocks of BLOCK = 64, and every step inside a block is
+vectorized over its trials (`block_sinr`).  Block b
 draws exclusively from its own SFC64 substream, child b of
 SeedSequence(master_seed) (spawn_key (b,)), in this order: the node counts of
 its trials, then their radial uniforms, then their channel normals (desired
@@ -139,8 +141,8 @@ def receiver_label(receiver: str, L: int, pzf_k: int | None = None) -> str:
 
 
 def _oc_ratio(desired: np.ndarray, a: np.ndarray, counts: np.ndarray, sigma2: float) -> np.ndarray:
-    """c_r^H R^{-1} c_r per trial: the SINR of the optimum (MMSE) combiner
-    before the distance gain d_r**-alpha.
+    """c_r^H R^{-1} c_r per trial: the normalized SINR Z = SINR * d_r**alpha
+    of the optimum (MMSE) combiner.
 
     inf where sigma2 = 0 and a trial has fewer nodes than antennas: R then
     has rank at most its node count, and a generic desired vector leaves its
@@ -191,37 +193,26 @@ def block_sinr(
     expected_count: int = 100,
     pzf_k: int | None = None,
 ) -> np.ndarray:
-    """Post-combining SINRs of `size` trials drawn from `rng`, vectorized.
+    """Normalized SINRs Z = SINR * d_r**alpha of `size` trials drawn from
+    `rng`, vectorized; a trial is in outage when Z < gamma.
 
     Each trial has its own field and channels; rng draws the node counts,
     then the radial uniforms, then the channel normals.  Received powers are
     |X_k|**-alpha; the noise enters only through the sigma2 I term of the
     covariance (the SINR depends on the noise vector through its covariance
-    alone, so it is never sampled).  The distance gain d_r**-alpha is the
-    last factor applied.
+    alone, so it is never sampled).  L is capped at 256, which bounds the
+    block's memory.
     """
-    _check_domain(receiver=receiver, pzf_k=pzf_k, size=size)
+    _check_domain(L__simulated=params.L, receiver=receiver, pzf_k=pzf_k, size=size)
     _, counts, radii = _draw_fields(params.lam, expected_count, size, rng)
     amplitudes = radii ** (-0.5 * params.alpha)  # square roots of the received powers
     desired, a = _channel_block(counts, amplitudes, params.L, rng)
     if receiver == "oc":
-        ratio = _oc_ratio(desired, a, counts, params.sigma2)
-    else:
-        padded_radii = np.full(a.shape[:2], np.inf)
-        padded_radii[np.arange(a.shape[1]) < counts[:, None]] = radii
-        w = _weights(receiver, desired, a, padded_radii, pzf_k)
-        ratio = _combining_ratio(w, desired, a, params.sigma2)
-    return ratio * _distance_gain(params.d_r, params.alpha)
-
-
-def _distance_gain(d_r: float, alpha: float) -> float:
-    """d_r**-alpha, a ValueError unless that is finite."""
-    try:
-        gain = d_r ** (-alpha)
-    except OverflowError:
-        gain = math.inf
-    _check_domain(d_r__gain=gain)
-    return gain
+        return _oc_ratio(desired, a, counts, params.sigma2)
+    padded_radii = np.full(a.shape[:2], np.inf)
+    padded_radii[np.arange(a.shape[1]) < counts[:, None]] = radii
+    w = _weights(receiver, desired, a, padded_radii, pzf_k)
+    return _combining_ratio(w, desired, a, params.sigma2)
 
 
 def _map_blocks(sinr_of_block, reduce, n_trials: int, master_seed: int) -> list:
@@ -258,15 +249,17 @@ def estimate_outage(
     expected_count: int = 100,
     pzf_k: int | None = None,
 ) -> OutageEstimate:
-    """Monte Carlo outage probability: fraction of trials with SINR < beta.
+    """Monte Carlo outage probability: fraction of trials with normalized
+    SINR Z < gamma = beta * d_r**alpha.
 
-    Infinite SINR counts as success for any finite threshold.  Bit-identical
+    Infinite Z counts as success for any finite threshold.  Bit-identical
     for a given master_seed under any worker count: block b depends only on
     (master_seed, b) and the reduction is a commutative count.
     """
+    gamma = params.gamma
     failures = _map_blocks(
         lambda rng, size: block_sinr(params, receiver, rng, size, expected_count, pzf_k),
-        lambda sinr: int(np.count_nonzero(sinr < params.beta)),
+        lambda z: int(np.count_nonzero(z < gamma)),
         n_trials,
         master_seed,
     )

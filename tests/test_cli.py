@@ -445,6 +445,26 @@ class TestOutputFile:
         assert captured.err == f"config error: --out: {full}\n"
         assert captured.out == ""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_stdout_write_exits_two(self):
+        with open("/dev/full", "w") as device:
+            result = subprocess.run([sys.executable, "-m", "ocfield", *self.ARGV], stdout=device,
+                                    stderr=subprocess.PIPE, text=True)
+        assert result.returncode == 2
+        full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert result.stderr == f"config error: --out: {full}\n"
+
+    def test_stdout_pipe_closed_before_reading_exits_two(self):
+        # figure 3 prints about 15 kB, more than stdout buffers, into a pipe
+        # whose reader has gone
+        child = subprocess.Popen([sys.executable, "-m", "ocfield", "figure", "3"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        child.stdout.close()
+        with child.stderr:
+            err = child.stderr.read()
+        assert child.wait() == 2
+        assert err == f"config error: --out: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
     def test_failed_write_leaves_no_new_file(self, tmp_path, monkeypatch, capsys):
         def part_then_full(out, *args):
             out.write(b"lambda,L")
@@ -776,6 +796,19 @@ class TestErrorPaths:
         assert "pzf_k" in captured.err and captured.out == ""
         assert main([*argv, "--pzf-k", "1"]) == 0
 
+    def test_simulate_runs_where_only_d_r_to_the_minus_alpha_overflows(self, capsys):
+        # gamma = 1e10 * 1e-310 = 1e-300 is a normal double, and the Monte
+        # Carlo compares Z = SINR * d_r**alpha with it, as the closed form does
+        argv = ["--alpha", "31", "--beta", "1e10", "--d-r", "1e-10", "--L", "2",
+                "--lambda-grid", "1e-3"]
+        assert main(["simulate", *argv, "--n-trials", "640"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [row] = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert row[2:5] == ["oc", "9.7621958290765392e-45", "0"]
+        assert main(["analytic", *argv]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[2] == row[3]
+
     @pytest.mark.parametrize(
         "file_data, argv, named",
         [
@@ -803,9 +836,9 @@ class TestErrorPaths:
              "gamma"),
             # above the antenna cap, which also bounds the default grid's count-law sums
             (None, ["analytic", "--L", "1,2000000000"], "antennas: L must be an integer in"),
-            # gamma is normal but the simulator's d_r**-alpha overflows
-            (None, ["simulate", "--d-r", "1e-10", "--alpha", "31", "--beta", "1e10",
-                    "--L", "2", "--n-trials", "64"], "d_r: d_r must be"),
+            # above the simulator's antenna cap, which bounds a block's memory
+            (None, ["simulate", "--L", "257", "--n-trials", "1", "--lambda-grid", "1e-3"],
+             "antennas: L must be an integer in [1, 256], got 257"),
             (None, ["analytic", "--L", ",", "--lambda-grid", "1e-3"], "L must list at least one"),
             (None, ["simulate", "--receivers", ",", "--lambda-grid", "1e-3", "--n-trials", "10"],
              "receivers must not be empty"),
@@ -820,7 +853,7 @@ class TestErrorPaths:
              "lambda-min-alone", "lambda-points-one", "L-float", "alpha-text",
              "receivers-number", "alpha-null", "gamma-overflow-analytic",
              "gamma-overflow-optimize", "gamma-underflow", "L-beyond-default-grid",
-             "distance-gain-overflow", "L-empty", "receivers-empty", "lambda-range-reversed",
+             "L-beyond-the-simulator", "L-empty", "receivers-empty", "lambda-range-reversed",
              "config-directory", "config-list", "config-not-utf8"],
     )
     def test_bad_input_exits_two_and_names_it(self, tmp_path, file_data, argv, named, capsys):
@@ -852,10 +885,31 @@ def links(draw):
     return alpha, 2.0 ** (log_gamma - alpha * log_d_r), 2.0 ** log_d_r
 
 
+def _run_scenario(command, scenario, from_file):
+    """(exit code, stdout, stderr) of `command` in process, its scenario
+    given as flags or as a config file."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if from_file:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w") as handle:
+                json.dump(scenario, handle)
+            argv = [command, "--config", cfg]
+        else:
+            argv = [command]
+            for key, value in scenario.items():
+                text = ",".join(map(str, value)) if isinstance(value, list) else repr(value)
+                argv += ["--" + key.replace("_", "-"), text]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestDomainSweep:
     """Across the whole parameter domain, `analytic`, `optimize` and a small
     `simulate`, from flags or from a config file, exit 0 with finite rows, or
-    exit 2; never a traceback, exit 3 or a nan."""
+    exit 2; never a traceback, exit 3 or a nan.  `simulate` accepts exactly
+    the scenarios that `analytic` accepts at the same antenna counts."""
 
     @settings(max_examples=90, deadline=None)
     @given(
@@ -871,7 +925,8 @@ class TestDomainSweep:
     # sigma2 * gamma overflows: once an OverflowError out of the contention solver
     @example(command="optimize", from_file=False, link=(8.0, 1.0, 16.0), antennas=[1],
              sigma2=1e300, receivers=["oc"], n_trials=1)
-    # d_r**-alpha overflows while gamma stays normal: once an OverflowError in the simulator
+    # d_r**-alpha overflows while gamma stays normal: once an OverflowError in
+    # the simulator, then a refusal of what `analytic` accepts
     @example(command="simulate", from_file=True, link=(31.0, 1e10, 1e-10), antennas=[2],
              sigma2=0.0, receivers=["oc", "zf"], n_trials=64)
     def test_finite_rows_or_config_error(
@@ -882,28 +937,19 @@ class TestDomainSweep:
                         lambda_points=3)
         if command == "simulate":
             antennas = [L % 8 + 1 for L in antennas]  # keep each trial's algebra small
-            scenario.update(L=antennas, receivers=receivers, n_trials=n_trials)
+            scenario.update(L=antennas)
+            analytic_code, _, analytic_err = _run_scenario("analytic", scenario, from_file)
+            scenario.update(receivers=receivers, n_trials=n_trials)
         else:
             receivers = [None]
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            if from_file:
-                cfg = os.path.join(tmp, "cfg.json")
-                with open(cfg, "w") as handle:
-                    json.dump(scenario, handle)
-                argv = [command, "--config", cfg]
-            else:
-                argv = [command]
-                for key, value in scenario.items():
-                    text = ",".join(map(str, value)) if isinstance(value, list) else repr(value)
-                    argv += ["--" + key.replace("_", "-"), text]
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 2), err.getvalue()
+        code, out, err = _run_scenario(command, scenario, from_file)
+        assert code in (0, 2), err
+        if command == "simulate":
+            assert code == analytic_code, (err, analytic_err)
         if code == 2:
-            assert err.getvalue().startswith("config error: ") and out.getvalue() == ""
+            assert err.startswith("config error: ") and out == ""
             return
-        rows = [row.split(",") for row in out.getvalue().splitlines()[1:]]
+        rows = [row.split(",") for row in out.splitlines()[1:]]
         assert len(rows) == len(antennas) * len(receivers) * (1 if command == "optimize" else 3)
         for row in rows:
             if command == "simulate":

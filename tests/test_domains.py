@@ -130,8 +130,16 @@ def test_out_of_domain_argument_is_named(entry, valid, parameter, value, monkeyp
         entry(**valid)
 
 
-def test_simulator_rejects_an_overflowing_distance_gain():
-    # gamma = beta * d_r**alpha is a normal double, but d_r**-alpha overflows
-    overflowing = params(alpha=31.0, d_r=1e-10, beta=1e10)
-    with pytest.raises(ValueError, match=r"^d_r must be "):
-        fresh_block_sinr(params=overflowing, size=8, **SIMULATOR)
+def test_simulator_runs_where_only_d_r_to_the_minus_alpha_overflows():
+    # gamma = beta * d_r**alpha is a normal double though d_r**-alpha is not;
+    # the engine compares Z = SINR * d_r**alpha with gamma and never forms it
+    scenario = params(alpha=31.0, d_r=1e-10, beta=1e10)
+    z = fresh_block_sinr(params=scenario, size=8, **SIMULATOR)
+    assert z.shape == (8,)
+
+
+def test_simulator_caps_the_antenna_count():
+    # the cap bounds the memory of a block's (2L, 2L) Grams
+    with pytest.raises(ValueError, match=r"^L must be an integer in \[1, 256\], got 257$"):
+        fresh_block_sinr(params=params(L=257), size=8, **SIMULATOR)
+    assert fresh_block_sinr(params=params(L=256), size=1, **SIMULATOR).shape == (1,)

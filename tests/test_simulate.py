@@ -558,7 +558,7 @@ class TestBlockEngine:
                 cov = rows.T @ rows.conj()  # sum_k a_k a_k^H
                 expected.append(float(np.vdot(c, np.linalg.solve(cov, c)).real))
         got = np.concatenate(got)
-        expected = np.array(expected) * params.d_r ** (-params.alpha)
+        expected = np.array(expected)
         assert np.isinf(expected).any() and np.isfinite(expected).any()
         assert np.array_equal(np.isinf(got), np.isinf(expected))
         finite = np.isfinite(expected)
@@ -592,13 +592,16 @@ class TestBlockEngine:
 
 class TestSirMoments:
     def test_distance_scaling_is_exact_per_sample(self):
-        # the same draws at twice the distance: every SIR scales by 2**-alpha
+        # the normalized SIR Z = SIR * d_r**alpha does not depend on d_r, and
+        # the outage depends on beta and d_r only through gamma = beta * d_r**alpha
         near = make_params(lam=1e-3, L=2, sigma2=0.0, d_r=1.0)
         far = make_params(lam=1e-3, L=2, sigma2=0.0, d_r=2.0)
         stream = TrialStream(42)
         for b in range(-(-3000 // BLOCK)):
-            ratio = block_sinr(far, "oc", stream.at(b)) / block_sinr(near, "oc", stream.at(b))
-            assert ratio == approx(2.0**-3.5, rel=1e-12, abs=0.0), b
+            z_far = block_sinr(far, "oc", stream.at(b))
+            assert np.array_equal(z_far, block_sinr(near, "oc", stream.at(b))), b
+        run = dict(n_trials=3000, master_seed=42)
+        assert estimate_outage(far, **run) == estimate_outage(near._replace(beta=far.gamma), **run)
 
 
 class TestNearestNeighborIdentity:
