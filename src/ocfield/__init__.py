@@ -14,8 +14,7 @@ from . import analytic
 from .analytic import *  # noqa: F403
 
 _CONTENTION = ("BracketViolation", "ContentionOptimum", "contention_optimum")
-_SIMULATE = ("BLOCK", "OutageEstimate", "TrialStream", "block_sinr", "estimate_outage",
-             "receiver_label")
+_SIMULATE = ("BLOCK", "OutageEstimate", "TrialStream", "block_sinr", "estimate_outage")
 __all__ = [*analytic.__all__, *_CONTENTION, *_SIMULATE]
 __version__ = "0.1.0"
 

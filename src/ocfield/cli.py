@@ -21,7 +21,9 @@ from .analytic import (
     BracketViolation, SystemParams, _poisson_mean, _poisson_split, _poisson_tail_exponent,
     delta_const, gamma_from_beta,
 )
-from .domains import _MASK64, RECEIVERS, _check_domain, _pzf_count, _Record, _resolve_workers
+from .domains import (
+    _MASK64, RECEIVERS, _check_disk, _check_domain, _pzf_count, _Record, _resolve_workers,
+)
 
 __all__ = [
     "ConfigError",
@@ -185,13 +187,15 @@ def run_simulation(config: ScenarioConfig) -> list[tuple]:
 
     Each `run_analytic` row is a cell; its index derives the cell's seed,
     which every receiver shares, so receivers are compared on identical
-    trials (paired estimates).  The analytic column carries the
-    optimum-combining closed form of that row; other receivers have no
-    closed form here and get nan.
+    trials (paired estimates).  A row is the cell's density and antenna
+    count, the receiver's label (pzf<k> for PZF), the optimum-combining
+    closed form of the cell (nan for the other receivers, which have no
+    closed form here), then the `OutageEstimate` fields.
     """
     cells = run_analytic(config)  # resolves the grid, whose errors come first as in `analytic`
     _in_field("antennas", _check_domain, L__simulated=max(config.antennas))
-    from .simulate import estimate_outage, receiver_label  # loads numpy
+    _in_field("expected_count", _check_disk, max(config.antennas), config.expected_count)
+    from .simulate import estimate_outage  # loads numpy
 
     rows = []
     for cell_index, (lam, L, analytic, _) in enumerate(cells):
@@ -206,18 +210,8 @@ def run_simulation(config: ScenarioConfig) -> list[tuple]:
                 expected_count=config.expected_count,
                 pzf_k=config.pzf_k,
             )
-            rows.append(
-                (
-                    lam,
-                    L,
-                    receiver_label(receiver, L, config.pzf_k),
-                    analytic if receiver == "oc" else math.nan,
-                    estimate.p_hat,
-                    estimate.stderr,
-                    estimate.n_trials,
-                    estimate.master_seed,
-                )
-            )
+            label = f"pzf{_pzf_count(L, config.pzf_k)}" if receiver == "pzf" else receiver
+            rows.append((lam, L, label, analytic if receiver == "oc" else math.nan, *estimate))
     return rows
 
 

@@ -96,6 +96,15 @@ def _pzf_count(L: int, pzf_k: int | None) -> int:
     return pzf_k
 
 
+def _check_disk(L: int, expected_count: int) -> None:
+    """Refuse a simulated block too large for memory: its 64 trials' channel
+    rows take about 1 KiB * expected_count * L, capped at 2**18 KiB (268 MB,
+    the budget of the antenna cap)."""
+    _check_domain(L__simulated=L, expected_count=expected_count)
+    if expected_count * L > 2**18:
+        raise ValueError(f"expected_count must be <= {2**18 // L} at L = {L}, got {expected_count}")
+
+
 def _resolve_workers() -> int:
     """The worker count, from the OC_FIELD_THREADS environment variable (default 1)."""
     text = os.environ.get("OC_FIELD_THREADS", "1")

@@ -1,10 +1,10 @@
 """Small dense complex Hermitian linear algebra, batched over a stack.
 
 Hand-rolled, unblocked routines: the matrices here are antenna-sized
-(L <= ~16), and keeping the numeric core free of LAPACK keeps it auditable.
-Only the lower triangle of a Hermitian input is ever read.  Each routine
-loops over the n columns and vectorizes over a stack of B matrices (one
-block of Monte Carlo trials); one matrix is a stack of one.
+(L <= 256, the simulator's cap), and keeping the numeric core free of LAPACK
+keeps it auditable.  Only the lower triangle of a Hermitian input is ever
+read.  Each routine loops over the n columns and vectorizes over a stack of
+B matrices (one block of Monte Carlo trials); one matrix is a stack of one.
 
 Rank deficiency is expected, not exceptional: with zero noise and fewer
 interferers than antennas the covariance is singular, and the quadratic form
@@ -34,7 +34,7 @@ def batch_quadratic_form_inverse(c: np.ndarray, m: np.ndarray) -> np.ndarray:
     the stack; only the lower triangle of each m_b is read.
     """
     m = np.asarray(m)
-    c = np.array(c, dtype=np.complex128)
+    c = np.asarray(c, dtype=np.complex128)
     size, n = c.shape
     if m.shape != (size, n, n):
         raise ValueError(f"vectors {c.shape} do not match matrices {m.shape}")

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .analytic import SystemParams
-from .domains import _check_domain, _pzf_count, _Record, _resolve_workers
+from .domains import _check_disk, _check_domain, _pzf_count, _Record, _resolve_workers
 from .linalg import batch_project_out, batch_quadratic_form_inverse
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "TrialStream",
     "block_sinr",
     "estimate_outage",
-    "receiver_label",
 ]
 
 BLOCK = 64  # trials per block, and per substream
@@ -131,15 +130,6 @@ def _weights(
     return batch_project_out(desired, np.take_along_axis(a, strongest[:, :, None], axis=1))
 
 
-def receiver_label(receiver: str, L: int, pzf_k: int | None = None) -> str:
-    """Canonical row label: oc / mrc / zf / pzf<k>; a ValueError for a PZF
-    count k >= L."""
-    _check_domain(receiver=receiver, L=L, pzf_k=pzf_k)
-    if receiver == "pzf":
-        return f"pzf{_pzf_count(L, pzf_k)}"
-    return receiver
-
-
 def _oc_ratio(desired: np.ndarray, a: np.ndarray, counts: np.ndarray, sigma2: float) -> np.ndarray:
     """c_r^H R^{-1} c_r per trial: the normalized SINR Z = SINR * d_r**alpha
     of the optimum (MMSE) combiner.
@@ -200,10 +190,11 @@ def block_sinr(
     then the radial uniforms, then the channel normals.  Received powers are
     |X_k|**-alpha; the noise enters only through the sigma2 I term of the
     covariance (the SINR depends on the noise vector through its covariance
-    alone, so it is never sampled).  L is capped at 256, which bounds the
-    block's memory.
+    alone, so it is never sampled).  Capping L at 256 and expected_count * L
+    at 2**18 bounds the block's memory.
     """
-    _check_domain(L__simulated=params.L, receiver=receiver, pzf_k=pzf_k, size=size)
+    _check_domain(receiver=receiver, pzf_k=pzf_k, size=size)
+    _check_disk(params.L, expected_count)
     _, counts, radii = _draw_fields(params.lam, expected_count, size, rng)
     amplitudes = radii ** (-0.5 * params.alpha)  # square roots of the received powers
     desired, a = _channel_block(counts, amplitudes, params.L, rng)

@@ -588,6 +588,21 @@ class TestSimulateCommand:
         assert oc_cells == [row[:3] for row in analytic]
         assert len(oc_cells) == (10 if not grid else 3) * 2
 
+    @pytest.mark.parametrize(
+        "argv, labels",
+        [
+            (["--L", "3", "--receivers", "oc,pzf"], ["oc", "pzf2"]),
+            (["--L", "3", "--receivers", "oc,pzf", "--pzf-k", "1"], ["oc", "pzf1"]),
+            # a PZF count is ignored, not checked against L, without PZF
+            (["--L", "2", "--receivers", "oc", "--pzf-k", "5"], ["oc"]),
+        ],
+        ids=["default-pzf", "explicit-pzf", "oc-ignores-pzf-k"],
+    )
+    def test_row_labels(self, tmp_path, argv, labels):
+        _, rows = run_main(tmp_path, "simulate", *argv, "--lambda-grid", "1e-3",
+                           "--n-trials", "64")
+        assert [row[2] for row in rows] == labels
+
     def test_round_trip_precision(self, tmp_path):
         header, rows = run_main(
             tmp_path, "simulate", "--lambda-grid", "1.2345678901234567e-3",
@@ -839,6 +854,11 @@ class TestErrorPaths:
             # above the simulator's antenna cap, which bounds a block's memory
             (None, ["simulate", "--L", "257", "--n-trials", "1", "--lambda-grid", "1e-3"],
              "antennas: L must be an integer in [1, 256], got 257"),
+            # above the simulated disk's cap, expected_count * L <= 2**18, which
+            # bounds a block's channel rows
+            (None, ["simulate", "--expected-count", "300000", "--L", "1", "--n-trials", "1",
+                    "--lambda-grid", "1e-3"],
+             "expected_count: expected_count must be <= 262144 at L = 1, got 300000"),
             (None, ["analytic", "--L", ",", "--lambda-grid", "1e-3"], "L must list at least one"),
             (None, ["simulate", "--receivers", ",", "--lambda-grid", "1e-3", "--n-trials", "10"],
              "receivers must not be empty"),
@@ -853,8 +873,8 @@ class TestErrorPaths:
              "lambda-min-alone", "lambda-points-one", "L-float", "alpha-text",
              "receivers-number", "alpha-null", "gamma-overflow-analytic",
              "gamma-overflow-optimize", "gamma-underflow", "L-beyond-default-grid",
-             "L-beyond-the-simulator", "L-empty", "receivers-empty", "lambda-range-reversed",
-             "config-directory", "config-list", "config-not-utf8"],
+             "L-beyond-the-simulator", "disk-beyond-the-simulator", "L-empty", "receivers-empty",
+             "lambda-range-reversed", "config-directory", "config-list", "config-not-utf8"],
     )
     def test_bad_input_exits_two_and_names_it(self, tmp_path, file_data, argv, named, capsys):
         if file_data is not None:
@@ -911,7 +931,7 @@ class TestDomainSweep:
     exit 2; never a traceback, exit 3 or a nan.  `simulate` accepts exactly
     the scenarios that `analytic` accepts at the same antenna counts."""
 
-    @settings(max_examples=90, deadline=None)
+    @settings(max_examples=90, deadline=None, derandomize=True)
     @given(
         command=st.sampled_from(["analytic", "optimize", "simulate"]),
         from_file=st.booleans(),

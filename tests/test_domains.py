@@ -18,7 +18,6 @@ from ocfield import (
     delta_const,
     estimate_outage,
     gamma_from_beta,
-    receiver_label,
 )
 from ocfield.domains import _pzf_count
 
@@ -31,6 +30,8 @@ ALPHAS = [*REALS, 2.0]
 BOOLS = [True, False]  # ints to Python, never counts
 COUNTS = [NAN, INF, -1, 0, 2.0, *BOOLS]  # outside "an integer >= 1"
 ANTENNAS = [*COUNTS, 10**6 + 1]  # outside "an integer in [1, 1000000]"
+# the simulator also caps expected_count * L at 2**18: 131072 at L = 2
+DISK_COUNTS = [*COUNTS, 131073]
 WORKERS = [*COUNTS, 257]  # outside "an integer in [1, 256]"
 SEEDS = [NAN, -1, 1 << 64, 1.0, *BOOLS]
 PZF = [NAN, INF, -1, 1.0, *BOOLS]
@@ -88,17 +89,15 @@ ENTRY_POINTS = [
      dict(L=ANTENNAS, alpha=ALPHAS, gamma=POSITIVE, sigma2=[*REALS, 1e306])),
     (TrialStream, dict(master_seed=1), dict(master_seed=SEEDS)),
     (default_pzf_k, dict(L=2), dict(L=ANTENNAS)),
-    (receiver_label, dict(receiver="pzf", L=3, pzf_k=None),
-     dict(receiver=RECEIVER, L=ANTENNAS, pzf_k=PZF)),
     (conditional_outage_cdf, FROZEN, dict(powers=POWERS, sigma2=REALS, L=ANTENNAS, gamma=REALS)),
     (estimate_outage_conditional, {**FROZEN, **RUN},
      dict(powers=POWERS, sigma2=REALS, L=ANTENNAS, gamma=REALS, n_trials=COUNTS,
           master_seed=SEEDS, workers=WORKERS)),
     (fresh_block_sinr, dict(params=params(), size=8, **SIMULATOR),
-     dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
+     dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=DISK_COUNTS, pzf_k=PZF,
           size=COUNTS)),
     (estimate_outage, dict(params=params(), **SIMULATOR, **RUN),
-     dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=COUNTS, pzf_k=PZF,
+     dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=DISK_COUNTS, pzf_k=PZF,
           n_trials=COUNTS, master_seed=SEEDS, workers=WORKERS)),
 ]
 

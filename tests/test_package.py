@@ -31,7 +31,6 @@ EXPORTS = [
     "estimate_outage",
     "gamma_from_beta",
     "outage_cdf",
-    "receiver_label",
 ]
 
 # the modules that each step below reports loaded, if they are

@@ -15,7 +15,6 @@ from ocfield import (
     conditional_outage_cdf,
     estimate_outage,
     outage_cdf,
-    receiver_label,
 )
 from ocfield.domains import _pzf_count
 from ocfield.simulate import (
@@ -304,24 +303,16 @@ class TestCombinerWeights:
         for reject in (
             lambda: block_sinr(params, "pzf", TrialStream(1).at(0), size=8, pzf_k=2),
             lambda: estimate_outage(params, "pzf", n_trials=256, pzf_k=2),
-            lambda: receiver_label("pzf", 2, pzf_k=5),
             lambda: _weights("pzf", desired, a, radii, 2),
         ):
             with pytest.raises(ValueError, match=r"^pzf_k must be < L, got \d+ with L = 2$"):
                 reject()
         # the other receivers ignore the count
-        assert receiver_label("oc", 2, pzf_k=5) == "oc"
         assert block_sinr(params, "zf", TrialStream(1).at(0), size=8, pzf_k=2).shape == (8,)
 
     def test_unknown_receiver_rejected(self):
         with pytest.raises(ValueError, match="unknown receiver"):
             block_sinr(make_params(L=2), "dfe", TrialStream(29).at(0))
-
-    def test_labels(self):
-        assert receiver_label("oc", 3) == "oc"
-        assert receiver_label("pzf", 3) == "pzf2"
-        assert receiver_label("pzf", 3, pzf_k=1) == "pzf1"
-        assert receiver_label("pzf", 1) == "pzf0"
 
 
 class TestConditionalOutage:
