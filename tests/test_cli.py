@@ -595,8 +595,9 @@ class TestSimulateCommand:
             (["--L", "3", "--receivers", "oc,pzf", "--pzf-k", "1"], ["oc", "pzf1"]),
             # a PZF count is ignored, not checked against L, without PZF
             (["--L", "2", "--receivers", "oc", "--pzf-k", "5"], ["oc"]),
+            (["--L", "1", "--receivers", "pzf"], ["pzf0"]),
         ],
-        ids=["default-pzf", "explicit-pzf", "oc-ignores-pzf-k"],
+        ids=["default-pzf", "explicit-pzf", "oc-ignores-pzf-k", "pzf-at-one-antenna"],
     )
     def test_row_labels(self, tmp_path, argv, labels):
         _, rows = run_main(tmp_path, "simulate", *argv, "--lambda-grid", "1e-3",

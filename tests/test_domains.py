@@ -19,6 +19,7 @@ from ocfield import (
     estimate_outage,
     gamma_from_beta,
 )
+from ocfield.cli import ConfigError, ScenarioConfig
 from ocfield.domains import _pzf_count
 
 from _frozen_field import estimate_outage_conditional
@@ -142,3 +143,26 @@ def test_simulator_caps_the_antenna_count():
     with pytest.raises(ValueError, match=r"^L must be an integer in \[1, 256\], got 257$"):
         fresh_block_sinr(params=params(L=257), size=8, **SIMULATOR)
     assert fresh_block_sinr(params=params(L=256), size=1, **SIMULATOR).shape == (1,)
+
+
+# `simulate` labels each row from its receiver, L and pzf_k (pzf<k> for PZF);
+# the scenario checks all three when built, before any row, and names the
+# field of the value it refuses
+LABELED = dict(receivers=("pzf",), antennas=(3,), pzf_k=None, lambda_grid=(1e-3,))
+LABEL_INPUTS = {("receivers", "receiver"): RECEIVER, ("antennas", "L"): ANTENNAS,
+                ("pzf_k", "pzf_k"): PZF}
+
+
+def test_labeled_scenario_passes():
+    assert ScenarioConfig(**LABELED).receivers == ("pzf",)
+
+
+@pytest.mark.parametrize(
+    "field, name, value",
+    [pytest.param(field, name, value, id=f"{field}={value!r}")
+     for (field, name), values in LABEL_INPUTS.items() for value in values],
+)
+def test_label_input_outside_its_domain_is_named(field, name, value):
+    item = value if field == "pzf_k" else (value,)
+    with pytest.raises(ConfigError, match=rf"^{field}: {name} must be "):
+        ScenarioConfig(**{**LABELED, field: item})
