@@ -7,9 +7,9 @@ throughout is gamma = beta * d_r**alpha.  Every entry point checks its
 arguments against the one table of parameter domains, `domains._DOMAINS`.
 Every outage and throughput rests on one Poisson core, `_poisson_split`,
 which gives P(N < L) and P(N >= L) in one walk.  The CLI's rows and
-`outage_cdf` read it, `_poisson_tail_exponent` inverts it for the CLI's
-default grid ends, and `conditional_outage_cdf` adds the Bernoulli captures
-of a frozen field to it.  Pure Python: nothing here imports numpy, so the
+`outage_cdf` read it, `_count_law_root` inverts it for the CLI's default
+grid ends, and `conditional_outage_cdf` adds the Bernoulli captures of a
+frozen field to it.  Pure Python: nothing here imports numpy, so the
 closed-form commands start without it.
 """
 
@@ -187,13 +187,8 @@ def _poisson_split(x: float, count: int) -> tuple[float, float]:
 
 
 # A Newton step below this relative size ends the root search: the error it
-# leaves is of the order of its square, far inside the band.
+# leaves is of the order of its square, under the count law's own rounding.
 _NEWTON_TOLERANCE = 2.0**-30
-# Half-width of the band, relative to the Newton root, inside which the
-# bisection's probes are evaluated (256 to 512 ulps).  Outside it the count
-# law's rounding error is far below its change, so a probe's side is its side
-# of the root.
-_BAND = 2.0**-44
 
 
 def _count_law_root(L: int, target: float) -> float:
@@ -215,35 +210,6 @@ def _count_law_root(L: int, target: float) -> float:
         if abs(step) <= _NEWTON_TOLERANCE:
             return x
     raise BracketViolation(f"no count-law root in {_MAX_STEPS} steps (L = {L}, target = {target})")
-
-
-def _poisson_tail_exponent(L: int, target_outage: float) -> float:
-    """x with P(Poisson(x) >= L) = target_outage (the grid's 0.01 or 0.99):
-    the double that doubling from 1, then bisecting the tail to adjacent
-    doubles returns.  That search is replayed, but a probe is evaluated only
-    within the band of `_count_law_root`: about 17 sums instead of 60.  A
-    search that ends outside the band raises BracketViolation."""
-    root = _count_law_root(L, target_outage)
-    band = _BAND * root
-
-    def below_target(x: float) -> bool:
-        if abs(x - root) > band:
-            return x < root
-        return _poisson_split(x, L)[1] < target_outage
-
-    lo, hi = 0.0, 1.0
-    while below_target(hi):
-        hi *= 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            if max(abs(lo - root), abs(hi - root)) > band:
-                raise BracketViolation(f"bisection ended outside the band of {root!r} (L = {L})")
-            return mid
-        if below_target(mid):
-            lo = mid
-        else:
-            hi = mid
 
 
 def outage_cdf(params: SystemParams) -> float:

@@ -18,8 +18,8 @@ import sys
 from collections import namedtuple
 
 from .analytic import (
-    BracketViolation, SystemParams, _poisson_mean, _poisson_split, _poisson_tail_exponent,
-    delta_const, gamma_from_beta,
+    BracketViolation, SystemParams, _count_law_root, _poisson_mean, _poisson_split, delta_const,
+    gamma_from_beta,
 )
 from .domains import (
     _MASK64, RECEIVERS, _check_disk, _check_domain, _pzf_count, _Record, _resolve_workers,
@@ -148,7 +148,7 @@ def default_lambda_grid(config: ScenarioConfig) -> tuple[float, ...]:
     noise = config.sigma2 * gamma
 
     def lam_for(L: int, target: float) -> float | None:
-        x = _poisson_tail_exponent(L, target)
+        x = _count_law_root(L, target)
         lam = (x - noise) / area
         return lam if lam > 0.0 else None
 

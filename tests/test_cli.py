@@ -9,10 +9,10 @@ import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from _oracles import poisson_tail_bisection
 from pytest import approx
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import poisson
@@ -20,7 +20,7 @@ from scipy.stats import poisson
 import ocfield.analytic as analytic_module
 import ocfield.cli as cli_module
 from ocfield import SystemParams, contention_optimum, delta_const, outage_cdf
-from ocfield.analytic import _poisson_tail_exponent
+from ocfield.analytic import _count_law_root
 from ocfield.cli import (
     _COMMANDS,
     ANALYTIC_HEADER,
@@ -215,18 +215,23 @@ BENCHMARK_ENDS = [(1, 0.99), (2, 0.99), (4, 0.01), (4, 0.99), (32, 0.01), (128, 
 
 
 class TestGridEndpoints:
-    """Each end of the default grid is the double that bisecting
-    `_poisson_split`'s tail returns, found with a fraction of its evaluations."""
+    """Each end of the default grid is the Newton root of the count law, found
+    in a few of `_poisson_split`'s walks."""
 
     @pytest.mark.parametrize("target", [0.01, 0.99])
-    def test_same_double_as_the_bisection(self, target):
+    def test_root_against_mpmath(self, target):
+        # P(Poisson(x) >= L) is the regularized lower incomplete gamma P(L, x).
+        # The half of the law that is small at the root is checked, within
+        # 1e-12 of its own size: mpmath's series for P(L, x) near 1 does not
+        # converge at L = 10**6.
         for L in [*range(1, 1201), 1500, 2000, 5000, 10**4, 10**5, 10**6]:
-            assert _poisson_tail_exponent(L, target) == poisson_tail_bisection(L, target), L
-
-    def test_pinned_end(self):
-        # a Newton root alone lands a few ulps off here, and the benchmark's
-        # (4, 64, 128) grids use this end
-        assert _poisson_tail_exponent(128, 0.01) == 103.15896909454793
+            x = mpmath.mpf(_count_law_root(L, target))
+            with mpmath.workdps(30):
+                if target < 0.5:
+                    half, goal = mpmath.gammainc(L, 0, x, regularized=True), target
+                else:
+                    half, goal = mpmath.gammainc(L, x, mpmath.inf, regularized=True), 1 - target
+            assert float(abs(half - goal) / goal) <= 1e-12, L
 
     @pytest.mark.parametrize("L, target", BENCHMARK_ENDS)
     def test_evaluations_per_end(self, L, target, monkeypatch):
@@ -238,21 +243,13 @@ class TestGridEndpoints:
             return split(x, count)
 
         monkeypatch.setattr(analytic_module, "_poisson_split", counted)
-        assert _poisson_tail_exponent(L, target) == poisson_tail_bisection(L, target)
-        assert len(points) <= 20  # the bisection alone takes 54-63
+        _count_law_root(L, target)
+        assert len(points) <= 8  # 6 at most on these ends
 
     def test_unconverged_newton_exits_three(self, monkeypatch, capsys):
         monkeypatch.setattr(analytic_module, "_MAX_STEPS", 2)
         assert main(["analytic", "--L", "128"]) == 3
         assert "no count-law root in 2 steps" in capsys.readouterr().err
-
-    def test_root_outside_the_band_exits_three(self, monkeypatch, capsys):
-        root = analytic_module._count_law_root
-        monkeypatch.setattr(
-            analytic_module, "_count_law_root", lambda L, target: root(L, target) * (1.0 + 1e-12)
-        )
-        assert main(["analytic", "--L", "128"]) == 3
-        assert "bisection ended outside the band" in capsys.readouterr().err
 
 
 class TestOneCheckPerRun:
