@@ -342,14 +342,17 @@ def _decibels(value) -> float:
     return db_to_linear(_real(value))
 
 
-def _many(parse):
-    """Parser of a comma-separated flag text, a JSON list or one JSON scalar."""
+def _many(parse, empty: str | None = None):
+    """Parser of a comma-separated flag text, a JSON list or one JSON scalar;
+    given `empty`, a value that lists nothing is a ValueError with that text."""
 
     def parse_many(value) -> tuple:
         if isinstance(value, str):
             value = [tok.strip() for tok in value.split(",") if tok.strip()]
         elif not isinstance(value, list):
             value = [value]
+        if empty and not value:
+            raise ValueError(empty)
         return tuple(parse(item) for item in value)
 
     return parse_many
@@ -374,8 +377,10 @@ _KEYS = {
     "pzf_k": (
         "pzf_k", _integer, "--pzf-k", "PZF cancellation count (default min(ceil(L/2), L-1))"
     ),
+    # an empty grid would read as ScenarioConfig's stand-in for the default grid
     "lambda_grid": (
-        "lambda_grid", _many(_real), "--lambda-grid", "comma-separated densities (overrides min/max)"
+        "lambda_grid", _many(_real, "must list at least one density"), "--lambda-grid",
+        "comma-separated densities (overrides min/max)",
     ),
     "lambda_points": ("lambda_points", _integer, "--lambda-points", "log-grid point count (default 10)"),
     "n_trials": ("n_trials", _integer, "--n-trials", "Monte Carlo trials per row"),

@@ -862,6 +862,15 @@ class TestErrorPaths:
              "receivers must not be empty"),
             (None, ["analytic", "--lambda-min", "1e-2", "--lambda-max", "1e-3", "--L", "1"],
              "need lambda-min < lambda-max"),
+            # an empty grid is not the default grid, nor does it leave a given range
+            (None, ["analytic", "--lambda-grid", ",", "--L", "1"],
+             "--lambda-grid: must list at least one density"),
+            (None, ["analytic", "--lambda-grid=", "--L", "1"],
+             "--lambda-grid: must list at least one density"),
+            ({"lambda_grid": []}, ["analytic", "--L", "1"],
+             "lambda_grid: must list at least one density"),
+            (None, ["analytic", "--L", "1", "--lambda-min", "1e-4", "--lambda-max", "1e-3",
+                    "--lambda-grid", ","], "--lambda-grid: must list at least one density"),
             (None, ["analytic", "--config", os.curdir], f"cannot read config file {os.curdir}:"),
             ([1, 2], ["analytic", "--lambda-grid", "1e-3"], "must hold a flat JSON object"),
             # a UTF-16 byte-order mark, which is not UTF-8
@@ -872,7 +881,8 @@ class TestErrorPaths:
              "receivers-number", "alpha-null", "gamma-overflow-analytic",
              "gamma-overflow-optimize", "gamma-underflow", "L-beyond-default-grid",
              "L-beyond-the-simulator", "disk-beyond-the-simulator", "L-empty", "receivers-empty",
-             "lambda-range-reversed", "config-directory", "config-list", "config-not-utf8"],
+             "lambda-range-reversed", "grid-empty", "grid-blank", "config-grid-empty",
+             "grid-empty-with-range", "config-directory", "config-list", "config-not-utf8"],
     )
     def test_bad_input_exits_two_and_names_it(self, tmp_path, file_data, argv, named, capsys):
         if file_data is not None:
