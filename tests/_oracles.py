@@ -215,4 +215,3 @@ def contention_q_scaled(L, t):
         term *= x / i
         total += term
     return math.exp(-t) * float(total - term * x)
-
