@@ -12,7 +12,7 @@ Dividing by the pmf leaves r(x) = u with
 
 a polynomial in 1/x with positive coefficients: no exponential, so nothing
 to underflow, and strictly decreasing in x.  Hence log r(sigma2*gamma + u)
-- log u has exactly one root u* in [1, L], which one safeguarded Newton
+- log u has exactly one root u* in [1, L], which one safeguarded Halley
 solver finds with or without noise.  In the interference-limited regime
 (sigma2 = 0) u* is g(L), the unique positive root of
 
@@ -28,7 +28,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .analytic import _MAX_STEPS, BracketViolation, _log_pmf, _poisson_window, delta_const
+from .analytic import (
+    _MAX_STEPS, _STEP_TOLERANCE, BracketViolation, _log_pmf, _poisson_window, delta_const,
+)
 from .domains import _check_domain, _Record
 
 __all__ = [
@@ -52,9 +54,10 @@ class ContentionOptimum(_Record, namedtuple("ContentionOptimum", "L g lambda_max
 
 def _log_ratio(L: int, x: float) -> float:
     # log r(x), from the Poisson sum anchored at its largest term m:
-    # r = s * pmf(m; x) / pmf(L-1; x)
+    # r = s * pmf(m; x) / pmf(L-1; x), the log pmfs (near -x when x >> L)
+    # differenced first so that at m = L-1 they cancel exactly
     m, s = _poisson_window(x, L)
-    return math.log(s) + _log_pmf(m, x) - _log_pmf(L - 1, x)
+    return math.log(s) + (_log_pmf(m, x) - _log_pmf(L - 1, x))
 
 
 def _solve(L: int, noise: float) -> tuple[float, float]:
@@ -62,20 +65,24 @@ def _solve(L: int, noise: float) -> tuple[float, float]:
 
     The condition decreases strictly in u, is >= 0 at u = 1 (r >= 1) and
     <= 0 at u = L (r(L) <= L), and at noise = 0 is >= 0 at u = L/2.  Both
-    ends are checked; Newton steps from u = L keep to the bracket the signs
-    maintain and fall back to bisection when they would leave it.
+    ends are checked; Halley steps from u = L keep to the bracket the signs
+    maintain and fall back to bisection when they would leave it.  At
+    noise <= 1 that takes 4 evaluations of the condition, both ends
+    included, for L up to 1000 and 5 from L = 2000 to 10**6.
     """
 
-    def condition(u: float) -> tuple[float, float]:
-        # the condition and its u-derivative, using
+    def condition(u: float) -> tuple[float, float, float]:
+        # the condition and its first two u-derivatives, using
         # d log r / dx = 1 - (L-1)/x - 1/r since d/dx P(Poisson(x) < L) = -pmf(L-1; x)
         x = noise + u
         log_r = _log_ratio(L, x)
-        return log_r - math.log(u), 1.0 - (L - 1) / x - math.exp(-log_r) - 1.0 / u
+        r_inv = math.exp(-log_r)
+        d = 1.0 - (L - 1) / x - r_inv
+        return log_r - math.log(u), d - 1.0 / u, (L - 1) / x / x + d * r_inv + 1.0 / u**2
 
     lo, hi = (0.5 * L if noise == 0.0 else 1.0), float(L)
     f_lo = condition(lo)[0]
-    f, slope = condition(hi)
+    f, slope, curvature = condition(hi)
     if not f_lo >= 0.0 >= f:
         raise BracketViolation(
             f"expected the optimality condition >= 0 at u = {lo} and <= 0 at u = {hi}, "
@@ -93,13 +100,14 @@ def _solve(L: int, noise: float) -> tuple[float, float]:
             raise BracketViolation(
                 f"optimality condition is {f} at u = {u} (L = {L}, noise = {noise})"
             )
-        step = u - f / slope
-        if abs(step - u) <= 4.0 * math.ulp(u):
+        step = u - 2.0 * f * slope / (2.0 * slope * slope - f * curvature)
+        inside = lo < step < hi
+        if inside and abs(step - u) <= _STEP_TOLERANCE * u:
             return step, noise + step
-        u = step if lo < step < hi else 0.5 * (lo + hi)
+        u = step if inside else 0.5 * (lo + hi)
         if hi - lo <= 4.0 * math.ulp(hi):
             return u, noise + u
-        f, slope = condition(u)
+        f, slope, curvature = condition(u)
     raise BracketViolation(f"no convergence in {_MAX_STEPS} steps (L = {L}, noise = {noise})")
 
 

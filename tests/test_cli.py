@@ -215,8 +215,8 @@ BENCHMARK_ENDS = [(1, 0.99), (2, 0.99), (4, 0.01), (4, 0.99), (32, 0.01), (128, 
 
 
 class TestGridEndpoints:
-    """Each end of the default grid is the Newton root of the count law, found
-    in a few of `_poisson_split`'s walks."""
+    """Each end of the default grid is the Halley root of the count law, found
+    in 4 of `_poisson_split`'s walks."""
 
     @pytest.mark.parametrize("target", [0.01, 0.99])
     def test_root_against_mpmath(self, target):
@@ -244,7 +244,7 @@ class TestGridEndpoints:
 
         monkeypatch.setattr(analytic_module, "_poisson_split", counted)
         _count_law_root(L, target)
-        assert len(points) <= 8  # 6 at most on these ends
+        assert len(points) <= 4
 
     def test_unconverged_newton_exits_three(self, monkeypatch, capsys):
         monkeypatch.setattr(analytic_module, "_MAX_STEPS", 2)

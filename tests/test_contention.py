@@ -175,7 +175,9 @@ class TestGridSearchExtension:
 
 class TestNoisyOptimum:
     @pytest.mark.parametrize("L", [1, 2, 3, 8, 64, 256, 1000])
-    @pytest.mark.parametrize("sigma2", [0.0, 1e-7, 2e-6, 1e-5, 1e-4])
+    # sigma2 = 1e-2 and 1e-1 (noise * gamma of about 63 and 631) take the
+    # bisection fallback, where Halley steps leave the bracket
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-7, 2e-6, 1e-5, 1e-4, 1e-2, 1e-1])
     def test_matches_first_order_condition_oracle(self, L, sigma2):
         alpha, gamma = 3.5, 6309.573444801933
         area = delta_const(alpha) * gamma ** (2.0 / alpha)
@@ -185,6 +187,38 @@ class TestNoisyOptimum:
         assert opt.lambda_max == approx(u_ref / area, rel=1e-9)
         assert opt.t_max == approx(t_ref / area, rel=1e-9, abs=0.0)
         assert 0.0 < opt.t_max <= opt.lambda_max
+
+    @pytest.mark.parametrize("L, most", [(2, 4), (8, 4), (64, 4), (640, 4), (2000, 5)])
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-5])
+    def test_evaluations_per_optimum(self, L, most, sigma2, monkeypatch):
+        # both bracket ends and the Halley iterates, each one walk of the Poisson terms
+        log_ratio = contention_module._log_ratio
+        points = []
+
+        def counted(L, x):
+            points.append(x)
+            return log_ratio(L, x)
+
+        monkeypatch.setattr(contention_module, "_log_ratio", counted)
+        contention_optimum(L, 3.5, 6309.573444801933, sigma2)
+        assert len(points) <= most
+
+    @pytest.mark.parametrize("L, sigma2", [(2, 1.0), (64, 1.0), (1000, 1e4)])
+    def test_noise_dominated_root_against_mpmath(self, L, sigma2):
+        # noise * gamma from 6.3e3 to 6.3e7, far above L: the root u* sits just
+        # above 1, where log r(x) is small beside each log pmf it is built from
+        gamma = 6309.573444801933
+        u = contention_optimum(L, 3.5, gamma, sigma2).g
+        with mpmath.workdps(50):
+            noise = mpmath.mpf(sigma2 * gamma)
+
+            def condition(v):
+                x = noise + v
+                ratio = mpmath.fsum(mpmath.rf(L - j, j) / x**j for j in range(L))
+                return mpmath.log(ratio) - mpmath.log(v)
+
+            exact = mpmath.findroot(condition, mpmath.mpf(u))
+            assert float(abs(u - exact) / exact) <= 1e-14
 
     def test_noise_only_lowers_the_load(self):
         clean = g_root(16)
