@@ -13,13 +13,17 @@ microseconds of `outage_cdf`, `contention_optimum` and
 `conditional_outage_cdf` on fixed arguments, of `cli.default_lambda_grid`
 on figure 1's preset and on L = 2,256,512 at sigma2 = 1e-5, and of the
 in-process commands `analytic --L 1,8,64` and `figure 3`, each rewriting a
-CSV that an untimed first run created.  Every number is the median of
-REPEATS runs, since cores and clocks are not pinned.  The file also records
-the CPU count, the Python and numpy versions, the worker count and the time
-of the benchmark's anchor kernel (`ocbench/anchor.py`), which tracks the
-speed of the machine, and the size of the package: `src_lines`, the line
-count of `src/ocfield/*.py` (what `wc -l` totals), and `exports`, the number
-of names in `ocfield.__all__`.  Runs outside the test suite.
+CSV that an untimed first run created.  Per root: the evaluations a root
+solver makes, counted once since they repeat exactly: `_log_ratio` calls
+per `contention_optimum` on the timed arguments, and `_poisson_split`
+calls per `_count_law_root` on figure 1's two grid ends.  Every timing is
+the median of REPEATS runs, since cores and clocks are not pinned.  The
+file also records the CPU count, the Python and numpy versions, the worker
+count and the time of the benchmark's anchor kernel (`ocbench/anchor.py`),
+which tracks the speed of the machine, and the size of the package:
+`src_lines`, the line count of `src/ocfield/*.py` (what `wc -l` totals),
+and `exports`, the number of names in `ocfield.__all__`.  Runs outside the
+test suite.
 """
 
 import argparse
@@ -42,7 +46,9 @@ import anchor  # noqa: E402
 import numpy  # noqa: E402
 
 import ocfield  # noqa: E402
+import ocfield.analytic  # noqa: E402
 import ocfield.cli  # noqa: E402
+import ocfield.contention  # noqa: E402
 from ocfield import (  # noqa: E402
     SystemParams,
     conditional_outage_cdf,
@@ -64,6 +70,7 @@ PROCESSES = {
 
 GAMMA = gamma_from_beta(10 ** 0.3, 10.0, 3.5)  # the CLI's default scenario
 POWERS = [(1.0 + k) ** -1.75 for k in range(100)]  # 100 nodes at radii 1..100, alpha = 3.5
+FIGURE1 = ocfield.cli.figure_preset(1)[1]
 CALLS = {
     **{
         f"outage_cdf L={L}": lambda L=L: outage_cdf(
@@ -85,15 +92,30 @@ CALLS = {
         for L in (1, 8)
     },
     # the configs are built outside the timing
-    "default_lambda_grid figure 1": functools.partial(
-        ocfield.cli.default_lambda_grid, ocfield.cli.figure_preset(1)[1]
-    ),
+    "default_lambda_grid figure 1": functools.partial(ocfield.cli.default_lambda_grid, FIGURE1),
     "default_lambda_grid L=2,256,512 sigma2=1e-05": functools.partial(
         ocfield.cli.default_lambda_grid,
         ocfield.cli.ScenarioConfig(sigma2=1e-5, antennas=(2, 256, 512)),
     ),
 }
 
+# (module, function counted, one root solve): contention optima count their
+# conditions, the count law's roots their walks of the Poisson terms
+ROOTS = {
+    **{
+        name: (ocfield.contention, "_log_ratio", solve)
+        for name, solve in CALLS.items()
+        if name.startswith("contention_optimum")
+    },
+    **{
+        f"_count_law_root figure 1 L={L} target={target:g}": (
+            ocfield.analytic,
+            "_poisson_split",
+            functools.partial(ocfield.analytic._count_law_root, L, target),
+        )
+        for L, target in ((max(FIGURE1.antennas), 0.01), (min(FIGURE1.antennas), 0.99))
+    },
+}
 
 COMMANDS = {
     "cli analytic --L 1,8,64": ["analytic", "--L", "1,8,64"],
@@ -117,6 +139,24 @@ def process_seconds(argv: list[str], env: dict[str, str]) -> float:
     start = time.perf_counter()
     subprocess.run([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, check=True)
     return time.perf_counter() - start
+
+
+def evaluations(module, name: str, solve) -> int:
+    """How many times one run of `solve` calls `module.name`."""
+    counted = getattr(module, name)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return counted(*args)
+
+    setattr(module, name, counting)
+    try:
+        solve()
+    finally:
+        setattr(module, name, counted)
+    return calls
 
 
 def us_per_call(fn) -> float:
@@ -149,6 +189,7 @@ def main() -> int:
         "repeats": REPEATS,
         "process_wall_s": {name: statistics.median(t) for name, t in processes.items()},
         "us_per_call": {name: statistics.median(t) for name, t in calls.items()},
+        "evaluations_per_root": {name: evaluations(*root) for name, root in ROOTS.items()},
         "anchor_s": statistics.median(anchors),
         "src_lines": src_lines(),
         "exports": len(ocfield.__all__),

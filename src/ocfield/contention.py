@@ -67,8 +67,8 @@ def _solve(L: int, noise: float) -> tuple[float, float]:
     <= 0 at u = L (r(L) <= L), and at noise = 0 is >= 0 at u = L/2.  Both
     ends are checked; Halley steps from u = L keep to the bracket the signs
     maintain and fall back to bisection when they would leave it.  At
-    noise <= 1 that takes 4 evaluations of the condition, both ends
-    included, for L up to 1000 and 5 from L = 2000 to 10**6.
+    noise <= 1 that takes at most 4 evaluations of the condition, both ends
+    included, for L up to 1000 and 5 up to L = 10**6.
     """
 
     def condition(u: float) -> tuple[float, float, float]:
