@@ -8,9 +8,10 @@ End to end: the wall time of a fresh interpreter that imports `ocfield.cli`,
 or runs `figure 1 --n-trials 2500`, `analytic --L 1,8,64` (a closed-form
 command that loads neither numpy nor the contention solver), `figure 3` or
 `figure 4` (CSV to /dev/null), beside a bare interpreter start for
-reference.  Per call: the
-microseconds of `outage_cdf`, `contention_optimum` and
-`conditional_outage_cdf` on fixed arguments, of `cli.default_lambda_grid`
+reference.  Per call: the microseconds of `outage_cdf`,
+`contention_optimum` and the tests' frozen-field law
+`conditional_outage_cdf` (`tests/_frozen_field.py`, the reference a
+vectorized law must beat) on fixed arguments, of `cli.default_lambda_grid`
 on figure 1's preset and on L = 2,256,512 at sigma2 = 1e-5, and of the
 in-process commands `analytic --L 1,8,64` and `figure 3`, each rewriting a
 CSV that an untimed first run created.  Per root: the evaluations a root
@@ -22,8 +23,10 @@ file also records the CPU count, the Python and numpy versions, the worker
 count and the time of the benchmark's anchor kernel (`ocbench/anchor.py`),
 which tracks the speed of the machine, and the size of the package:
 `src_lines`, the line count of `src/ocfield/*.py` (what `wc -l` totals),
-and `exports`, the number of names in `ocfield.__all__`.  Runs outside the
-test suite.
+`import_lines`, the line count of the `ocfield` modules that `import
+ocfield.cli` loads in a fresh interpreter (what every command compiles
+before it runs), and `exports`, the number of names in `ocfield.__all__`.
+Runs outside the test suite.
 """
 
 import argparse
@@ -40,7 +43,7 @@ import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "ocbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "ocbench"), str(ROOT / "tests")]
 
 import anchor  # noqa: E402
 import numpy  # noqa: E402
@@ -49,13 +52,8 @@ import ocfield  # noqa: E402
 import ocfield.analytic  # noqa: E402
 import ocfield.cli  # noqa: E402
 import ocfield.contention  # noqa: E402
-from ocfield import (  # noqa: E402
-    SystemParams,
-    conditional_outage_cdf,
-    contention_optimum,
-    gamma_from_beta,
-    outage_cdf,
-)
+from _frozen_field import conditional_outage_cdf  # noqa: E402
+from ocfield import SystemParams, contention_optimum, gamma_from_beta, outage_cdf  # noqa: E402
 
 REPEATS = 7
 
@@ -164,8 +162,24 @@ def us_per_call(fn) -> float:
     return seconds / number * 1e6
 
 
-def src_lines() -> int:
-    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "ocfield").glob("*.py"))
+def line_count(paths) -> int:
+    return sum(Path(path).read_bytes().count(b"\n") for path in paths)
+
+
+# prints the file of each `ocfield` module that importing the CLI loads
+LOADED = """
+import sys, ocfield.cli
+for name, module in sys.modules.items():
+    if name.partition(".")[0] == "ocfield":
+        print(module.__file__)
+"""
+
+
+def import_lines(env: dict[str, str]) -> int:
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED], env=env, capture_output=True, text=True, check=True
+    )
+    return line_count(done.stdout.splitlines())
 
 
 def main() -> int:
@@ -191,7 +205,8 @@ def main() -> int:
         "us_per_call": {name: statistics.median(t) for name, t in calls.items()},
         "evaluations_per_root": {name: evaluations(*root) for name, root in ROOTS.items()},
         "anchor_s": statistics.median(anchors),
-        "src_lines": src_lines(),
+        "src_lines": line_count((ROOT / "src" / "ocfield").glob("*.py")),
+        "import_lines": import_lines(env),
         "exports": len(ocfield.__all__),
         "provenance": {
             "cpu_count": os.cpu_count(),

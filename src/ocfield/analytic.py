@@ -7,10 +7,10 @@ throughout is gamma = beta * d_r**alpha.  Every entry point checks its
 arguments against the one table of parameter domains, `domains._DOMAINS`.
 Every outage and throughput rests on one Poisson core, `_poisson_split`,
 which gives P(N < L) and P(N >= L) in one walk.  The CLI's rows and
-`outage_cdf` read it, `_count_law_root` inverts it for the CLI's default
-grid ends, and `conditional_outage_cdf` adds the Bernoulli captures of a
-frozen field to it.  Pure Python: nothing here imports numpy, so the
-closed-form commands start without it.
+`outage_cdf` read it, and `_count_law_root` inverts it for the CLI's default
+grid ends; the law given one frozen field, which averages to `outage_cdf`, is
+a test reference in `tests/_frozen_field.py`.  Pure Python: nothing here
+imports numpy, so the closed-form commands start without it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .domains import _check_domain, _Record
 
 __all__ = [
     "SystemParams",
-    "conditional_outage_cdf",
     "delta_const",
     "gamma_from_beta",
     "outage_cdf",
@@ -58,7 +57,7 @@ def gamma_from_beta(beta: float, d_r: float, alpha: float) -> float:
         gamma = beta * d_r**alpha
     except OverflowError:
         gamma = math.inf
-    _check_domain(gamma__positive=gamma)
+    _check_domain(gamma=gamma)
     return gamma
 
 
@@ -235,37 +234,3 @@ def _poisson_mean(lam: float, alpha: float, gamma: float, sigma2: float) -> floa
     # the count law's mean lam * Delta * gamma**(2/alpha) + sigma2 * gamma;
     # the CLI's analytic rows share it across antenna counts
     return lam * delta_const(alpha) * gamma ** (2.0 / alpha) + sigma2 * gamma
-
-
-def conditional_outage_cdf(powers, sigma2: float, L: int, gamma: float) -> float:
-    """Fading-only outage of the optimum combiner given interferer powers P_j:
-    P(sum_j Bernoulli(s_j / (1 + s_j)) + Poisson(sigma2 * gamma) >= L) with
-    s_j = P_j * gamma (inf where the product overflows: a sure capture).
-
-    Each interferer independently takes one of the L degrees of freedom with
-    probability s_j / (1 + s_j), and the noise adds a Poisson count.
-    Averaged over a Poisson field, this thinning leaves the interferer count
-    Poisson with mean lam * Delta * gamma**(2/alpha): the closed form of
-    `outage_cdf`.  The captures are counted by a dynamic program truncated
-    at L (the top state collects every count >= L), which costs O(nL) and
-    cannot overflow.
-    """
-    powers = [float(p) for p in powers]
-    _check_domain(powers=powers, sigma2=sigma2, L=L, gamma=gamma)
-    mean = sigma2 * gamma
-    if not powers:
-        return _poisson_split(mean, L)[1]
-    dist = [1.0] + [0.0] * L  # P(capture count = i) for i < L; dist[L] = P(count >= L)
-    for p in powers:
-        s = p * gamma
-        # an odds of inf captures surely; 1/(1+s) keeps its miss exactly 0
-        hit = s / (1.0 + s) if s < math.inf else 1.0
-        stay = 1.0 / (1.0 + s)
-        dist[L] += dist[L - 1] * hit
-        for i in range(L - 1, 0, -1):
-            dist[i] = dist[i] * stay + dist[i - 1] * hit
-        dist[0] *= stay
-    value = dist[L]
-    for i in range(L):  # count i still needs L - i from the Poisson term
-        value += dist[i] * _poisson_split(mean, L - i)[1]
-    return min(1.0, value)

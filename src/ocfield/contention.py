@@ -120,7 +120,7 @@ def contention_optimum(
     throughput is (u*)**2 * pmf(L-1; x*) / (Delta * gamma**(2/alpha)); with
     sigma2 = 0 that is g**(L+1) * exp(-g) / ((L-1)! * Delta * gamma**(2/alpha)).
     """
-    _check_domain(L=L, sigma2=sigma2, gamma__positive=gamma, sigma2__scaled=sigma2 * gamma)
+    _check_domain(L=L, sigma2=sigma2, gamma=gamma, sigma2__scaled=sigma2 * gamma)
     area = delta_const(alpha) * gamma ** (2.0 / alpha)
     u, x = _solve(L, sigma2 * gamma)
     peak = math.exp(2.0 * math.log(u) + _log_pmf(L - 1, x))

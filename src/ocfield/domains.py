@@ -29,10 +29,9 @@ _DOMAINS = {
     "sigma2__scaled": (lambda v: v < math.inf, "finite once scaled by gamma"),
     "d_r": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
     "beta": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    "gamma": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     # the derived threshold beta * d_r**alpha, which the contention optimum
     # and the default density grid divide by
-    "gamma__positive": (lambda v: sys.float_info.min <= v < math.inf, "finite, normal and > 0"),
+    "gamma": (lambda v: sys.float_info.min <= v < math.inf, "finite, normal and > 0"),
     # a threshold or noise level given in dB, converted to linear
     "linear": (lambda v: sys.float_info.min <= v < math.inf, "finite, normal and > 0"),
     # the cap keeps one Poisson window walk under ~2e4 terms whatever the
@@ -52,8 +51,6 @@ _DOMAINS = {
     "p_hat": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "pzf_k": (lambda v: v is None or (type(v) is int and v >= 0), "None or an integer >= 0"),
     "receiver": (RECEIVERS.__contains__, f"one of {RECEIVERS}, not an unknown receiver"),
-    # one received power per interferer
-    "powers": (lambda v: all(0.0 < p < math.inf for p in v), "finite and > 0"),
 }
 
 

@@ -18,7 +18,6 @@ from ocfield import (
     SystemParams,
     TrialStream,
     block_sinr,
-    conditional_outage_cdf,
     contention_optimum,
     delta_const,
     estimate_outage,
@@ -26,7 +25,7 @@ from ocfield import (
     outage_cdf,
 )
 
-from _frozen_field import estimate_outage_conditional
+from _frozen_field import conditional_outage_cdf, estimate_outage_conditional
 from _oracles import contention_q_scaled, delta_quadrature
 
 BETA_3DB = 10.0**0.3

@@ -8,16 +8,11 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy.stats import chi2, poisson
 
-from ocfield import (
-    SystemParams,
-    conditional_outage_cdf,
-    delta_const,
-    gamma_from_beta,
-    outage_cdf,
-)
+from ocfield import SystemParams, delta_const, gamma_from_beta, outage_cdf
 from ocfield.analytic import _poisson_mean, _poisson_split, _stirling_error
 from ocfield.cli import ScenarioConfig, run_analytic
 
+from _frozen_field import conditional_outage_cdf
 from _oracles import delta_quadrature, sir_moment_quadrature, sir_moments
 
 

@@ -1,8 +1,9 @@
 """Every public entry point rejects each argument outside its domain with a
 ValueError that names the parameter: one case per (entry point, parameter,
-value), all checked against the one table in `ocfield.domains`.  The
-frozen-field estimator of the tests, built on the engine's `_map_blocks`, is
-held to the same table."""
+value), all checked against the one table in `ocfield.domains`.  The tests'
+frozen-field law and estimator (`_frozen_field`) are held to the same
+wording: they check sigma2, L and the run's arguments against the table, and
+`powers` and `gamma` (which may be 0 there) themselves."""
 
 import math
 
@@ -13,7 +14,6 @@ from ocfield import (
     SystemParams,
     TrialStream,
     block_sinr,
-    conditional_outage_cdf,
     contention_optimum,
     delta_const,
     estimate_outage,
@@ -22,7 +22,7 @@ from ocfield import (
 from ocfield.cli import ConfigError, ScenarioConfig
 from ocfield.domains import _pzf_count
 
-from _frozen_field import estimate_outage_conditional
+from _frozen_field import conditional_outage_cdf, estimate_outage_conditional
 
 NAN, INF = math.nan, math.inf
 REALS = [NAN, INF, -INF, -1.0]  # outside every real domain

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import ocfield
-from ocfield import conditional_outage_cdf
 from ocfield.analytic import SystemParams
 from ocfield.cli import ConfigError, ScenarioConfig
 from ocfield.contention import ContentionOptimum
 from ocfield.simulate import OutageEstimate
+
+from _frozen_field import conditional_outage_cdf
 
 EXPORTS = [
     "BLOCK",
@@ -25,7 +26,6 @@ EXPORTS = [
     "SystemParams",
     "TrialStream",
     "block_sinr",
-    "conditional_outage_cdf",
     "contention_optimum",
     "delta_const",
     "estimate_outage",
@@ -95,12 +95,14 @@ def test_every_export_is_listed_and_star_importable():
     "SirMomentsEstimate", "estimate_sir_moments", "g_of_l", "lambda_max",
     "outage_interference_limited", "outage_noise_limited", "throughput_density", "throughput_max",
     "array_gain", "estimate_outage_conditional", "sir_mean", "sir_variance", "default_pzf_k",
+    "conditional_outage_cdf",
 ])
 def test_wrappers_of_the_entry_points_are_gone(name):
     # each was outage_cdf, contention_optimum or block_sinr under another
     # signature, or a quantity only tests used: the SIR moments are now a test
-    # reference, the frozen-field estimator a test helper on the block engine,
-    # and the default PZF count is domains._pzf_count(L, None)
+    # reference, the frozen-field law and estimator test helpers on the
+    # Poisson core and the block engine, and the default PZF count is
+    # domains._pzf_count(L, None)
     with pytest.raises(AttributeError):
         getattr(ocfield, name)
 

@@ -12,7 +12,6 @@ from ocfield import (
     SystemParams,
     TrialStream,
     block_sinr,
-    conditional_outage_cdf,
     estimate_outage,
     outage_cdf,
 )
@@ -27,7 +26,7 @@ from ocfield.simulate import (
     _weights,
 )
 
-from _frozen_field import estimate_outage_conditional
+from _frozen_field import conditional_outage_cdf, estimate_outage_conditional
 
 FIG_PARAMS = dict(alpha=3.5, sigma2=1e-5, d_r=10.0, beta=10.0**0.3)
 
