@@ -13,8 +13,14 @@ reference.  Per call: the microseconds of `outage_cdf`,
 `conditional_outage_cdf` (`tests/_frozen_field.py`, the reference a
 vectorized law must beat) on fixed arguments, of `cli.default_lambda_grid`
 on figure 1's preset and on L = 2,256,512 at sigma2 = 1e-5, and of the
-in-process commands `analytic --L 1,8,64` and `figure 3`, each rewriting a
-CSV that an untimed first run created.  Per root: the evaluations a root
+in-process commands `analytic --L 1,8,64`, `figure 3` and `figure 2
+--n-trials 2000` (four receivers on shared blocks), each rewriting a CSV
+that an untimed first run created.  Per block of BLOCK trials: the ZF and
+PZF weights (`simulate._weights`, ranking, gather and projection) at
+L = 8 and `linalg.batch_project_out` on that block's n = 8, k = 7 ZF
+basis.  Per trial: `block_sinr` of each receiver at L = 1, 4 and 8.  The
+blocks are drawn at the roadmap's stage-table point (lambda = 6e-4, sigma2 =
+1e-5, expected_count 100, alpha = 3.5).  Per root: the evaluations a root
 solver makes, counted once since they repeat exactly: `_log_ratio` calls
 per `contention_optimum` on the timed arguments, and `_poisson_split`
 calls per `_count_law_root` on figure 1's two grid ends.  Every timing is
@@ -53,7 +59,12 @@ import ocfield.analytic  # noqa: E402
 import ocfield.cli  # noqa: E402
 import ocfield.contention  # noqa: E402
 from _frozen_field import conditional_outage_cdf  # noqa: E402
-from ocfield import SystemParams, contention_optimum, gamma_from_beta, outage_cdf  # noqa: E402
+from ocfield import (  # noqa: E402
+    BLOCK, SystemParams, TrialStream, block_sinr, contention_optimum, gamma_from_beta, outage_cdf,
+)
+from ocfield.domains import RECEIVERS  # noqa: E402
+from ocfield.linalg import batch_project_out  # noqa: E402
+from ocfield.simulate import _channel_block, _draw_fields, _strongest, _weights  # noqa: E402
 
 REPEATS = 7
 
@@ -118,6 +129,41 @@ ROOTS = {
 COMMANDS = {
     "cli analytic --L 1,8,64": ["analytic", "--L", "1,8,64"],
     "cli figure 3": ["figure", "3"],
+    "cli figure 2 --n-trials 2000": ["figure", "2", "--n-trials", "2000"],
+}
+
+# the roadmap's stage-table point: lambda = 6e-4, sigma2 = 1e-5, expected_count 100
+STAGE = {
+    L: SystemParams(lam=6e-4, alpha=3.5, sigma2=1e-5, d_r=10.0, L=L, beta=10 ** 0.3)
+    for L in (1, 4, 8)
+}
+
+
+def engine_block(params: SystemParams) -> tuple:
+    """(desired, a, padded radii) of one block drawn as the engine draws it."""
+    rng = TrialStream(1).at(0)
+    _, counts, radii = _draw_fields(params.lam, 100, BLOCK, rng)
+    desired, a = _channel_block(counts, radii ** (-0.5 * params.alpha), params.L, rng)
+    padded = numpy.full(a.shape[:2], numpy.inf)
+    padded[numpy.arange(a.shape[1]) < counts[:, None]] = radii
+    return desired, a, padded
+
+
+DESIRED, ROWS, PADDED = engine_block(STAGE[8])
+ZF_BASIS = numpy.take_along_axis(ROWS, _strongest(PADDED, 7)[:, :, None], axis=1)  # 7 nearest rows
+PER_BLOCK = {
+    "_weights zf L=8": functools.partial(_weights, "zf", DESIRED, ROWS, PADDED, None),
+    "_weights pzf L=8": functools.partial(_weights, "pzf", DESIRED, ROWS, PADDED, None),
+    "batch_project_out n=8 k=7": functools.partial(batch_project_out, DESIRED, ZF_BASIS),
+}
+
+# each call draws the next block of its own generator
+PER_TRIAL = {
+    f"block_sinr {receiver} L={L}": functools.partial(
+        block_sinr, params, receiver, TrialStream(1).at(0)
+    )
+    for L, params in STAGE.items()
+    for receiver in RECEIVERS
 }
 
 
@@ -191,7 +237,8 @@ def main() -> int:
     processes = {name: [] for name in PROCESSES}
     anchors = []
     with tempfile.TemporaryDirectory() as tmp:
-        functions = {**CALLS, **command_calls(Path(tmp))}
+        per_call = {**CALLS, **command_calls(Path(tmp))}
+        functions = {**per_call, **PER_BLOCK, **PER_TRIAL}
         calls = {name: [] for name in functions}
         for _ in range(REPEATS):  # interleaved, so drift in machine speed hits every number alike
             anchors.append(anchor.anchor_seconds())
@@ -199,10 +246,13 @@ def main() -> int:
                 processes[name].append(process_seconds(argv, env))
             for name, fn in functions.items():
                 calls[name].append(us_per_call(fn))
+    medians = {name: statistics.median(t) for name, t in calls.items()}
     result = {
         "repeats": REPEATS,
         "process_wall_s": {name: statistics.median(t) for name, t in processes.items()},
-        "us_per_call": {name: statistics.median(t) for name, t in calls.items()},
+        "us_per_call": {name: medians[name] for name in per_call},
+        "us_per_block": {name: medians[name] for name in PER_BLOCK},
+        "us_per_trial": {name: medians[name] / BLOCK for name in PER_TRIAL},
         "evaluations_per_root": {name: evaluations(*root) for name, root in ROOTS.items()},
         "anchor_s": statistics.median(anchors),
         "src_lines": line_count((ROOT / "src" / "ocfield").glob("*.py")),

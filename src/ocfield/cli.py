@@ -187,29 +187,30 @@ def run_simulation(config: ScenarioConfig) -> list[tuple]:
 
     Each `run_analytic` row is a cell; its index derives the cell's seed,
     which every receiver shares, so receivers are compared on identical
-    trials (paired estimates).  A row is the cell's density and antenna
-    count, the receiver's label (pzf<k> for PZF), the optimum-combining
-    closed form of the cell (nan for the other receivers, which have no
-    closed form here), then the `OutageEstimate` fields.
+    trials (paired estimates).  One pass over a cell's blocks serves all its
+    receivers: each block is drawn once and reduced to a failure count per
+    receiver, and every row equals its one-receiver run bit for bit.  A row
+    is the cell's density and antenna count, the receiver's label (pzf<k>
+    for PZF), the optimum-combining closed form of the cell (nan for the
+    other receivers, which have no closed form here), then the
+    `OutageEstimate` fields.
     """
     cells = run_analytic(config)  # resolves the grid, whose errors come first as in `analytic`
     _in_field("antennas", _check_domain, L__simulated=max(config.antennas))
     _in_field("expected_count", _check_disk, max(config.antennas), config.expected_count)
-    from .simulate import estimate_outage  # loads numpy
+    from .simulate import _estimate_outages  # loads numpy
 
     rows = []
     for cell_index, (lam, L, analytic, _) in enumerate(cells):
-        params = config.params_for(lam, L)
-        seed = derive_row_seed(config.master_seed, cell_index)
-        for receiver in config.receivers:
-            estimate = estimate_outage(
-                params,
-                receiver=receiver,
-                n_trials=config.n_trials,
-                master_seed=seed,
-                expected_count=config.expected_count,
-                pzf_k=config.pzf_k,
-            )
+        estimates = _estimate_outages(
+            config.params_for(lam, L),
+            config.receivers,
+            config.n_trials,
+            derive_row_seed(config.master_seed, cell_index),
+            config.expected_count,
+            config.pzf_k,
+        )
+        for receiver, estimate in zip(config.receivers, estimates):
             label = f"pzf{_pzf_count(L, config.pzf_k)}" if receiver == "pzf" else receiver
             rows.append((lam, L, label, analytic if receiver == "oc" else math.nan, *estimate))
     return rows

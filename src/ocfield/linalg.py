@@ -3,8 +3,10 @@
 Hand-rolled, unblocked routines: the matrices here are antenna-sized
 (L <= 256, the simulator's cap), and keeping the numeric core free of LAPACK
 keeps it auditable.  Only the lower triangle of a Hermitian input is ever
-read.  Each routine loops over the n columns and vectorizes over a stack of
-B matrices (one block of Monte Carlo trials); one matrix is a stack of one.
+read.  Each routine loops over the n columns (the projection over its k
+basis vectors) and vectorizes over a stack of B matrices (one block of Monte
+Carlo trials); one matrix is a stack of one.  The projection takes O(k)
+batched calls: each of its passes removes all accepted vectors at once.
 
 Rank deficiency is expected, not exceptional: with zero noise and fewer
 interferers than antennas the covariance is singular, and the quadratic form
@@ -66,12 +68,17 @@ def batch_quadratic_form_inverse(c: np.ndarray, m: np.ndarray) -> np.ndarray:
 def batch_project_out(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Component of each c_b (B, n) orthogonal to the span of basis_b (B, k, n).
 
-    Modified Gram-Schmidt, vectorized over the stack: each basis vector, and
-    then c_b, is orthogonalized twice against the accepted ones (Kahan's
-    "twice is enough", in Parlett, The Symmetric Eigenvalue Problem).  A
-    basis vector is kept when more than 1e-10 of its norm survives (zero
-    rows, such as padding, are never kept).  A row comes back as the zero
-    vector when c_b lies in the span (callers read that as zero SINR).
+    Classical Gram-Schmidt run twice (CGS2), vectorized over the stack: each
+    basis vector, and then c_b, loses its components along all the accepted
+    vectors at once, by two batched products per pass, in two passes.  That
+    keeps the accepted vectors orthonormal to machine precision whenever the
+    basis is numerically nonsingular (L. Giraud, J. Langou and
+    M. Rozloznik, "The loss of orthogonality in the Gram-Schmidt
+    orthogonalization process", Computers & Mathematics with Applications
+    50, 2005).  A basis vector is kept when more than 1e-10 of its norm
+    survives (zero rows, such as padding, are never kept).  A row comes back
+    as the zero vector when c_b lies in the span (callers read that as zero
+    SINR).
     """
     w = np.array(c, dtype=np.complex128)
     vectors = np.asarray(basis, dtype=np.complex128)
@@ -81,9 +88,9 @@ def batch_project_out(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     for j in range(k + 1):
         v = vectors[:, j].copy() if j < k else w  # c last, against the whole basis
         scale = _norms(v)
-        for _ in range(2):
-            for u in ortho[:, :j].swapaxes(0, 1):
-                v -= np.vecdot(u, v)[:, None] * u
+        accepted = ortho[:, :j]
+        for _ in range(2 if j else 0):
+            v -= (np.vecdot(accepted, v[:, None])[:, None] @ accepted)[:, 0]
         size = _norms(v)
         if j == k:
             v[(rank > 0) & (size <= 4.0 * rank * _EPS * scale)] = 0.0

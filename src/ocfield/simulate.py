@@ -6,7 +6,9 @@ interference-plus-noise covariance, and evaluates the normalized SINR
 Z = SINR * d_r**alpha of the chosen receiver; the trial is in outage when
 Z < gamma = beta * d_r**alpha, the threshold of every closed form.  Trials
 run in fixed blocks of BLOCK = 64, and every step inside a block is
-vectorized over its trials (`block_sinr`).  Block b
+vectorized over its trials (`block_sinr`).  One draw of a block serves every
+receiver asked of it, so receivers compared in one call (as `run_simulation`
+compares them) pay once for the fields and channels they share.  Block b
 draws exclusively from its own SFC64 substream, child b of
 SeedSequence(master_seed) (spawn_key (b,)), in this order: the node counts of
 its trials, then their radial uniforms, then their channel normals (desired
@@ -118,16 +120,34 @@ def _weights(
     ZF projects the desired channel orthogonal to the min(n, L-1) strongest
     interferers, PZF to the min(n, k) strongest (k < L, else a ValueError);
     strength is ranked by average received power (position only), ties
-    broken by node index.  A row comes back as the zero vector when the
-    desired channel lies in the cancelled span, and `_combining_ratio` reads
-    that as zero SINR.
+    broken by node index, in k argmin passes (`_strongest`).  A row comes
+    back as the zero vector when the desired channel lies in the cancelled
+    span, and `_combining_ratio` reads that as zero SINR.
     """
     if receiver == "mrc":
         return desired
     L = desired.shape[1]
     k = min(a.shape[1], L - 1 if receiver == "zf" else _pzf_count(L, pzf_k))
-    strongest = np.argsort(radii, axis=1, kind="stable")[:, :k]
+    strongest = _strongest(radii, k)
     return batch_project_out(desired, np.take_along_axis(a, strongest[:, :, None], axis=1))
+
+
+def _strongest(radii: np.ndarray, k: int) -> np.ndarray:
+    """Indices (B, k) of the k smallest radii of each row, nearest first
+    and ties to the lower index, as argsort(radii, kind="stable")[:, :k]
+    gives them, taken by k argmin passes instead of a full sort.
+
+    Padding (+inf) ranks as the largest finite double, so it still comes
+    after every node, by index, while a slot already ranked is set to +inf
+    and never picked again.
+    """
+    left = np.minimum(radii, np.finfo(np.float64).max)
+    rows = np.arange(left.shape[0])
+    strongest = np.empty((left.shape[0], k), dtype=np.intp)
+    for j in range(k):
+        strongest[:, j] = nearest = left.argmin(axis=1)
+        left[rows, nearest] = np.inf
+    return strongest
 
 
 def _oc_ratio(desired: np.ndarray, a: np.ndarray, counts: np.ndarray, sigma2: float) -> np.ndarray:
@@ -191,19 +211,40 @@ def block_sinr(
     |X_k|**-alpha; the noise enters only through the sigma2 I term of the
     covariance (the SINR depends on the noise vector through its covariance
     alone, so it is never sampled).  Capping L at 256 and expected_count * L
-    at 2**18 bounds the block's memory.
+    at 2**18 bounds the block's memory.  The one-receiver case of
+    `_block_sinrs`.
     """
-    _check_domain(receiver=receiver, pzf_k=pzf_k, size=size)
+    return _block_sinrs(params, (receiver,), rng, size, expected_count, pzf_k)[0]
+
+
+def _block_sinrs(
+    params: SystemParams, receivers: tuple[str, ...], rng: np.random.Generator, size: int,
+    expected_count: int, pzf_k: int | None,
+) -> list[np.ndarray]:
+    """`block_sinr` of every receiver in `receivers`, in order, on one draw
+    of the block: each entry equals block_sinr(params, receiver, rng, ...)
+    from the same generator state, bit for bit.  The padded radii that ZF
+    and PZF rank are built once, and only if one of them is asked for.
+    """
+    for receiver in receivers:
+        _check_domain(receiver=receiver)
+    _check_domain(pzf_k=pzf_k, size=size)
     _check_disk(params.L, expected_count)
     _, counts, radii = _draw_fields(params.lam, expected_count, size, rng)
     amplitudes = radii ** (-0.5 * params.alpha)  # square roots of the received powers
     desired, a = _channel_block(counts, amplitudes, params.L, rng)
-    if receiver == "oc":
-        return _oc_ratio(desired, a, counts, params.sigma2)
-    padded_radii = np.full(a.shape[:2], np.inf)
-    padded_radii[np.arange(a.shape[1]) < counts[:, None]] = radii
-    w = _weights(receiver, desired, a, padded_radii, pzf_k)
-    return _combining_ratio(w, desired, a, params.sigma2)
+    padded_radii = None
+    if not {"zf", "pzf"}.isdisjoint(receivers):
+        padded_radii = np.full(a.shape[:2], np.inf)
+        padded_radii[np.arange(a.shape[1]) < counts[:, None]] = radii
+    sinrs = []
+    for receiver in receivers:
+        if receiver == "oc":
+            sinrs.append(_oc_ratio(desired, a, counts, params.sigma2))
+        else:
+            w = _weights(receiver, desired, a, padded_radii, pzf_k)
+            sinrs.append(_combining_ratio(w, desired, a, params.sigma2))
+    return sinrs
 
 
 def _map_blocks(sinr_of_block, reduce, n_trials: int, master_seed: int) -> list:
@@ -245,19 +286,30 @@ def estimate_outage(
 
     Infinite Z counts as success for any finite threshold.  Bit-identical
     for a given master_seed under any worker count: block b depends only on
-    (master_seed, b) and the reduction is a commutative count.
+    (master_seed, b) and the reduction is a commutative count.  The
+    one-receiver case of `_estimate_outages`.
+    """
+    return _estimate_outages(params, (receiver,), n_trials, master_seed, expected_count, pzf_k)[0]
+
+
+def _estimate_outages(
+    params: SystemParams, receivers: tuple[str, ...], n_trials: int, master_seed: int,
+    expected_count: int, pzf_k: int | None,
+) -> list[OutageEstimate]:
+    """`estimate_outage` of every receiver in `receivers`, in order, from
+    one pass over the blocks: each block is drawn once (`_block_sinrs`) and
+    reduced to one failure count per receiver, so every estimate equals its
+    one-receiver call bit for bit.
     """
     gamma = params.gamma
-    failures = _map_blocks(
-        lambda rng, size: block_sinr(params, receiver, rng, size, expected_count, pzf_k),
-        lambda z: int(np.count_nonzero(z < gamma)),
+    blocks = _map_blocks(
+        lambda rng, size: _block_sinrs(params, receivers, rng, size, expected_count, pzf_k),
+        lambda sinrs: [int(np.count_nonzero(z < gamma)) for z in sinrs],
         n_trials,
         master_seed,
     )
-    p = sum(failures) / n_trials
-    return OutageEstimate(
-        p_hat=p,
-        stderr=math.sqrt(p * (1.0 - p) / n_trials),
-        n_trials=n_trials,
-        master_seed=master_seed,
-    )
+    estimates = []
+    for failures in zip(*blocks):  # one tuple of block counts per receiver
+        p = sum(failures) / n_trials
+        estimates.append(OutageEstimate(p, math.sqrt(p * (1.0 - p) / n_trials), n_trials, master_seed))
+    return estimates

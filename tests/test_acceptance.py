@@ -24,6 +24,8 @@ from ocfield import (
     gamma_from_beta,
     outage_cdf,
 )
+from ocfield.domains import RECEIVERS
+from ocfield.simulate import _block_sinrs
 
 from _frozen_field import conditional_outage_cdf, estimate_outage_conditional
 from _oracles import contention_q_scaled, delta_quadrature
@@ -118,10 +120,9 @@ def test_criterion_3_receiver_ordering():
     n_blocks = -(-10_000 // BLOCK)  # at least 10,000 trials
     n = n_blocks * BLOCK
     for b in range(n_blocks):
-        # every receiver redraws block b's fields and channels from its substream
-        best = block_sinr(params, "oc", stream.at(b))
-        for receiver in ("mrc", "zf", "pzf"):
-            value = block_sinr(params, receiver, stream.at(b))
+        # one draw of block b's fields and channels serves every receiver
+        best, *others = _block_sinrs(params, RECEIVERS, stream.at(b), BLOCK, 100, None)
+        for value in others:
             violations += int(np.count_nonzero(value > best * (1.0 + 1e-9)))
     report(3, "per-trial optimality", violations == 0, f"{violations} violations in {n} trials x 3 combiners")
 

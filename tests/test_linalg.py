@@ -232,6 +232,24 @@ class TestBatched:
             expected = project_out_qr(c[b], basis[b])
             assert np.linalg.norm(got[b] - expected) <= 1e-10 * np.linalg.norm(c[b])
 
+    @pytest.mark.parametrize("n,k", [(8, 7), (16, 15)])
+    def test_projection_matches_qr_oracle_under_block_scaling(self, n, k):
+        # a block's rows carry amplitudes r**(-alpha/2) over many decades;
+        # zero rows (padding) and exact duplicates must not count as rank
+        rng = np.random.default_rng(800 + 10 * n + k)
+        for _ in range(20):
+            rows = rng.standard_normal((64, k - 2, n)) + 1j * rng.standard_normal((64, k - 2, n))
+            rows *= 10.0 ** rng.uniform(-150.0, 150.0, (64, k - 2, 1))
+            twin = np.take_along_axis(rows, rng.integers(0, k - 2, (64, 1, 1)), axis=1)
+            basis = np.concatenate([rows, twin, np.zeros((64, 1, n))], axis=1)
+            order = rng.permuted(np.tile(np.arange(k), (64, 1)), axis=1)
+            basis = np.take_along_axis(basis, order[:, :, None], axis=1)
+            c = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
+            got = batch_project_out(c, basis)
+            for b in range(64):
+                expected = project_out_qr(c[b], rows[b])
+                assert np.linalg.norm(got[b] - expected) <= 1e-10 * np.linalg.norm(c[b])
+
     @pytest.mark.parametrize("n,k", [(8, 7), (8, 4), (16, 15)])
     def test_projection_of_a_nearly_contained_vector_is_orthogonal(self, n, k):
         # c within 1e-8 of the span: one pass leaves about eps * |c| of it in

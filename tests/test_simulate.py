@@ -15,14 +15,18 @@ from ocfield import (
     estimate_outage,
     outage_cdf,
 )
-from ocfield.domains import _pzf_count
+import ocfield.simulate as simulate_module
+from ocfield.cli import ScenarioConfig, main, run_simulation
+from ocfield.domains import RECEIVERS, _pzf_count
 from ocfield.simulate import (
+    _block_sinrs,
     _channel_block,
     _combining_ratio,
     _covariance,
     _draw_fields,
     _map_blocks,
     _oc_ratio,
+    _strongest,
     _weights,
 )
 
@@ -286,6 +290,19 @@ class TestCombinerWeights:
         assert_orthogonal(w2[0], h[0, 2])
         assert_orthogonal(w2[0], h[0, 0])
         assert abs(np.vdot(w2[0], h[0, 1])) > 1e-3 * np.linalg.norm(w2[0])  # node 1 is kept
+
+    def test_argmin_ranking_is_the_stable_argsort(self):
+        # radii on a coarse grid tie often; zero counts make empty trials and
+        # every row past a trial's count is +inf padding
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            size = int(rng.integers(1, 9))
+            counts = rng.integers(0, 9, size)
+            counts[rng.random(size) < 0.2] = 0
+            radii = pad(counts, rng.integers(1, 5, int(counts.sum())).astype(float))
+            for k in range(radii.shape[1] + 1):
+                expected = np.argsort(radii, axis=1, kind="stable")[:, :k]
+                assert np.array_equal(_strongest(radii, k), expected), (radii, k)
 
     def test_zf_cancels_at_most_available_nodes(self):
         radii = np.array([[2.0]])
@@ -611,3 +628,53 @@ class TestNearestNeighborIdentity:
         stderr = math.sqrt(p_hat * (1 - p_hat) / n)
         no_noise = SystemParams(lam=lam, alpha=alpha, sigma2=0.0, d_r=1.0, L=L, beta=gamma)
         assert abs(p_hat - outage_cdf(no_noise)) <= 4.0 * stderr
+
+
+def cli_text(capsys, monkeypatch, threads, *argv):
+    monkeypatch.setenv("OC_FIELD_THREADS", threads)
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+class TestSharedBlocks:
+    @pytest.mark.parametrize("sigma2", [1e-5, 0.0])
+    def test_every_receiver_matches_its_own_block(self, sigma2):
+        params = make_params(lam=1.5e-3, L=4, sigma2=sigma2)
+        stream = TrialStream(51)
+        for b in range(3):
+            shared = _block_sinrs(params, RECEIVERS, stream.at(b), BLOCK - b, 100, None)
+            for receiver, z in zip(RECEIVERS, shared):
+                alone = block_sinr(params, receiver, stream.at(b), BLOCK - b)
+                assert np.array_equal(z, alone), (b, receiver)
+
+    def test_a_four_receiver_cell_draws_each_block_once(self, monkeypatch):
+        drawn = []
+
+        def counting(*args):
+            drawn.append(args[2])  # the block's size
+            return _draw_fields(*args)
+
+        monkeypatch.setattr(simulate_module, "_draw_fields", counting)
+        monkeypatch.setenv("OC_FIELD_THREADS", "1")  # blocks drawn in order
+        config = ScenarioConfig(
+            antennas=(3,), receivers=RECEIVERS, lambda_grid=(1.5e-3,), n_trials=150
+        )
+        assert len(run_simulation(config)) == 4
+        assert drawn == [BLOCK, BLOCK, 150 - 2 * BLOCK]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("sigma2", ["0", "1e-5"])
+    def test_shared_call_prints_the_one_receiver_rows(self, capsys, monkeypatch, sigma2, threads):
+        argv = [
+            "simulate", "--L", "1,3,8", "--sigma2", sigma2, "--lambda-grid", "0.0015,0.006",
+            "--n-trials", "150", "--seed", "52",
+        ]
+        shared = cli_text(capsys, monkeypatch, threads, *argv, "--receivers", ",".join(RECEIVERS))
+        alone = [
+            cli_text(capsys, monkeypatch, threads, *argv, "--receivers", receiver).splitlines()
+            for receiver in RECEIVERS
+        ]
+        # the shared call prints each cell's receivers together, in order
+        header, *rows = zip(*alone)
+        assert len(set(header)) == 1 and len(rows) == 6
+        assert shared == "".join(line + "\n" for line in (header[0], *sum(rows, ())))
