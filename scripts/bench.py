@@ -18,12 +18,18 @@ in-process commands `analytic --L 1,8,64`, `figure 3` and `figure 2
 that an untimed first run created.  Per block of BLOCK trials: the ZF and
 PZF weights (`simulate._weights`, ranking, gather and projection) at
 L = 8 and `linalg.batch_project_out` on that block's n = 8, k = 7 ZF
-basis.  Per trial: `block_sinr` of each receiver at L = 1, 4 and 8.  The
-blocks are drawn at the roadmap's stage-table point (lambda = 6e-4, sigma2 =
-1e-5, expected_count 100, alpha = 3.5).  Per root: the evaluations a root
-solver makes, counted once since they repeat exactly: `_log_ratio` calls
-per `contention_optimum` on the timed arguments, and `_poisson_split`
-calls per `_count_law_root` on figure 1's two grid ends.  Every timing is
+basis.  Per trial: `block_sinr` of each receiver at L = 1, 4 and 8, and a
+500-trial OC row (`estimate_outage`, one worker) at L = 1, 2, 3, 4 and 8,
+recorded beside `blocks_per_batch`, the blocks its batches hold
+(`simulate._batch_blocks`).  The blocks are drawn at the roadmap's
+stage-table point (lambda = 6e-4, sigma2 = 1e-5, expected_count 100,
+alpha = 3.5).  The in-process `figure 1 --n-trials 500` (the benchmark's
+`fig1-oc-sweep` call) runs with OC_FIELD_THREADS = 1 and 2, every other
+command with 1.  Per root: the evaluations a root solver makes, counted
+once since they repeat exactly: `_log_ratio` calls per
+`contention_optimum` on the timed arguments (two of them noise-dominated,
+noise * gamma >= L), and `_poisson_split` calls
+per `_count_law_root` on figure 1's two grid ends.  Every timing is
 the median of REPEATS runs, since cores and clocks are not pinned.  The
 file also records the CPU count, the Python and numpy versions, the worker
 count and the time of the benchmark's anchor kernel (`ocbench/anchor.py`),
@@ -60,11 +66,14 @@ import ocfield.cli  # noqa: E402
 import ocfield.contention  # noqa: E402
 from _frozen_field import conditional_outage_cdf  # noqa: E402
 from ocfield import (  # noqa: E402
-    BLOCK, SystemParams, TrialStream, block_sinr, contention_optimum, gamma_from_beta, outage_cdf,
+    BLOCK, SystemParams, TrialStream, block_sinr, contention_optimum, estimate_outage,
+    gamma_from_beta, outage_cdf,
 )
 from ocfield.domains import RECEIVERS  # noqa: E402
 from ocfield.linalg import batch_project_out  # noqa: E402
-from ocfield.simulate import _channel_block, _draw_fields, _strongest, _weights  # noqa: E402
+from ocfield.simulate import (  # noqa: E402
+    _batch_blocks, _channel_block, _draw_fields, _strongest, _weights,
+)
 
 REPEATS = 7
 
@@ -93,6 +102,13 @@ CALLS = {
         )
         for L in (1, 8, 64)
         for sigma2 in (0.0, 1e-5)
+    },
+    # noise * gamma >= L, where the solver starts from its fixed point
+    **{
+        f"contention_optimum L={L} noise={noise:g}": lambda L=L, noise=noise: (
+            contention_optimum(L, 3.5, GAMMA, noise / GAMMA)
+        )
+        for L, noise in ((1000, 6.3e9), (10**4, 1e300))
     },
     **{
         f"conditional_outage_cdf L={L} nodes=100": lambda L=L: conditional_outage_cdf(
@@ -126,24 +142,32 @@ ROOTS = {
     },
 }
 
+# name -> (argv, OC_FIELD_THREADS)
 COMMANDS = {
-    "cli analytic --L 1,8,64": ["analytic", "--L", "1,8,64"],
-    "cli figure 3": ["figure", "3"],
-    "cli figure 2 --n-trials 2000": ["figure", "2", "--n-trials", "2000"],
+    "cli analytic --L 1,8,64": (["analytic", "--L", "1,8,64"], "1"),
+    "cli figure 3": (["figure", "3"], "1"),
+    "cli figure 2 --n-trials 2000": (["figure", "2", "--n-trials", "2000"], "1"),
+    **{
+        f"cli figure 1 --n-trials 500 workers={workers}": (
+            ["figure", "1", "--n-trials", "500"], workers
+        )
+        for workers in ("1", "2")
+    },
 }
 
 # the roadmap's stage-table point: lambda = 6e-4, sigma2 = 1e-5, expected_count 100
 STAGE = {
     L: SystemParams(lam=6e-4, alpha=3.5, sigma2=1e-5, d_r=10.0, L=L, beta=10 ** 0.3)
-    for L in (1, 4, 8)
+    for L in (1, 2, 3, 4, 8)
 }
+ROW_TRIALS = 500
 
 
 def engine_block(params: SystemParams) -> tuple:
     """(desired, a, padded radii) of one block drawn as the engine draws it."""
-    rng = TrialStream(1).at(0)
-    _, counts, radii = _draw_fields(params.lam, 100, BLOCK, rng)
-    desired, a = _channel_block(counts, radii ** (-0.5 * params.alpha), params.L, rng)
+    block = [(TrialStream(1).at(0), BLOCK)]
+    _, counts, radii = _draw_fields(params.lam, 100, block)
+    desired, a = _channel_block(counts, radii ** (-0.5 * params.alpha), params.L, block)
     padded = numpy.full(a.shape[:2], numpy.inf)
     padded[numpy.arange(a.shape[1]) < counts[:, None]] = radii
     return desired, a, padded
@@ -163,17 +187,38 @@ PER_TRIAL = {
         block_sinr, params, receiver, TrialStream(1).at(0)
     )
     for L, params in STAGE.items()
+    if L in (1, 4, 8)
     for receiver in RECEIVERS
+}
+PER_ROW = {
+    f"estimate_outage oc L={L} n={ROW_TRIALS}": functools.partial(
+        estimate_outage, params, "oc", ROW_TRIALS, 1
+    )
+    for L, params in STAGE.items()
 }
 
 
+def with_workers(workers: str, fn):
+    """fn() run with OC_FIELD_THREADS = workers, which is then restored."""
+    saved = os.environ.get("OC_FIELD_THREADS")
+    os.environ["OC_FIELD_THREADS"] = workers
+    try:
+        return fn()
+    finally:
+        if saved is None:
+            del os.environ["OC_FIELD_THREADS"]
+        else:
+            os.environ["OC_FIELD_THREADS"] = saved
+
+
 def command_calls(directory: Path) -> dict:
-    """`COMMANDS` run in process, each rewriting its own CSV in `directory`;
-    the first, untimed run creates the file."""
+    """`COMMANDS` run in process with their worker counts, each rewriting its
+    own CSV in `directory`; the first, untimed run creates the file."""
     calls = {}
-    for name, argv in COMMANDS.items():
+    for name, (argv, workers) in COMMANDS.items():
         out = str(directory / f"{len(calls)}.csv")
-        calls[name] = lambda argv=[*argv, "--out", out]: ocfield.cli.main(argv)
+        main = functools.partial(ocfield.cli.main, [*argv, "--out", out])
+        calls[name] = functools.partial(with_workers, workers, main)
         if calls[name]() != 0:
             raise RuntimeError(f"{name} failed")
     return calls
@@ -238,7 +283,12 @@ def main() -> int:
     anchors = []
     with tempfile.TemporaryDirectory() as tmp:
         per_call = {**CALLS, **command_calls(Path(tmp))}
-        functions = {**per_call, **PER_BLOCK, **PER_TRIAL}
+        functions = {
+            **per_call,
+            **PER_BLOCK,
+            **PER_TRIAL,
+            **{name: functools.partial(with_workers, "1", fn) for name, fn in PER_ROW.items()},
+        }
         calls = {name: [] for name in functions}
         for _ in range(REPEATS):  # interleaved, so drift in machine speed hits every number alike
             anchors.append(anchor.anchor_seconds())
@@ -252,7 +302,11 @@ def main() -> int:
         "process_wall_s": {name: statistics.median(t) for name, t in processes.items()},
         "us_per_call": {name: medians[name] for name in per_call},
         "us_per_block": {name: medians[name] for name in PER_BLOCK},
-        "us_per_trial": {name: medians[name] / BLOCK for name in PER_TRIAL},
+        "us_per_trial": {
+            **{name: medians[name] / BLOCK for name in PER_TRIAL},
+            **{name: medians[name] / ROW_TRIALS for name in PER_ROW},
+        },
+        "blocks_per_batch": {f"L={L}": _batch_blocks(L, 100) for L in STAGE},
         "evaluations_per_root": {name: evaluations(*root) for name, root in ROOTS.items()},
         "anchor_s": statistics.median(anchors),
         "src_lines": line_count((ROOT / "src" / "ocfield").glob("*.py")),

@@ -68,7 +68,11 @@ def _solve(L: int, noise: float) -> tuple[float, float]:
     ends are checked; Halley steps from u = L keep to the bracket the signs
     maintain and fall back to bisection when they would leave it.  At
     noise <= 1 that takes at most 4 evaluations of the condition, both ends
-    included, for L up to 1000 and 5 up to L = 10**6.
+    included, for L up to 1000 and 5 up to L = 10**6.  When noise >= L the
+    condition is nearly flat and r nearly constant, so Halley starts instead
+    from one fixed-point step u = r(noise + 1), taken from the value at the
+    low end, when that lies inside the bracket: 2 or 3 evaluations where
+    bisection from u = L took up to 72.
     """
 
     def condition(u: float) -> tuple[float, float, float]:
@@ -89,6 +93,13 @@ def _solve(L: int, noise: float) -> tuple[float, float]:
             f"got {f_lo} and {f} (L = {L}, noise = {noise})"
         )
     u = hi
+    if noise >= L:
+        if f_lo == 0.0:
+            return lo, noise + lo
+        start = lo * math.exp(f_lo)  # r(noise + lo), as f_lo = log r(noise + lo) - log lo
+        if lo < start < hi:
+            u = start
+            f, slope, curvature = condition(u)
     for _ in range(_MAX_STEPS):
         if f > 0.0:
             lo = u

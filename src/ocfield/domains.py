@@ -96,7 +96,9 @@ def _pzf_count(L: int, pzf_k: int | None) -> int:
 def _check_disk(L: int, expected_count: int) -> None:
     """Refuse a simulated block too large for memory: its 64 trials' channel
     rows take about 1 KiB * expected_count * L, capped at 2**18 KiB (268 MB,
-    the budget of the antenna cap)."""
+    the budget of the antenna cap).  The simulator batches blocks only while
+    a batch's rows fit in 800 KiB (a block at L = 8 and expected_count 100),
+    so a block near this cap always runs alone."""
     _check_domain(L__simulated=L, expected_count=expected_count)
     if expected_count * L > 2**18:
         raise ValueError(f"expected_count must be <= {2**18 // L} at L = {L}, got {expected_count}")

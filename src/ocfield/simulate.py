@@ -1,21 +1,30 @@
-"""Monte Carlo simulator of the physical link model: one block engine and the
+"""Monte Carlo simulator of the physical link model: one batch engine and the
 outage estimator built on it.
 
 Each trial draws a fresh Poisson field and fresh Rayleigh channels, builds the
 interference-plus-noise covariance, and evaluates the normalized SINR
 Z = SINR * d_r**alpha of the chosen receiver; the trial is in outage when
-Z < gamma = beta * d_r**alpha, the threshold of every closed form.  Trials
-run in fixed blocks of BLOCK = 64, and every step inside a block is
-vectorized over its trials (`block_sinr`).  One draw of a block serves every
-receiver asked of it, so receivers compared in one call (as `run_simulation`
-compares them) pay once for the fields and channels they share.  Block b
+Z < gamma = beta * d_r**alpha, the threshold of every closed form.
+
+The block of BLOCK = 64 trials is the unit of the random stream: block b
 draws exclusively from its own SFC64 substream, child b of
 SeedSequence(master_seed) (spawn_key (b,)), in this order: the node counts of
 its trials, then their radial uniforms, then their channel normals (desired
 vectors first).  No azimuths are drawn: received powers depend on |X_k|
-alone and fading is i.i.d. per node, so no receiver reads them.  Worker spans
-fall on block boundaries and reductions are order-independent, so results are
-bit-identical for any worker count (OC_FIELD_THREADS) and any scheduling.
+alone and fading is i.i.d. per node, so no receiver reads them.
+
+The batch of G consecutive blocks is the unit of computation: each block
+draws into its own slice of the batch's arrays, and every later step runs
+once per batch, vectorized over its trials (`_block_sinrs`).  G comes from a
+fixed memory budget, not a knob: G = max(1, 51,200 // (BLOCK * L *
+max(expected_count, 4L))), so no batch holds more channel rows than one
+block at L = 8 and expected_count 100 (at expected_count 100, G = 8, 4, 2, 2
+and 1 at L = 1, 2, 3, 4 and 8; `_batch_blocks`).  One draw of a
+batch serves every receiver asked of it, so receivers compared in one call
+(as `run_simulation` compares them) pay once for the fields and channels
+they share.  Batch k is blocks [kG, (k+1)G) by index, the workers
+(OC_FIELD_THREADS) take whole batches and reductions are order-independent,
+so results are bit-identical for any worker count and any scheduling.
 """
 
 from __future__ import annotations
@@ -39,6 +48,11 @@ __all__ = [
 ]
 
 BLOCK = 64  # trials per block, and per substream
+# the channel rows one batch may hold: those of a block at L = 8 and
+# expected_count 100 (800 KiB)
+_BATCH_ROWS = 51_200
+# a batch: the (generator, trial count) pair of each of its blocks, in order
+_Batch = list[tuple[np.random.Generator, int]]
 
 
 class TrialStream:
@@ -65,10 +79,22 @@ class OutageEstimate(_Record, namedtuple("OutageEstimate", "p_hat stderr n_trial
     __slots__ = ()
 
 
+def _batch_blocks(L: int, expected_count: int) -> int:
+    """G, the blocks of one batch: as many as `_BATCH_ROWS` rows of L
+    entries hold, and at least one.  A trial holds expected_count channel
+    rows on average, and its (2L, 2L) Gram, covariance and factor take about
+    4L rows more, so it is charged max(expected_count, 4L) rows: where L is
+    large beside expected_count a batch then stays a block, as the antenna
+    cap's memory bound assumes."""
+    return max(1, _BATCH_ROWS // (BLOCK * L * max(expected_count, 4 * L)))
+
+
 def _draw_fields(
-    lam: float, expected_count: int, size: int, rng: np.random.Generator
+    lam: float, expected_count: int, blocks: _Batch
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(disk_radius, counts, radii) for `size` fields drawn in one go.
+    """(disk_radius, counts, radii) for the fields of the batch `blocks`:
+    each block draws its node counts, then its radial uniforms, into its
+    own slice of the batch's arrays.
 
     The disk holds expected_count nodes on average: disk_radius =
     sqrt(expected_count / (lam * pi)).  counts are Poisson(expected_count);
@@ -76,9 +102,17 @@ def _draw_fields(
     disk via r = disk_radius * sqrt(u).
     """
     _check_domain(lam__positive=lam, expected_count=expected_count)
-    counts = rng.poisson(expected_count, size)
+    per_block = [rng.poisson(expected_count, size) for rng, size in blocks]
+    counts = np.concatenate(per_block)
+    radii = np.empty(int(counts.sum()))
+    end = 0
+    for (rng, _), block_counts in zip(blocks, per_block):
+        start, end = end, end + int(block_counts.sum())
+        rng.random(out=radii[start:end])
     radius = math.sqrt(expected_count / (lam * math.pi))
-    return radius, counts, radius * np.sqrt(rng.random(int(counts.sum())))
+    np.sqrt(radii, out=radii)
+    radii *= radius
+    return radius, counts, radii
 
 
 def _covariance(a: np.ndarray, sigma2: float) -> np.ndarray:
@@ -166,26 +200,33 @@ def _oc_ratio(desired: np.ndarray, a: np.ndarray, counts: np.ndarray, sigma2: fl
 
 
 def _channel_block(
-    counts: np.ndarray, amplitudes: np.ndarray, L: int, rng: np.random.Generator
+    counts: np.ndarray, amplitudes: np.ndarray, L: int, blocks: _Batch
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(desired, a) for one block of trials with `counts` nodes each.
+    """(desired, a) for the trials of the batch `blocks`, with `counts` nodes
+    each.
 
     desired is (B, L) CN(0,1): real and imaginary parts carry variance 1/2,
     so |entry|^2 is a unit-mean exponential (Rayleigh power).  a is
     (B, N_max, L): the CN(0,1) channel rows of each trial, weighted by their
     node amplitudes (square roots of the received powers), then zero rows as
-    padding.  The rows are drawn straight into the head of a's buffer,
+    padding.  Each block draws its desired vectors, then its rows, into its
+    own slices; the rows go straight into the head of a's buffer, are
     weighted there and spread out trial by trial, last trial first, so the
-    block holds one copy of them.
+    batch holds one copy of them.
     """
     size = counts.shape[0]
-    desired = rng.standard_normal((size, 2 * L)).view(np.complex128)
-    desired *= math.sqrt(0.5)
+    desired = np.empty((size, 2 * L))
     a = np.empty((size, int(counts.max(initial=0)), 2 * L))
     flat = a.reshape(-1, 2 * L)
-    end = amplitudes.shape[0]
+    first = end = 0
+    for rng, n in blocks:
+        start, end = end, end + int(counts[first : first + n].sum())
+        rng.standard_normal(out=desired[first : first + n])
+        rng.standard_normal(out=flat[start:end])
+        first += n
+    desired = desired.view(np.complex128)
+    desired *= math.sqrt(0.5)
     drawn = flat[:end]
-    rng.standard_normal(out=drawn)
     drawn *= math.sqrt(0.5)
     drawn *= amplitudes[:, None]
     for b, n in reversed(list(enumerate(counts.tolist()))):
@@ -214,25 +255,29 @@ def block_sinr(
     at 2**18 bounds the block's memory.  The one-receiver case of
     `_block_sinrs`.
     """
-    return _block_sinrs(params, (receiver,), rng, size, expected_count, pzf_k)[0]
+    return _block_sinrs(params, (receiver,), [(rng, size)], expected_count, pzf_k)[0]
 
 
 def _block_sinrs(
-    params: SystemParams, receivers: tuple[str, ...], rng: np.random.Generator, size: int,
-    expected_count: int, pzf_k: int | None,
+    params: SystemParams, receivers: tuple[str, ...], blocks: _Batch, expected_count: int,
+    pzf_k: int | None,
 ) -> list[np.ndarray]:
     """`block_sinr` of every receiver in `receivers`, in order, on one draw
-    of the block: each entry equals block_sinr(params, receiver, rng, ...)
-    from the same generator state, bit for bit.  The padded radii that ZF
-    and PZF rank are built once, and only if one of them is asked for.
+    of the batch `blocks`: each entry is the blocks' `block_sinr` values,
+    trials in order.  OC's equal them bit for bit; the combiners' sums over
+    a batch's longer padding may differ from a lone block's in the last
+    bit.  The padded radii that ZF and PZF rank are built once, and only if
+    one of them is asked for.
     """
     for receiver in receivers:
         _check_domain(receiver=receiver)
-    _check_domain(pzf_k=pzf_k, size=size)
+    _check_domain(pzf_k=pzf_k)
+    for _, size in blocks:
+        _check_domain(size=size)
     _check_disk(params.L, expected_count)
-    _, counts, radii = _draw_fields(params.lam, expected_count, size, rng)
+    _, counts, radii = _draw_fields(params.lam, expected_count, blocks)
     amplitudes = radii ** (-0.5 * params.alpha)  # square roots of the received powers
-    desired, a = _channel_block(counts, amplitudes, params.L, rng)
+    desired, a = _channel_block(counts, amplitudes, params.L, blocks)
     padded_radii = None
     if not {"zf", "pzf"}.isdisjoint(receivers):
         padded_radii = np.full(a.shape[:2], np.inf)
@@ -247,25 +292,31 @@ def _block_sinrs(
     return sinrs
 
 
-def _map_blocks(sinr_of_block, reduce, n_trials: int, master_seed: int) -> list:
-    """reduce(sinr_of_block(rng, size)) for every block of trials, in block order.
+def _map_blocks(sinr_of_batch, reduce, n_trials: int, master_seed: int, group: int) -> list:
+    """reduce(sinr_of_batch(blocks)) for every batch (`_Batch`) of `group`
+    blocks, in batch order.
 
     Block b covers trials [b * BLOCK, min((b + 1) * BLOCK, n_trials)) and
-    draws from substream (master_seed, b); the workers (OC_FIELD_THREADS)
-    take contiguous runs of whole blocks, so the result does not depend on
-    the worker count.
+    draws from substream (master_seed, b); batch k is blocks [k * group,
+    (k + 1) * group) by index, and the workers (OC_FIELD_THREADS) take
+    contiguous runs of whole batches, so the result does not depend on the
+    worker count.
     """
     _check_domain(n_trials=n_trials)
     stream = TrialStream(master_seed)
     n_blocks = -(-n_trials // BLOCK)
-    parts = min(_resolve_workers(), n_blocks)
-    bounds = [n_blocks * i // parts for i in range(parts + 1)]
+    n_batches = -(-n_blocks // group)
+    parts = min(_resolve_workers(), n_batches)
+    bounds = [n_batches * i // parts for i in range(parts + 1)]
+
+    def batch(k: int) -> _Batch:
+        return [
+            (stream.at(b), min(BLOCK, n_trials - b * BLOCK))
+            for b in range(k * group, min((k + 1) * group, n_blocks))
+        ]
 
     def run(part: int) -> list:
-        return [
-            reduce(sinr_of_block(stream.at(b), min(BLOCK, n_trials - b * BLOCK)))
-            for b in range(bounds[part], bounds[part + 1])
-        ]
+        return [reduce(sinr_of_batch(batch(k))) for k in range(bounds[part], bounds[part + 1])]
 
     if parts == 1:
         return run(0)
@@ -286,7 +337,8 @@ def estimate_outage(
 
     Infinite Z counts as success for any finite threshold.  Bit-identical
     for a given master_seed under any worker count: block b depends only on
-    (master_seed, b) and the reduction is a commutative count.  The
+    (master_seed, b), batches are fixed by block index and the reduction is
+    a commutative count.  The
     one-receiver case of `_estimate_outages`.
     """
     return _estimate_outages(params, (receiver,), n_trials, master_seed, expected_count, pzf_k)[0]
@@ -297,19 +349,20 @@ def _estimate_outages(
     expected_count: int, pzf_k: int | None,
 ) -> list[OutageEstimate]:
     """`estimate_outage` of every receiver in `receivers`, in order, from
-    one pass over the blocks: each block is drawn once (`_block_sinrs`) and
+    one pass over the batches: each batch is drawn once (`_block_sinrs`) and
     reduced to one failure count per receiver, so every estimate equals its
     one-receiver call bit for bit.
     """
     gamma = params.gamma
-    blocks = _map_blocks(
-        lambda rng, size: _block_sinrs(params, receivers, rng, size, expected_count, pzf_k),
+    batches = _map_blocks(
+        lambda blocks: _block_sinrs(params, receivers, blocks, expected_count, pzf_k),
         lambda sinrs: [int(np.count_nonzero(z < gamma)) for z in sinrs],
         n_trials,
         master_seed,
+        _batch_blocks(params.L, expected_count),
     )
     estimates = []
-    for failures in zip(*blocks):  # one tuple of block counts per receiver
+    for failures in zip(*batches):  # one tuple of batch counts per receiver
         p = sum(failures) / n_trials
         estimates.append(OutageEstimate(p, math.sqrt(p * (1.0 - p) / n_trials), n_trials, master_seed))
     return estimates

@@ -5,9 +5,10 @@ fading-only Monte Carlo.
 Poisson field is the package's closed form `outage_cdf`; no command runs it,
 so it lives here, on the package's Poisson core `_poisson_split`.  Unlike
 `_oracles`, the estimator is built from the production engine's stages:
-`_map_blocks` runs the blocks on their substreams, `_channel_block` draws the
-channels and `_oc_ratio` solves each trial.  Only the field is held fixed, so
-the estimate targets exactly what `conditional_outage_cdf` computes.
+`_map_blocks` runs the batches of blocks on their substreams,
+`_channel_block` draws the channels and `_oc_ratio` solves each trial.  Only
+the field is held fixed, so the estimate targets exactly what
+`conditional_outage_cdf` computes.
 
 Both check sigma2 and L against the package's domain table, and `powers`
 and `gamma` (which may be 0 here, unlike the package's) themselves, in the
@@ -21,7 +22,7 @@ import numpy as np
 from ocfield import OutageEstimate
 from ocfield.analytic import _poisson_split
 from ocfield.domains import _check_domain
-from ocfield.simulate import _channel_block, _map_blocks, _oc_ratio
+from ocfield.simulate import _batch_blocks, _channel_block, _map_blocks, _oc_ratio
 
 
 def _check_frozen(powers, sigma2, L, gamma):
@@ -74,13 +75,15 @@ def estimate_outage_conditional(powers, sigma2, L, gamma, n_trials=10_000, maste
     _check_frozen(powers, sigma2, L, gamma)
     amplitudes = np.sqrt(np.asarray(powers, dtype=np.float64))
 
-    def sinr_of_block(rng, size):
+    def sinr_of_batch(blocks):
+        size = sum(n for _, n in blocks)
         counts = np.full(size, amplitudes.shape[0])
-        desired, a = _channel_block(counts, np.tile(amplitudes, size), L, rng)
+        desired, a = _channel_block(counts, np.tile(amplitudes, size), L, blocks)
         return _oc_ratio(desired, a, counts, sigma2)
 
+    group = _batch_blocks(L, max(1, amplitudes.shape[0]))  # the field's nodes, as expected_count
     failures = _map_blocks(
-        sinr_of_block, lambda s: int(np.count_nonzero(s < gamma)), n_trials, master_seed
+        sinr_of_batch, lambda s: int(np.count_nonzero(s < gamma)), n_trials, master_seed, group
     )
     p = sum(failures) / n_trials
     return OutageEstimate(p, math.sqrt(p * (1.0 - p) / n_trials), n_trials, master_seed)

@@ -121,7 +121,7 @@ def test_criterion_3_receiver_ordering():
     n = n_blocks * BLOCK
     for b in range(n_blocks):
         # one draw of block b's fields and channels serves every receiver
-        best, *others = _block_sinrs(params, RECEIVERS, stream.at(b), BLOCK, 100, None)
+        best, *others = _block_sinrs(params, RECEIVERS, [(stream.at(b), BLOCK)], 100, None)
         for value in others:
             violations += int(np.count_nonzero(value > best * (1.0 + 1e-9)))
     report(3, "per-trial optimality", violations == 0, f"{violations} violations in {n} trials x 3 combiners")

@@ -203,7 +203,27 @@ class TestNoisyOptimum:
         contention_optimum(L, 3.5, 6309.573444801933, sigma2)
         assert len(points) <= most
 
-    @pytest.mark.parametrize("L, sigma2", [(2, 1.0), (64, 1.0), (1000, 1e4)])
+    @pytest.mark.parametrize("L, noise, most", [
+        (2, 6.3e3, 3), (8, 46.0, 4), (64, 6.3e3, 3), (1000, 6.3e9, 3), (10**4, 1e300, 3),
+        (10**6, 1e8, 3),
+    ])
+    def test_evaluations_per_noise_dominated_optimum(self, L, noise, most, monkeypatch):
+        # noise * gamma >= L: the condition is nearly flat, and one fixed-point
+        # step from the low end starts Halley beside the root, where bisection
+        # from u = L took 7 to 72 evaluations
+        log_ratio = contention_module._log_ratio
+        points = []
+
+        def counted(L, x):
+            points.append(x)
+            return log_ratio(L, x)
+
+        monkeypatch.setattr(contention_module, "_log_ratio", counted)
+        gamma = 6309.573444801933
+        contention_optimum(L, 3.5, gamma, noise / gamma)
+        assert len(points) <= most
+
+    @pytest.mark.parametrize("L, sigma2", [(2, 1.0), (8, 7.3e-3), (64, 1.0), (1000, 1e4)])
     def test_noise_dominated_root_against_mpmath(self, L, sigma2):
         # noise * gamma from 6.3e3 to 6.3e7, far above L: the root u* sits just
         # above 1, where log r(x) is small beside each log pmf it is built from

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from ocfield import BLOCK, TrialStream
+from ocfield.cli import ScenarioConfig, default_lambda_grid
 from ocfield.linalg import batch_project_out, batch_quadratic_form_inverse
+from ocfield.simulate import _channel_block, _covariance, _draw_fields
 
 from _oracles import project_out_qr, quadratic_form_pseudo_inverse_oracle
 
@@ -264,6 +267,38 @@ class TestBatched:
             q, _ = np.linalg.qr(basis[b].T)
             assert np.linalg.norm(w[b]) > 0.0
             assert np.linalg.norm(q.conj().T @ w[b]) <= 1e-13 * np.linalg.norm(w[b])
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("alpha", [
+        3.5,
+        pytest.param(12.0, marks=pytest.mark.xfail(
+            strict=True,
+            raises=AssertionError,
+            reason="ROADMAP item 1: the pseudo-inverse branch's residual test carries "
+            "the units of the matrix",
+        )),
+    ])
+    def test_power_of_two_scale_is_bitwise_exact(self, alpha):
+        # scaling R by an even power of two scales every pivot, square root
+        # and substitution exactly, so c^H (2^j R)^{-1} c * 2^j must equal
+        # c^H R^{-1} c bit for bit; the blocks are the engine's at the top of
+        # the default grid with sigma2 = 0 and L = 4 (6,400 trials), and
+        # 2^-200 * R stays clear of the subnormal range
+        config = ScenarioConfig(alpha=alpha, sigma2=0.0, antennas=(4,), lambda_points=3)
+        lam = default_lambda_grid(config)[-1]
+        stream = TrialStream(12)
+        mismatches = dict.fromkeys((-200, -60, -20, 20, 60, 200), 0)
+        for b in range(100):
+            block = [(stream.at(b), BLOCK)]
+            _, counts, radii = _draw_fields(lam, 100, block)
+            desired, a = _channel_block(counts, radii ** (-0.5 * alpha), 4, block)
+            cov = _covariance(a, 0.0)
+            base = batch_quadratic_form_inverse(desired, cov)
+            for j in mismatches:
+                scaled = batch_quadratic_form_inverse(desired, cov * 2.0**j) * 2.0**j
+                mismatches[j] += int(np.count_nonzero(scaled != base))
+        assert not any(mismatches.values()), mismatches
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))

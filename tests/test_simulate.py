@@ -19,6 +19,7 @@ import ocfield.simulate as simulate_module
 from ocfield.cli import ScenarioConfig, main, run_simulation
 from ocfield.domains import RECEIVERS, _pzf_count
 from ocfield.simulate import (
+    _batch_blocks,
     _block_sinrs,
     _channel_block,
     _combining_ratio,
@@ -65,7 +66,7 @@ def hand_block(radii, L, alpha, rng):
 def random_block(lam, expected_count, size, L, alpha, rng):
     """`hand_block` on `size` fields from the engine's field sampler:
     (counts, padded radii, desired, h, a)."""
-    _, counts, radii = _draw_fields(lam, expected_count, size, rng)
+    _, counts, radii = _draw_fields(lam, expected_count, [(rng, size)])
     padded = pad(counts, radii)
     return (counts, padded, *hand_block(padded, L, alpha, rng))
 
@@ -110,37 +111,37 @@ class TestTrialStream:
 
 class TestSamplePpp:
     def test_disk_radius_for_hundred_nodes(self):
-        radius, _, _ = _draw_fields(1e-3, 100, 1, TrialStream(1).at(0))
+        radius, _, _ = _draw_fields(1e-3, 100, [(TrialStream(1).at(0), 1)])
         assert radius == approx(178.41241161527712, rel=1e-12)
 
     def test_node_count_mean(self):
-        _, counts, _ = _draw_fields(1e-3, 100, 10_000, TrialStream(3).at(0))
+        _, counts, _ = _draw_fields(1e-3, 100, [(TrialStream(3).at(0), 10_000)])
         # 3-sigma window on the mean of Poisson(100) over 1e4 draws
         assert np.mean(counts) == approx(100.0, abs=3.0 * 10.0 / math.sqrt(10_000))
 
     def test_uniformity_second_moment(self):
-        _, counts, radii = _draw_fields(1e-3, 100, 2000, TrialStream(5).at(0))
+        _, counts, radii = _draw_fields(1e-3, 100, [(TrialStream(5).at(0), 2000)])
         assert radii.shape == (counts.sum(),)
         expected = 178.41241161527712**2 / 2.0
         assert np.mean(radii**2) == approx(expected, rel=0.02)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            _draw_fields(0.0, 100, 1, TrialStream(0).at(0))
+            _draw_fields(0.0, 100, [(TrialStream(0).at(0), 1)])
         with pytest.raises(ValueError):
-            _draw_fields(1e-3, 0, 1, TrialStream(0).at(0))
+            _draw_fields(1e-3, 0, [(TrialStream(0).at(0), 1)])
 
 
 class TestDrawChannels:
     def test_shapes(self):
         counts = np.array([7, 0, 3])
         amplitudes = np.arange(1.0, 11.0)
-        desired, a = _channel_block(counts, amplitudes, 4, TrialStream(8).at(0))
+        desired, a = _channel_block(counts, amplitudes, 4, [(TrialStream(8).at(0), 3)])
         assert desired.shape == (3, 4)
         assert a.shape == (3, 7, 4)
         assert not a[1].any() and not a[2, 3:].any()  # padding rows are zero
         # the same draws at unit amplitude: each row carries its node's amplitude
-        _, unit = _channel_block(counts, np.ones(10), 4, TrialStream(8).at(0))
+        _, unit = _channel_block(counts, np.ones(10), 4, [(TrialStream(8).at(0), 3)])
         assert np.array_equal(a[0], unit[0] * amplitudes[:7, None])
         assert np.array_equal(a[2, :3], unit[2, :3] * amplitudes[7:, None])
         assert np.abs(unit[0]).max(axis=1).all() and np.abs(unit[2, :3]).max(axis=1).all()
@@ -148,19 +149,19 @@ class TestDrawChannels:
     def test_unit_entry_power_and_desired_norm(self):
         L = 4
         n = 25_000 - 1
-        _, a = _channel_block(np.array([n]), np.ones(n), L, TrialStream(9).at(0))
+        _, a = _channel_block(np.array([n]), np.ones(n), L, [(TrialStream(9).at(0), 1)])
         power = np.abs(a) ** 2
         assert np.mean(power) == approx(1.0, abs=4.0 / math.sqrt(power.size))
 
         no_nodes = np.zeros(100_000, dtype=int)
-        desired, _ = _channel_block(no_nodes, np.ones(0), L, TrialStream(10).at(0))
+        desired, _ = _channel_block(no_nodes, np.ones(0), L, [(TrialStream(10).at(0), 100_000)])
         norms = np.vecdot(desired, desired).real
         assert np.mean(norms) == approx(L, abs=4.0 * math.sqrt(L / 100_000))
 
     def test_entry_power_is_unit_exponential(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         n = 100_000 - 1
-        _, a = _channel_block(np.array([n]), np.ones(n), 1, TrialStream(11).at(0))
+        _, a = _channel_block(np.array([n]), np.ones(n), 1, [(TrialStream(11).at(0), 1)])
         power = (np.abs(a) ** 2).ravel()
         ks = scipy_stats.kstest(power, "expon").statistic
         assert ks < 0.01
@@ -486,10 +487,14 @@ class TestEstimateOutage:
             ]
             for w in ("1", "2", "3", "8"):
                 monkeypatch.setenv("OC_FIELD_THREADS", w)
-                blocks = _map_blocks(
-                    lambda rng, size: block_sinr(params, "oc", rng, size), lambda s: s, n_trials, 44
-                )
-                assert np.array_equal(np.concatenate(blocks), np.concatenate(serial)), (n_trials, w)
+                for group in (1, 3):
+                    batches = _map_blocks(
+                        lambda blocks: _block_sinrs(params, ("oc",), blocks, 100, None)[0],
+                        lambda s: s, n_trials, 44, group,
+                    )
+                    assert np.array_equal(np.concatenate(batches), np.concatenate(serial)), (
+                        n_trials, w, group
+                    )
 
     @pytest.mark.parametrize("L, sigma2, failures", [
         (3, 0.0, {"oc": 139, "mrc": 410, "zf": 385, "pzf": 385}),
@@ -555,9 +560,9 @@ class TestBlockEngine:
         got, expected = [], []
         for b in range(20):
             got.append(block_sinr(params, "oc", stream.at(b), expected_count=1))
-            rng = stream.at(b)  # redraw what the block drew
-            _, counts, radii = _draw_fields(params.lam, 1, BLOCK, rng)
-            desired, a = _channel_block(counts, radii ** (-0.5 * params.alpha), params.L, rng)
+            block = [(stream.at(b), BLOCK)]  # redraw what the block drew
+            _, counts, radii = _draw_fields(params.lam, 1, block)
+            desired, a = _channel_block(counts, radii ** (-0.5 * params.alpha), params.L, block)
             for c, rows, n in zip(desired, a, counts):
                 if n < params.L:  # R has rank n < L: c leaves its column space
                     expected.append(math.inf)
@@ -621,13 +626,93 @@ class TestNearestNeighborIdentity:
         gamma = 6309.573444801933
         r_star = math.sqrt(delta_const(alpha) / math.pi) * gamma ** (1.0 / alpha)
         n = 20_000
-        _, counts, radii = _draw_fields(lam, 100, n, TrialStream(45).at(0))
+        _, counts, radii = _draw_fields(lam, 100, [(TrialStream(45).at(0), n)])
         # a field with fewer than L nodes has its L-th distance at +inf
         lth = np.partition(pad(counts, radii), L - 1, axis=1)[:, L - 1]
         p_hat = np.count_nonzero(lth < r_star) / n
         stderr = math.sqrt(p_hat * (1 - p_hat) / n)
         no_noise = SystemParams(lam=lam, alpha=alpha, sigma2=0.0, d_r=1.0, L=L, beta=gamma)
         assert abs(p_hat - outage_cdf(no_noise)) <= 4.0 * stderr
+
+
+class TestBatches:
+    def test_blocks_per_batch_follow_the_memory_budget(self):
+        assert [_batch_blocks(L, 100) for L in (1, 2, 3, 4, 8)] == [8, 4, 2, 2, 1]
+        assert [_batch_blocks(1, 3), _batch_blocks(8, 3), _batch_blocks(256, 1024)] == [200, 3, 1]
+        # a trial's Grams count once L is large beside expected_count: by
+        # channel rows alone, 3 blocks at L = 256 would hold 3 times the
+        # Grams of the one block the antenna cap budgets
+        assert _batch_blocks(128, 1) == _batch_blocks(256, 1) == 1
+
+    @pytest.mark.parametrize("L, calls", [(1, 1), (4, 4), (8, 8)])
+    def test_a_row_builds_one_covariance_per_batch(self, monkeypatch, L, calls):
+        # 500 trials are 8 blocks: one batch at L = 1, four at L = 4 and one
+        # block per batch at L = 8, where a block alone fills the budget
+        built = []
+
+        def counting(a, sigma2):
+            built.append(a.shape[0])
+            return _covariance(a, sigma2)
+
+        monkeypatch.setattr(simulate_module, "_covariance", counting)
+        monkeypatch.setenv("OC_FIELD_THREADS", "1")
+        estimate_outage(make_params(L=L), n_trials=500, master_seed=53)
+        assert len(built) == calls and sum(built) == 500
+
+    def test_every_z_is_the_same_for_any_worker_count(self, monkeypatch):
+        # 1,000 trials at L = 2 are 16 blocks in 4 batches of 4, which 2 and
+        # 3 workers split at different batches
+        params = make_params(lam=1.5e-3, L=2)
+        group = _batch_blocks(params.L, 100)
+        rows = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("OC_FIELD_THREADS", threads)
+            batches = _map_blocks(
+                lambda blocks: _block_sinrs(params, RECEIVERS, blocks, 100, None),
+                lambda sinrs: sinrs, 1000, 54, group,
+            )
+            assert len(batches) == 4
+            rows.append([np.concatenate(z) for z in zip(*batches)])
+        for row in rows[1:]:
+            for z, first in zip(row, rows[0]):
+                assert np.array_equal(z, first)
+
+    @pytest.mark.parametrize("L", [1, 3, 8])
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-5])
+    @pytest.mark.parametrize("expected_count", [3, 100])
+    def test_batches_count_the_failures_of_lone_blocks(self, L, sigma2, expected_count):
+        # the lone blocks are batches of one; OC's Z is bit for bit the same,
+        # the combiners' sums over a batch's longer padding may move the
+        # last bit, and no failure count may move
+        params = make_params(lam=1.5e-3, L=L, sigma2=sigma2)
+        n_trials = 11 * BLOCK - 5
+        for seed in (55, 56, 57):
+            batched = _map_blocks(
+                lambda blocks: _block_sinrs(params, RECEIVERS, blocks, expected_count, None),
+                lambda sinrs: sinrs, n_trials, seed, _batch_blocks(L, expected_count),
+            )
+            stream = TrialStream(seed)
+            lone = [
+                _block_sinrs(
+                    params, RECEIVERS, [(stream.at(b), min(BLOCK, n_trials - b * BLOCK))],
+                    expected_count, None,
+                )
+                for b in range(11)
+            ]
+            estimates = simulate_module._estimate_outages(
+                params, RECEIVERS, n_trials, seed, expected_count, None
+            )
+            for receiver, z, alone, est in zip(RECEIVERS, zip(*batched), zip(*lone), estimates):
+                z, alone = np.concatenate(z), np.concatenate(alone)
+                failures = int(np.count_nonzero(alone < params.gamma))
+                assert int(np.count_nonzero(z < params.gamma)) == failures, (seed, receiver)
+                assert round(est.p_hat * n_trials) == failures, (seed, receiver)
+                if receiver == "oc":
+                    assert np.array_equal(z, alone), seed
+                else:
+                    assert np.array_equal(np.isinf(z), np.isinf(alone))
+                    finite = np.isfinite(alone)
+                    assert z[finite] == approx(alone[finite], rel=1e-13, abs=0.0)
 
 
 def cli_text(capsys, monkeypatch, threads, *argv):
@@ -642,7 +727,7 @@ class TestSharedBlocks:
         params = make_params(lam=1.5e-3, L=4, sigma2=sigma2)
         stream = TrialStream(51)
         for b in range(3):
-            shared = _block_sinrs(params, RECEIVERS, stream.at(b), BLOCK - b, 100, None)
+            shared = _block_sinrs(params, RECEIVERS, [(stream.at(b), BLOCK - b)], 100, None)
             for receiver, z in zip(RECEIVERS, shared):
                 alone = block_sinr(params, receiver, stream.at(b), BLOCK - b)
                 assert np.array_equal(z, alone), (b, receiver)
@@ -651,7 +736,7 @@ class TestSharedBlocks:
         drawn = []
 
         def counting(*args):
-            drawn.append(args[2])  # the block's size
+            drawn.append([size for _, size in args[2]])  # the batch's block sizes
             return _draw_fields(*args)
 
         monkeypatch.setattr(simulate_module, "_draw_fields", counting)
@@ -660,7 +745,8 @@ class TestSharedBlocks:
             antennas=(3,), receivers=RECEIVERS, lambda_grid=(1.5e-3,), n_trials=150
         )
         assert len(run_simulation(config)) == 4
-        assert drawn == [BLOCK, BLOCK, 150 - 2 * BLOCK]
+        # two blocks per batch at L = 3 and expected_count 100
+        assert drawn == [[BLOCK, BLOCK], [150 - 2 * BLOCK]]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("sigma2", ["0", "1e-5"])
