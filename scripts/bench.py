@@ -24,12 +24,15 @@ recorded beside `blocks_per_batch`, the blocks its batches hold
 (`simulate._batch_blocks`).  The blocks are drawn at the roadmap's
 stage-table point (lambda = 6e-4, sigma2 = 1e-5, expected_count 100,
 alpha = 3.5).  The in-process `figure 1 --n-trials 500` (the benchmark's
-`fig1-oc-sweep` call) runs with OC_FIELD_THREADS = 1 and 2, every other
-command with 1.  Per root: the evaluations a root solver makes, counted
-once since they repeat exactly: `_log_ratio` calls per
-`contention_optimum` on the timed arguments (two of them noise-dominated,
-noise * gamma >= L), and `_poisson_split` calls
-per `_count_law_root` on figure 1's two grid ends.  Every timing is
+`fig1-oc-sweep` call) and the four calls of the benchmark's `receivers-l8`
+workload at its default seed, timed together, run with OC_FIELD_THREADS =
+1 and 2, every other command with 1.  Per root: the evaluations a root
+solver makes, counted once since they repeat exactly: `_log_ratio` calls
+per `contention_optimum` on the timed arguments (two of them
+noise-dominated, noise * gamma >= L), and `_poisson_split` calls per
+`_count_law_root` on figure 1's two grid ends.  Per optimum:
+`log_pmf_per_optimum`, the `_log_pmf` calls of one `contention_optimum`
+on the same arguments, counted once too.  Every timing is
 the median of REPEATS runs, since cores and clocks are not pinned.  The
 file also records the CPU count, the Python and numpy versions, the worker
 count and the time of the benchmark's anchor kernel (`ocbench/anchor.py`),
@@ -59,6 +62,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "ocbench"), str(ROOT / "tests")]
 
 import anchor  # noqa: E402
 import numpy  # noqa: E402
+import workloads  # noqa: E402
 
 import ocfield  # noqa: E402
 import ocfield.analytic  # noqa: E402
@@ -142,15 +146,18 @@ ROOTS = {
     },
 }
 
-# name -> (argv, OC_FIELD_THREADS)
+# name -> (the argv of each call, in order, OC_FIELD_THREADS)
+WORKER_COMMANDS = {
+    "figure 1 --n-trials 500": [["figure", "1", "--n-trials", "500"]],
+    "receivers-l8": [call.argv for call in workloads.receivers_l8(1)],
+}
 COMMANDS = {
-    "cli analytic --L 1,8,64": (["analytic", "--L", "1,8,64"], "1"),
-    "cli figure 3": (["figure", "3"], "1"),
-    "cli figure 2 --n-trials 2000": (["figure", "2", "--n-trials", "2000"], "1"),
+    "cli analytic --L 1,8,64": ([["analytic", "--L", "1,8,64"]], "1"),
+    "cli figure 3": ([["figure", "3"]], "1"),
+    "cli figure 2 --n-trials 2000": ([["figure", "2", "--n-trials", "2000"]], "1"),
     **{
-        f"cli figure 1 --n-trials 500 workers={workers}": (
-            ["figure", "1", "--n-trials", "500"], workers
-        )
+        f"cli {name} workers={workers}": (argvs, workers)
+        for name, argvs in WORKER_COMMANDS.items()
         for workers in ("1", "2")
     },
 }
@@ -211,14 +218,24 @@ def with_workers(workers: str, fn):
             os.environ["OC_FIELD_THREADS"] = saved
 
 
+def run_all(mains) -> int:
+    """Run every call in order; the largest exit code."""
+    return max([main() for main in mains])
+
+
 def command_calls(directory: Path) -> dict:
-    """`COMMANDS` run in process with their worker counts, each rewriting its
-    own CSV in `directory`; the first, untimed run creates the file."""
+    """`COMMANDS` run in process with their worker counts, each call
+    rewriting its own CSV in `directory`; the first, untimed run creates the
+    files."""
     calls = {}
-    for name, (argv, workers) in COMMANDS.items():
-        out = str(directory / f"{len(calls)}.csv")
-        main = functools.partial(ocfield.cli.main, [*argv, "--out", out])
-        calls[name] = functools.partial(with_workers, workers, main)
+    for name, (argvs, workers) in COMMANDS.items():
+        mains = [
+            functools.partial(
+                ocfield.cli.main, [*argv, "--out", str(directory / f"{len(calls)}-{i}.csv")]
+            )
+            for i, argv in enumerate(argvs)
+        ]
+        calls[name] = functools.partial(with_workers, workers, functools.partial(run_all, mains))
         if calls[name]() != 0:
             raise RuntimeError(f"{name} failed")
     return calls
@@ -308,6 +325,11 @@ def main() -> int:
         },
         "blocks_per_batch": {f"L={L}": _batch_blocks(L, 100) for L in STAGE},
         "evaluations_per_root": {name: evaluations(*root) for name, root in ROOTS.items()},
+        "log_pmf_per_optimum": {
+            name: evaluations(ocfield.contention, "_log_pmf", solve)
+            for name, solve in CALLS.items()
+            if name.startswith("contention_optimum")
+        },
         "anchor_s": statistics.median(anchors),
         "src_lines": line_count((ROOT / "src" / "ocfield").glob("*.py")),
         "import_lines": import_lines(env),

@@ -55,8 +55,10 @@ class ContentionOptimum(_Record, namedtuple("ContentionOptimum", "L g lambda_max
 def _log_ratio(L: int, x: float) -> float:
     # log r(x), from the Poisson sum anchored at its largest term m:
     # r = s * pmf(m; x) / pmf(L-1; x), the log pmfs (near -x when x >> L)
-    # differenced first so that at m = L-1 they cancel exactly
+    # differenced first; at m = L-1 (x >= L-1) the ratio is 1 and r = s
     m, s = _poisson_window(x, L)
+    if m == L - 1:
+        return math.log(s)
     return math.log(s) + (_log_pmf(m, x) - _log_pmf(L - 1, x))
 
 

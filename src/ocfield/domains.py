@@ -11,6 +11,7 @@ import os
 import sys
 
 RECEIVERS = ("oc", "mrc", "zf", "pzf")
+BLOCK = 64  # Monte Carlo trials per block, and per substream
 
 _MASK64 = (1 << 64) - 1
 
@@ -45,7 +46,8 @@ _DOMAINS = {
     # each worker is an OS thread that a run starts at once; the count comes
     # from outside (OC_FIELD_THREADS), and a typo must not ask for thousands
     "workers": (lambda v: type(v) is int and 1 <= v <= 256, "an integer in [1, 256]"),
-    "size": _COUNT,
+    # the trials of one block, whose memory the disk and antenna caps budget
+    "size": (lambda v: type(v) is int and 1 <= v <= BLOCK, f"an integer in [1, {BLOCK}]"),
     "lambda_points": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
     "master_seed": (lambda v: type(v) is int and 0 <= v <= _MASK64, "a 64-bit unsigned integer"),
     "p_hat": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),

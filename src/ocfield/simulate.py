@@ -22,9 +22,9 @@ block at L = 8 and expected_count 100 (at expected_count 100, G = 8, 4, 2, 2
 and 1 at L = 1, 2, 3, 4 and 8; `_batch_blocks`).  One draw of a
 batch serves every receiver asked of it, so receivers compared in one call
 (as `run_simulation` compares them) pay once for the fields and channels
-they share.  Batch k is blocks [kG, (k+1)G) by index, the workers
-(OC_FIELD_THREADS) take whole batches and reductions are order-independent,
-so results are bit-identical for any worker count and any scheduling.
+they share.  Batch k is blocks [kG, (k+1)G) by index, and the workers
+(OC_FIELD_THREADS) take whole batches in index order and return them in that
+order, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .analytic import SystemParams
-from .domains import _check_disk, _check_domain, _pzf_count, _Record, _resolve_workers
+from .domains import BLOCK, _check_disk, _check_domain, _pzf_count, _Record, _resolve_workers
 from .linalg import batch_project_out, batch_quadratic_form_inverse
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "estimate_outage",
 ]
 
-BLOCK = 64  # trials per block, and per substream
 # the channel rows one batch may hold: those of a block at L = 8 and
 # expected_count 100 (800 KiB)
 _BATCH_ROWS = 51_200
@@ -244,8 +243,8 @@ def block_sinr(
     expected_count: int = 100,
     pzf_k: int | None = None,
 ) -> np.ndarray:
-    """Normalized SINRs Z = SINR * d_r**alpha of `size` trials drawn from
-    `rng`, vectorized; a trial is in outage when Z < gamma.
+    """Normalized SINRs Z = SINR * d_r**alpha of `size` <= BLOCK trials
+    drawn from `rng`, vectorized; a trial is in outage when Z < gamma.
 
     Each trial has its own field and channels; rng draws the node counts,
     then the radial uniforms, then the channel normals.  Received powers are
@@ -298,30 +297,24 @@ def _map_blocks(sinr_of_batch, reduce, n_trials: int, master_seed: int, group: i
 
     Block b covers trials [b * BLOCK, min((b + 1) * BLOCK, n_trials)) and
     draws from substream (master_seed, b); batch k is blocks [k * group,
-    (k + 1) * group) by index, and the workers (OC_FIELD_THREADS) take
-    contiguous runs of whole batches, so the result does not depend on the
-    worker count.
+    (k + 1) * group) by index.  The workers (OC_FIELD_THREADS) take whole
+    batches in index order and `Executor.map` returns their results in that
+    order, so the result does not depend on the worker count.
     """
     _check_domain(n_trials=n_trials)
     stream = TrialStream(master_seed)
     n_blocks = -(-n_trials // BLOCK)
     n_batches = -(-n_blocks // group)
-    parts = min(_resolve_workers(), n_batches)
-    bounds = [n_batches * i // parts for i in range(parts + 1)]
 
-    def batch(k: int) -> _Batch:
-        return [
-            (stream.at(b), min(BLOCK, n_trials - b * BLOCK))
-            for b in range(k * group, min((k + 1) * group, n_blocks))
-        ]
+    def run(k: int):
+        blocks = range(k * group, min((k + 1) * group, n_blocks))
+        return reduce(sinr_of_batch([(stream.at(b), min(BLOCK, n_trials - b * BLOCK)) for b in blocks]))
 
-    def run(part: int) -> list:
-        return [reduce(sinr_of_batch(batch(k))) for k in range(bounds[part], bounds[part + 1])]
-
-    if parts == 1:
-        return run(0)
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        return [value for chunk in pool.map(run, range(parts)) for value in chunk]
+    workers = min(_resolve_workers(), n_batches)
+    if workers == 1:
+        return [run(k) for k in range(n_batches)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(n_batches)))
 
 
 def estimate_outage(
@@ -336,10 +329,10 @@ def estimate_outage(
     SINR Z < gamma = beta * d_r**alpha.
 
     Infinite Z counts as success for any finite threshold.  Bit-identical
-    for a given master_seed under any worker count: block b depends only on
-    (master_seed, b), batches are fixed by block index and the reduction is
-    a commutative count.  The
-    one-receiver case of `_estimate_outages`.
+    for a given master_seed under any worker count: each batch depends only
+    on its block indices, and the workers take whole batches in index order
+    and return them in that order (`_map_blocks`).  The one-receiver case of
+    `_estimate_outages`.
     """
     return _estimate_outages(params, (receiver,), n_trials, master_seed, expected_count, pzf_k)[0]
 

@@ -609,6 +609,47 @@ class TestSimulateCommand:
         assert float(rows[0][0]) == 1.2345678901234567e-3
 
 
+ITEM_6 = "ROADMAP item 6: a near node's power overflows at beta = 1e-300"
+ITEM_1 = "ROADMAP item 1: the pseudo-inverse branch's residual test carries the matrix's units"
+
+
+def _moves(alpha, receiver, reason):
+    return pytest.param(alpha, receiver, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=reason))
+
+
+class TestScaleInvariance:
+    """At sigma2 = 0 the SINR is homogeneous of degree 0 in the powers, and
+    the default grid scales lambda by gamma**(-2/alpha): scaling beta (at
+    d_r = 1) scales every power of every trial by 1/gamma, so no failure
+    count may move."""
+
+    @pytest.mark.parametrize("alpha, receiver", [
+        ("3.5", "oc"),
+        _moves("3.5", "mrc", ITEM_6),
+        ("3.5", "zf"),
+        _moves("12", "oc", f"{ITEM_6}; {ITEM_1} at beta = 1e300"),
+        _moves("12", "mrc", ITEM_6),
+        _moves("12", "zf", ITEM_6),
+        _moves("40", "oc", f"{ITEM_6}; {ITEM_1} at beta = 1e300"),
+        _moves("40", "mrc", ITEM_6),
+        _moves("40", "zf", ITEM_6),
+    ])
+    def test_failure_counts_do_not_depend_on_beta(self, tmp_path, alpha, receiver):
+        # equal, not close: the scaled grids differ in their last bits, yet at
+        # alpha = 3.5 beta = 1e-290 to 1e300 flip no trial of any receiver
+        n_trials = 1280
+        counts = []
+        for beta in ("1e-300", "1", "1e300"):
+            _, rows = run_main(
+                tmp_path, "simulate", "--alpha", alpha, "--beta", beta, "--d-r", "1",
+                "--sigma2", "0", "--L", "2,4", "--lambda-points", "3", "--receivers", receiver,
+                "--n-trials", str(n_trials), "--seed", "12",
+            )
+            counts.append([round(float(row[4]) * n_trials) for row in rows])
+        assert counts[0] == counts[1] == counts[2]
+
+
 class TestOptimizeCommand:
     def test_closed_form_rows(self, tmp_path):
         header, rows = run_main(tmp_path, "optimize", "--sigma2", "0", "--L", "1,2,3")

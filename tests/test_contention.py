@@ -223,6 +223,25 @@ class TestNoisyOptimum:
         contention_optimum(L, 3.5, gamma, noise / gamma)
         assert len(points) <= most
 
+    @pytest.mark.parametrize("L, noise, calls", [
+        (1, 0.0, 1), (2, 0.0, 1), (8, 0.0, 7), (2000, 0.0, 9), (8, 46.0, 1), (1000, 6.3e9, 1),
+        (10**4, 1e300, 1),
+    ])
+    def test_log_pmf_calls_per_optimum(self, L, noise, calls, monkeypatch):
+        # an evaluation at x >= L - 1 anchors its Poisson sum at L - 1, where
+        # r is the window sum alone, and the peak throughput takes one more
+        log_pmf = contention_module._log_pmf
+        points = []
+
+        def counted(k, x):
+            points.append(x)
+            return log_pmf(k, x)
+
+        monkeypatch.setattr(contention_module, "_log_pmf", counted)
+        gamma = 6309.573444801933
+        contention_optimum(L, 3.5, gamma, noise / gamma)
+        assert len(points) == calls
+
     @pytest.mark.parametrize("L, sigma2", [(2, 1.0), (8, 7.3e-3), (64, 1.0), (1000, 1e4)])
     def test_noise_dominated_root_against_mpmath(self, L, sigma2):
         # noise * gamma from 6.3e3 to 6.3e7, far above L: the root u* sits just

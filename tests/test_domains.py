@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ocfield import (
+    BLOCK,
     SystemParams,
     TrialStream,
     block_sinr,
@@ -96,7 +97,7 @@ ENTRY_POINTS = [
           master_seed=SEEDS, workers=WORKERS)),
     (fresh_block_sinr, dict(params=params(), size=8, **SIMULATOR),
      dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=DISK_COUNTS, pzf_k=PZF,
-          size=COUNTS)),
+          size=[*COUNTS, BLOCK + 1])),
     (estimate_outage, dict(params=params(), **SIMULATOR, **RUN),
      dict(params=[params(lam=0.0)], receiver=RECEIVER, expected_count=DISK_COUNTS, pzf_k=PZF,
           n_trials=COUNTS, master_seed=SEEDS, workers=WORKERS)),
