@@ -8,14 +8,18 @@ End to end: the wall time of a fresh interpreter that imports `ocfield.cli`,
 or runs `figure 1 --n-trials 2500`, `analytic --L 1,8,64` (a closed-form
 command that loads neither numpy nor the contention solver), `figure 3` or
 `figure 4` (CSV to /dev/null), beside a bare interpreter start for
-reference.  Per call: the microseconds of `outage_cdf`,
-`contention_optimum` and the tests' frozen-field law
+reference, and the microseconds of a fresh interpreter's first
+`cli.build_parser()` (`first_build_parser_us`).  Per call: the microseconds
+of `outage_cdf`, `contention_optimum` and the tests' frozen-field law
 `conditional_outage_cdf` (`tests/_frozen_field.py`, the reference a
 vectorized law must beat) on fixed arguments, of `cli.default_lambda_grid`
-on figure 1's preset and on L = 2,256,512 at sigma2 = 1e-5, and of the
-in-process commands `analytic --L 1,8,64`, `figure 3` and `figure 2
---n-trials 2000` (four receivers on shared blocks), each rewriting a CSV
-that an untimed first run created.  Per block of BLOCK trials: the ZF and
+on figure 1's preset and on L = 2,256,512 at sigma2 = 1e-5, of the parse
+of a one-row `analytic` call by the whole parser (`build_parser().parse_args`)
+and by the command's own parser alone (what `main` runs), and of the
+in-process commands `analytic` on that one row (the per-call front-end
+cost), `analytic --L 1,8,64`, `figure 3` and `figure 2 --n-trials 2000`
+(four receivers on shared blocks), each rewriting a CSV that an untimed
+first run created.  Per block of BLOCK trials: the ZF and
 PZF weights (`simulate._weights`, ranking, gather and projection) at
 L = 8 and `linalg.batch_project_out` on that block's n = 8, k = 7 ZF
 basis.  Per trial: `block_sinr` of each receiver at L = 1, 4 and 8, and a
@@ -93,6 +97,7 @@ PROCESSES = {
 GAMMA = gamma_from_beta(10 ** 0.3, 10.0, 3.5)  # the CLI's default scenario
 POWERS = [(1.0 + k) ** -1.75 for k in range(100)]  # 100 nodes at radii 1..100, alpha = 3.5
 FIGURE1 = ocfield.cli.figure_preset(1)[1]
+ONE_ROW = ["analytic", "--L", "2", "--lambda-grid", "1e-3"]  # one closed-form row
 CALLS = {
     **{
         f"outage_cdf L={L}": lambda L=L: outage_cdf(
@@ -126,6 +131,15 @@ CALLS = {
         ocfield.cli.default_lambda_grid,
         ocfield.cli.ScenarioConfig(sigma2=1e-5, antennas=(2, 256, 512)),
     ),
+    # the front end of a one-row call: the whole parser's parse, which hands
+    # the arguments on to the command's parser, against that parser's alone
+    # (what `main` runs)
+    "build_parser().parse_args analytic one row": functools.partial(
+        ocfield.cli.build_parser().parse_args, ONE_ROW
+    ),
+    "dispatched parse analytic one row": functools.partial(
+        ocfield.cli.build_parser().commands["analytic"].parse_known_args, ONE_ROW[1:]
+    ),
 }
 
 # (module, function counted, one root solve): contention optima count their
@@ -152,6 +166,7 @@ WORKER_COMMANDS = {
     "receivers-l8": [call.argv for call in workloads.receivers_l8(1)],
 }
 COMMANDS = {
+    "cli analytic one row": ([ONE_ROW], "1"),
     "cli analytic --L 1,8,64": ([["analytic", "--L", "1,8,64"]], "1"),
     "cli figure 3": ([["figure", "3"]], "1"),
     "cli figure 2 --n-trials 2000": ([["figure", "2", "--n-trials", "2000"]], "1"),
@@ -247,6 +262,22 @@ def process_seconds(argv: list[str], env: dict[str, str]) -> float:
     return time.perf_counter() - start
 
 
+# times the first `build_parser()` of a fresh interpreter, after the import
+FIRST_PARSER = """
+import time, ocfield.cli
+start = time.perf_counter()
+ocfield.cli.build_parser()
+print(time.perf_counter() - start)
+"""
+
+
+def first_parser_seconds(env: dict[str, str]) -> float:
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_PARSER], env=env, capture_output=True, text=True, check=True
+    )
+    return float(done.stdout)
+
+
 def evaluations(module, name: str, solve) -> int:
     """How many times one run of `solve` calls `module.name`."""
     counted = getattr(module, name)
@@ -297,6 +328,7 @@ def main() -> int:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     processes = {name: [] for name in PROCESSES}
+    first_parsers = []
     anchors = []
     with tempfile.TemporaryDirectory() as tmp:
         per_call = {**CALLS, **command_calls(Path(tmp))}
@@ -311,12 +343,14 @@ def main() -> int:
             anchors.append(anchor.anchor_seconds())
             for name, argv in PROCESSES.items():
                 processes[name].append(process_seconds(argv, env))
+            first_parsers.append(first_parser_seconds(env))
             for name, fn in functions.items():
                 calls[name].append(us_per_call(fn))
     medians = {name: statistics.median(t) for name, t in calls.items()}
     result = {
         "repeats": REPEATS,
         "process_wall_s": {name: statistics.median(t) for name, t in processes.items()},
+        "first_build_parser_us": statistics.median(first_parsers) * 1e6,
         "us_per_call": {name: medians[name] for name in per_call},
         "us_per_block": {name: medians[name] for name in PER_BLOCK},
         "us_per_trial": {

@@ -232,5 +232,5 @@ def outage_cdf(params: SystemParams) -> float:
 
 def _poisson_mean(lam: float, alpha: float, gamma: float, sigma2: float) -> float:
     # the count law's mean lam * Delta * gamma**(2/alpha) + sigma2 * gamma;
-    # the CLI's analytic rows share it across antenna counts
+    # `cli.run_analytic` repeats these operations, in this order, per density
     return lam * delta_const(alpha) * gamma ** (2.0 / alpha) + sigma2 * gamma

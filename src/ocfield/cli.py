@@ -18,8 +18,7 @@ import sys
 from collections import namedtuple
 
 from .analytic import (
-    BracketViolation, SystemParams, _count_law_root, _poisson_mean, _poisson_split, delta_const,
-    gamma_from_beta,
+    BracketViolation, SystemParams, _count_law_root, _poisson_split, delta_const, gamma_from_beta,
 )
 from .domains import (
     _MASK64, RECEIVERS, _check_disk, _check_domain, _pzf_count, _Record, _resolve_workers,
@@ -167,15 +166,17 @@ def default_lambda_grid(config: ScenarioConfig) -> tuple[float, ...]:
 def run_analytic(config: ScenarioConfig) -> list[tuple]:
     """One row per (lambda, L): closed-form outage and throughput density.
 
-    Each density's Poisson mean is computed once and shared by its antenna
-    counts, bit for bit the `outage_cdf` of every row.  The throughput is
-    lam * P(N < L) from the same count law, not lam * (1 - outage), which
-    cancels as the outage nears 1.
+    Each density's Poisson mean, from terms computed once per call, is shared
+    by its antenna counts, bit for bit the `outage_cdf` of every row.  The
+    throughput is lam * P(N < L) from the same count law, not lam * (1 -
+    outage), which cancels as the outage nears 1.
     """
     gamma = config.gamma
+    delta, spread = delta_const(config.alpha), gamma ** (2.0 / config.alpha)
+    noise = config.sigma2 * gamma
     rows = []
     for lam in config.lambda_grid or default_lambda_grid(config):
-        mean = _poisson_mean(lam, config.alpha, gamma, config.sigma2)
+        mean = lam * delta * spread + noise  # `_poisson_mean`, operation for operation
         for L in config.antennas:
             below, outage = _poisson_split(mean, L)
             rows.append((lam, L, outage, lam * below))
@@ -472,13 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("optimize", "optimum contention density per antenna count"),
     ):
         sp = sub.add_parser(name, help=text)
+        sp.set_defaults(command=name)
         sp.add_argument("--config", help="flat JSON config file; flags override file values")
         _add_flags(sp, _KEYS)
         sp.add_argument("--lambda-min", type=float, help="log-grid lower density")
         sp.add_argument("--lambda-max", type=float, help="log-grid upper density")
     fig = sub.add_parser("figure", help="presets reproducing the summary figures (CSV only)")
+    fig.set_defaults(command="figure")
     fig.add_argument("number", type=int, help="figure number: 1, 2, 3 or 4")
     _add_flags(fig, _FIGURE_KEYS)
+    parser.commands = sub.choices  # each command's parser by name, which `main` calls alone
     return parser
 
 
@@ -492,7 +496,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    # parsed once, by the named command's parser; the rest, -h too, goes to the top level
+    own = parser.commands.get(argv[0]) if argv else None
+    args, extra = own.parse_known_args(argv[1:]) if own else (None, True)
+    if extra:
+        args = parser.parse_args(argv)
     try:
         if args.command == "figure":
             command, base = figure_preset(args.number)

@@ -30,7 +30,7 @@ order, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -291,6 +291,12 @@ def _block_sinrs(
     return sinrs
 
 
+# batches submitted to the workers and not yet collected, per worker: enough
+# that a worker finds its next batch queued, and a bound on the pending
+# futures however many batches a run has
+_IN_FLIGHT = 4
+
+
 def _map_blocks(sinr_of_batch, reduce, n_trials: int, master_seed: int, group: int) -> list:
     """reduce(sinr_of_batch(blocks)) for every batch (`_Batch`) of `group`
     blocks, in batch order.
@@ -298,7 +304,8 @@ def _map_blocks(sinr_of_batch, reduce, n_trials: int, master_seed: int, group: i
     Block b covers trials [b * BLOCK, min((b + 1) * BLOCK, n_trials)) and
     draws from substream (master_seed, b); batch k is blocks [k * group,
     (k + 1) * group) by index.  The workers (OC_FIELD_THREADS) take whole
-    batches in index order and `Executor.map` returns their results in that
+    batches in index order, at most `_IN_FLIGHT` per worker ahead of the
+    oldest result not yet collected, and the results are collected in that
     order, so the result does not depend on the worker count.
     """
     _check_domain(n_trials=n_trials)
@@ -313,8 +320,17 @@ def _map_blocks(sinr_of_batch, reduce, n_trials: int, master_seed: int, group: i
     workers = min(_resolve_workers(), n_batches)
     if workers == 1:
         return [run(k) for k in range(n_batches)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(n_batches)))
+    results, window = [], deque()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for k in range(n_batches):
+            if len(window) == _IN_FLIGHT * workers:
+                results.append(window.popleft().result())
+            window.append(pool.submit(run, k))
+        results.extend(future.result() for future in window)
+    finally:
+        pool.shutdown(cancel_futures=True)  # after an error, the queued batches never run
+    return results
 
 
 def estimate_outage(

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -676,6 +679,55 @@ class TestBatches:
         for row in rows[1:]:
             for z, first in zip(row, rows[0]):
                 assert np.array_equal(z, first)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_batches_in_flight_stay_few_per_worker(self, threads, monkeypatch):
+        # 200 slow batches of one block: submitted all at once, nearly all of
+        # them would be outstanding before the first finished.  A batch
+        # counts as outstanding from its submission until its work returns,
+        # which comes before its result can be collected.
+        outstanding, peak, lock = 0, 0, threading.Lock()
+
+        class Counting(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                nonlocal outstanding, peak
+
+                def counted(*inner):
+                    nonlocal outstanding
+                    try:
+                        return fn(*inner)
+                    finally:
+                        with lock:
+                            outstanding -= 1
+
+                with lock:
+                    outstanding += 1
+                    peak = max(peak, outstanding)
+                return super().submit(counted, *args)
+
+        def slow(blocks):
+            time.sleep(0.001)
+            return len(blocks)
+
+        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", Counting)
+        monkeypatch.setenv("OC_FIELD_THREADS", str(threads))
+        assert _map_blocks(slow, lambda n: n, 200 * BLOCK, 58, 1) == [1] * 200
+        assert 1 <= peak <= 4 * threads
+
+    def test_a_failed_batch_raises_and_the_queued_ones_never_run(self, monkeypatch):
+        started = []
+
+        def failing(blocks):
+            started.append(blocks)
+            if len(started) == 3:
+                raise ValueError("batch failed")
+            time.sleep(0.001)
+            return len(blocks)
+
+        monkeypatch.setenv("OC_FIELD_THREADS", "2")
+        with pytest.raises(ValueError, match="batch failed"):
+            _map_blocks(failing, lambda n: n, 200 * BLOCK, 59, 1)
+        assert len(started) <= 3 + 4 * 2
 
     @pytest.mark.parametrize("L", [1, 3, 8])
     @pytest.mark.parametrize("sigma2", [0.0, 1e-5])
