@@ -5,12 +5,13 @@ Everything here is a pure function of its arguments.  Thresholds are linear;
 converting from dB is the CLI's job.  The normalized threshold used
 throughout is gamma = beta * d_r**alpha.  Every entry point checks its
 arguments against the one table of parameter domains, `domains._DOMAINS`.
-Every outage and throughput rests on one Poisson core, `_poisson_split`,
-which gives P(N < L) and P(N >= L) in one walk.  The CLI's rows and
-`outage_cdf` read it, and `_count_law_root` inverts it for the CLI's default
-grid ends; the law given one frozen field, which averages to `outage_cdf`, is
-a test reference in `tests/_frozen_field.py`.  Pure Python: nothing here
-imports numpy, so the closed-form commands start without it.
+Every outage and throughput rests on a two-piece count-law core.
+`_count_law_terms` forms Delta, gamma**(2/alpha) and sigma2 * gamma for its
+four readers, `outage_cdf`, `cli.run_analytic`, `cli.default_lambda_grid` and
+`contention_optimum`; `_poisson_split` gives P(N < L) and P(N >= L) in one
+walk, and `_count_law_root` inverts it for the default grid's ends.  The law
+of one frozen field is a test reference in `tests/_frozen_field.py`.  Pure
+Python: nothing here imports numpy, so closed-form commands start without it.
 """
 
 from __future__ import annotations
@@ -226,11 +227,10 @@ def outage_cdf(params: SystemParams) -> float:
     L, i.e. that the L-th strongest interferer sits inside the rescaled
     threshold radius.
     """
-    x = _poisson_mean(params.lam, params.alpha, params.gamma, params.sigma2)
-    return _poisson_split(x, params.L)[1]
+    delta, spread, noise = _count_law_terms(params.alpha, params.gamma, params.sigma2)
+    return _poisson_split(params.lam * delta * spread + noise, params.L)[1]
 
 
-def _poisson_mean(lam: float, alpha: float, gamma: float, sigma2: float) -> float:
-    # the count law's mean lam * Delta * gamma**(2/alpha) + sigma2 * gamma;
-    # `cli.run_analytic` repeats these operations, in this order, per density
-    return lam * delta_const(alpha) * gamma ** (2.0 / alpha) + sigma2 * gamma
+def _count_law_terms(alpha: float, gamma: float, sigma2: float) -> tuple[float, float, float]:
+    # every reader forms the count law's mean as lam * delta * spread + noise, in that order
+    return delta_const(alpha), gamma ** (2.0 / alpha), sigma2 * gamma

@@ -18,7 +18,8 @@ import sys
 from collections import namedtuple
 
 from .analytic import (
-    BracketViolation, SystemParams, _count_law_root, _poisson_split, delta_const, gamma_from_beta,
+    BracketViolation, SystemParams, _count_law_root, _count_law_terms, _poisson_split, delta_const,
+    gamma_from_beta,
 )
 from .domains import (
     _MASK64, RECEIVERS, _check_disk, _check_domain, _pzf_count, _Record, _resolve_workers,
@@ -142,13 +143,11 @@ def default_lambda_grid(config: ScenarioConfig) -> tuple[float, ...]:
     grid.  When the noise floor alone exceeds the low target the lower
     endpoint falls back to three decades under the upper one.
     """
-    gamma = config.gamma
-    area = delta_const(config.alpha) * gamma ** (2.0 / config.alpha)
-    noise = config.sigma2 * gamma
+    delta, spread, noise = _count_law_terms(config.alpha, config.gamma, config.sigma2)
 
     def lam_for(L: int, target: float) -> float | None:
         x = _count_law_root(L, target)
-        lam = (x - noise) / area
+        lam = (x - noise) / (delta * spread)
         return lam if lam > 0.0 else None
 
     lo = lam_for(max(config.antennas), 0.01)
@@ -166,17 +165,15 @@ def default_lambda_grid(config: ScenarioConfig) -> tuple[float, ...]:
 def run_analytic(config: ScenarioConfig) -> list[tuple]:
     """One row per (lambda, L): closed-form outage and throughput density.
 
-    Each density's Poisson mean, from terms computed once per call, is shared
+    Each density's Poisson mean, from one call's `_count_law_terms`, is shared
     by its antenna counts, bit for bit the `outage_cdf` of every row.  The
     throughput is lam * P(N < L) from the same count law, not lam * (1 -
     outage), which cancels as the outage nears 1.
     """
-    gamma = config.gamma
-    delta, spread = delta_const(config.alpha), gamma ** (2.0 / config.alpha)
-    noise = config.sigma2 * gamma
+    delta, spread, noise = _count_law_terms(config.alpha, config.gamma, config.sigma2)
     rows = []
     for lam in config.lambda_grid or default_lambda_grid(config):
-        mean = lam * delta * spread + noise  # `_poisson_mean`, operation for operation
+        mean = lam * delta * spread + noise
         for L in config.antennas:
             below, outage = _poisson_split(mean, L)
             rows.append((lam, L, outage, lam * below))

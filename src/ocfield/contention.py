@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 
 from .analytic import (
-    _MAX_STEPS, _STEP_TOLERANCE, BracketViolation, _log_pmf, _poisson_window, delta_const,
+    _MAX_STEPS, _STEP_TOLERANCE, BracketViolation, _count_law_terms, _log_pmf, _poisson_window,
 )
 from .domains import _check_domain, _Record
 
@@ -134,7 +134,8 @@ def contention_optimum(
     sigma2 = 0 that is g**(L+1) * exp(-g) / ((L-1)! * Delta * gamma**(2/alpha)).
     """
     _check_domain(L=L, sigma2=sigma2, gamma=gamma, sigma2__scaled=sigma2 * gamma)
-    area = delta_const(alpha) * gamma ** (2.0 / alpha)
-    u, x = _solve(L, sigma2 * gamma)
+    delta, spread, noise = _count_law_terms(alpha, gamma, sigma2)
+    area = delta * spread
+    u, x = _solve(L, noise)
     peak = math.exp(2.0 * math.log(u) + _log_pmf(L - 1, x))
     return ContentionOptimum(L=L, g=u, lambda_max=u / area, t_max=peak / area)

@@ -9,7 +9,7 @@ from pytest import approx
 from scipy.stats import chi2, poisson
 
 from ocfield import SystemParams, delta_const, gamma_from_beta, outage_cdf
-from ocfield.analytic import _poisson_mean, _poisson_split, _stirling_error
+from ocfield.analytic import _count_law_terms, _poisson_split, _stirling_error
 from ocfield.cli import ScenarioConfig, run_analytic
 
 from _frozen_field import conditional_outage_cdf
@@ -225,7 +225,8 @@ class TestThroughputDensity:
         gamma = gamma_from_beta(beta, d_r, alpha)
         lam = 1.3 * L / (delta_const(alpha) * gamma ** (2.0 / alpha))
         params = SystemParams(lam=lam, alpha=alpha, sigma2=sigma2, d_r=d_r, L=L, beta=beta)
-        mean = _poisson_mean(lam, alpha, gamma, sigma2)
+        delta, spread, noise = _count_law_terms(alpha, gamma, sigma2)
+        mean = lam * delta * spread + noise
         with mpmath.workdps(40):
             below = mpmath.gammainc(L, mpmath.mpf(mean), mpmath.inf, regularized=True)
             error = abs(throughput_column(params) / (lam * below) - 1)

@@ -290,6 +290,39 @@ class TestOneCheckPerRun:
         assert 1 <= len(built) <= most
 
 
+class TestCountLawTermsPerRun:
+    """The count law's terms are derived in one place, once per call: once
+    for the default grid's ends, once for all the rows of an `analytic` or
+    `simulate` call, whatever their number, and once per contention optimum.
+    Counted at `analytic.delta_const`, which `_count_law_terms` calls for the
+    first term."""
+
+    GRID = ",".join(f"{k}e-4" for k in range(1, 21))
+
+    @pytest.mark.parametrize(
+        "argv, derivations",
+        [
+            (["analytic", "--L", "1,8,64", "--lambda-grid", GRID], 1),
+            (["analytic", "--L", "1,8,64"], 2),
+            (["simulate", "--L", "2", "--lambda-points", "3", "--n-trials", "64"], 2),
+            (["optimize", "--L", "1,2,3"], 3),
+        ],
+        ids=["analytic-grid", "analytic-default", "simulate-default", "optimize"],
+    )
+    def test_terms_derived_per_call(self, argv, derivations, monkeypatch):
+        calls = []
+        delta_const_ = analytic_module.delta_const
+
+        def counted(alpha):
+            calls.append(alpha)
+            return delta_const_(alpha)
+
+        monkeypatch.setattr(analytic_module, "delta_const", counted)
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert len(calls) == derivations
+
+
 class TestDefaultGridErrors:
     """The default grid is resolved when rows are computed, after --out is
     open: a grid it cannot place exits 2, prints nothing, creates no file and
@@ -638,16 +671,28 @@ class TestScaleInvariance:
     def test_failure_counts_do_not_depend_on_beta(self, tmp_path, alpha, receiver):
         # equal, not close: the scaled grids differ in their last bits, yet at
         # alpha = 3.5 beta = 1e-290 to 1e300 flip no trial of any receiver
-        n_trials = 1280
-        counts = []
-        for beta in ("1e-300", "1", "1e300"):
-            _, rows = run_main(
-                tmp_path, "simulate", "--alpha", alpha, "--beta", beta, "--d-r", "1",
-                "--sigma2", "0", "--L", "2,4", "--lambda-points", "3", "--receivers", receiver,
-                "--n-trials", str(n_trials), "--seed", "12",
-            )
-            counts.append([round(float(row[4]) * n_trials) for row in rows])
+        betas = ("1e-300", "1", "1e300")
+        counts = [self.failures(tmp_path, alpha, receiver, beta) for beta in betas]
         assert counts[0] == counts[1] == counts[2]
+
+    @pytest.mark.parametrize("alpha, receiver", [
+        _moves("3.5", receiver, "ROADMAP item 6: powers overflow at beta = 1e-307, alpha = 3.5")
+        for receiver in ("oc", "mrc", "zf")
+    ])
+    def test_failure_counts_hold_at_beta_1e_307(self, tmp_path, alpha, receiver):
+        # at the paper's own exponent every cell of all three receivers moves,
+        # exit 0, and MRC reads below OC in some cells on the same draws
+        counts = [self.failures(tmp_path, alpha, receiver, beta) for beta in ("1", "1e-307")]
+        assert counts[0] == counts[1]
+
+    @staticmethod
+    def failures(tmp_path, alpha, receiver, beta, n_trials=1280):
+        _, rows = run_main(
+            tmp_path, "simulate", "--alpha", alpha, "--beta", beta, "--d-r", "1",
+            "--sigma2", "0", "--L", "2,4", "--lambda-points", "3", "--receivers", receiver,
+            "--n-trials", str(n_trials), "--seed", "12",
+        )
+        return [round(float(row[4]) * n_trials) for row in rows]
 
 
 class TestOptimizeCommand:
