@@ -17,7 +17,8 @@ on figure 1's preset and on L = 2,256,512 at sigma2 = 1e-5, of the parse
 of a one-row `analytic` call by the whole parser (`build_parser().parse_args`)
 and by the command's own parser alone (what `main` runs), and of the
 in-process commands `analytic` on that one row (the per-call front-end
-cost), `analytic --L 1,8,64`, `figure 3` and `figure 2 --n-trials 2000`
+cost), `optimize --L 1,...,16` (sixteen optima on one call's count-law
+terms), `analytic --L 1,8,64`, `figure 3` and `figure 2 --n-trials 2000`
 (four receivers on shared blocks), each rewriting a CSV that an untimed
 first run created.  Per block of BLOCK trials: the ZF and
 PZF weights (`simulate._weights`, ranking, gather and projection) at
@@ -167,6 +168,7 @@ WORKER_COMMANDS = {
 }
 COMMANDS = {
     "cli analytic one row": ([ONE_ROW], "1"),
+    "cli optimize --L 1,...,16": ([["optimize", "--L", ",".join(map(str, range(1, 17)))]], "1"),
     "cli analytic --L 1,8,64": ([["analytic", "--L", "1,8,64"]], "1"),
     "cli figure 3": ([["figure", "3"]], "1"),
     "cli figure 2 --n-trials 2000": ([["figure", "2", "--n-trials", "2000"]], "1"),

@@ -6,9 +6,9 @@ converting from dB is the CLI's job.  The normalized threshold used
 throughout is gamma = beta * d_r**alpha.  Every entry point checks its
 arguments against the one table of parameter domains, `domains._DOMAINS`.
 Every outage and throughput rests on a two-piece count-law core.
-`_count_law_terms` forms Delta, gamma**(2/alpha) and sigma2 * gamma for its
-four readers, `outage_cdf`, `cli.run_analytic`, `cli.default_lambda_grid` and
-`contention_optimum`; `_poisson_split` gives P(N < L) and P(N >= L) in one
+`_count_law_terms` forms Delta, gamma**(2/alpha) and sigma2 * gamma once per
+call of `outage_cdf`, `contention_optimum` and the CLI's row functions, grid
+and presets; `_poisson_split` gives P(N < L) and P(N >= L) in one
 walk, and `_count_law_root` inverts it for the default grid's ends.  The law
 of one frozen field is a test reference in `tests/_frozen_field.py`.  Pure
 Python: nothing here imports numpy, so closed-form commands start without it.
@@ -83,10 +83,10 @@ class BracketViolation(RuntimeError):
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# A term below this fraction of the running sum ends the sum: past the
-# largest term the Poisson terms fall off faster than geometrically, so for
-# x up to 1e8 the dropped tail stays under an ulp of the sum.
-_NEGLIGIBLE = 2.0**-64
+# A walk ends at a term below this fraction of its running sum: under half an
+# ulp of the sum, that term rounds away, and so does every later one, as each
+# walk's terms fall from its start, so the sum is the double the full walk gives.
+_NEGLIGIBLE = 2.0**-54
 # _stirling_error(n) for n = 1..15, each the double nearest the exact value
 # (Loader's table): formed from lgamma, a difference of terms near 40 that
 # leaves ~0.005, it was off by up to 7.4e-15

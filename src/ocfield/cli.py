@@ -22,7 +22,8 @@ from .analytic import (
     gamma_from_beta,
 )
 from .domains import (
-    _MASK64, RECEIVERS, _check_disk, _check_domain, _pzf_count, _Record, _resolve_workers,
+    _MASK64, RECEIVERS, _check_disk, _check_domain, _check_each, _pzf_count, _Record,
+    _resolve_workers,
 )
 
 __all__ = [
@@ -94,9 +95,8 @@ class ScenarioConfig(_Record, namedtuple("ScenarioConfig", _DEFAULTS, defaults=_
         worker count (OC_FIELD_THREADS) and the checks that span fields."""
         for name, value in zip(self._fields, self):
             if name != "output":  # the one field without a domain
-                key = _DOMAIN_KEYS.get(name, name)
-                for item in value if isinstance(value, tuple) else (value,):
-                    _in_field(name, _check_domain, **{key: item})
+                values = value if isinstance(value, tuple) else (value,)
+                _in_field(name, _check_each, _DOMAIN_KEYS.get(name, name), values)
         _in_field("gamma", gamma_from_beta, self.beta, self.d_r, self.alpha)
         _in_field("OC_FIELD_THREADS", _resolve_workers)
         if not self.antennas:
@@ -157,8 +157,7 @@ def default_lambda_grid(config: ScenarioConfig) -> tuple[float, ...]:
     if lo is None or lo >= hi:
         lo = hi / 1000.0
     grid = _log_grid(lo, hi, config.lambda_points)
-    for lam in grid:
-        _in_field("lambda_grid", _check_domain, lam__positive=lam)
+    _in_field("lambda_grid", _check_each, "lam__positive", grid)
     return grid
 
 
@@ -219,16 +218,18 @@ def run_optimize(config: ScenarioConfig) -> list[tuple]:
 
     sigma2 = 0 rows are labeled closed-form (g is the root of the contention
     polynomial); sigma2 > 0 rows are labeled root (g is the optimum
-    normalized load lambda_max * Delta * gamma**(2/alpha)).
+    normalized load lambda_max * Delta * gamma**(2/alpha)).  Every row takes
+    one call's `_count_law_terms` and equals its `contention_optimum` bit for bit.
     """
-    from .contention import contention_optimum
+    from .contention import _optimum
 
     gamma = config.gamma
     _in_field("sigma2", _check_domain, sigma2__scaled=config.sigma2 * gamma)
+    delta, spread, noise = _count_law_terms(config.alpha, gamma, config.sigma2)
     mode = "closed-form" if config.sigma2 == 0.0 else "root"
     rows = []
     for L in config.antennas:
-        opt = contention_optimum(L, config.alpha, gamma, config.sigma2)
+        opt = _optimum(L, delta * spread, noise)
         rows.append((L, opt.g, opt.lambda_max, opt.t_max, mode))
     return rows
 
@@ -249,11 +250,12 @@ def figure_preset(number: int) -> tuple[str, ScenarioConfig]:
         )
     if number == 3:
         # the default link, with a grid around the optimum of each antenna count
-        from .contention import contention_optimum
+        from .contention import _optimum
 
         alpha, sigma2, antennas = _DEFAULTS["alpha"], db_to_linear(-57.0), (1, 2, 3, 4, 5)
         gamma = gamma_from_beta(_DEFAULTS["beta"], _DEFAULTS["d_r"], alpha)
-        optima = [contention_optimum(L, alpha, gamma, sigma2).lambda_max for L in antennas]
+        delta, spread, noise = _count_law_terms(alpha, gamma, sigma2)
+        optima = [_optimum(L, delta * spread, noise).lambda_max for L in antennas]
         grid = _log_grid(0.2 * min(optima), 5.0 * max(optima), 50)
         return "analytic", ScenarioConfig(sigma2=sigma2, antennas=antennas, lambda_grid=grid)
     if number == 4:

@@ -135,7 +135,12 @@ def contention_optimum(
     """
     _check_domain(L=L, sigma2=sigma2, gamma=gamma, sigma2__scaled=sigma2 * gamma)
     delta, spread, noise = _count_law_terms(alpha, gamma, sigma2)
-    area = delta * spread
+    return _optimum(L, delta * spread, noise)
+
+
+def _optimum(L: int, area: float, noise: float) -> ContentionOptimum:
+    # the optimum from area = Delta * gamma**(2/alpha) and noise = sigma2 * gamma,
+    # which a caller checks and derives once for all its antenna counts
     u, x = _solve(L, noise)
     peak = math.exp(2.0 * math.log(u) + _log_pmf(L - 1, x))
     return ContentionOptimum(L=L, g=u, lambda_max=u / area, t_max=peak / area)

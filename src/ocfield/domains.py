@@ -56,13 +56,19 @@ _DOMAINS = {
 }
 
 
+def _check_each(key: str, values) -> None:
+    """Raise ValueError naming the first of `values` outside the domain of `key`."""
+    inside, domain = _DOMAINS[key]
+    for value in values:
+        if not inside(value):
+            raise ValueError(f"{key.partition('__')[0]} must be {domain}, got {value!r}")
+
+
 def _check_domain(**values) -> None:
     """Raise ValueError naming the first of `values` (keyword = key in
     `_DOMAINS`) that lies outside its domain."""
     for key, value in values.items():
-        inside, domain = _DOMAINS[key]
-        if not inside(value):
-            raise ValueError(f"{key.partition('__')[0]} must be {domain}, got {value!r}")
+        _check_each(key, (value,))
 
 
 class _Record:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections import deque, namedtuple
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -320,6 +319,7 @@ def _map_blocks(sinr_of_batch, reduce, n_trials: int, master_seed: int, group: i
     workers = min(_resolve_workers(), n_batches)
     if workers == 1:
         return [run(k) for k in range(n_batches)]
+    from concurrent.futures import ThreadPoolExecutor  # with logging, for pooled runs alone
     results, window = [], deque()
     pool = ThreadPoolExecutor(max_workers=workers)
     try:

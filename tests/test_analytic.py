@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -9,7 +10,9 @@ from pytest import approx
 from scipy.stats import chi2, poisson
 
 from ocfield import SystemParams, delta_const, gamma_from_beta, outage_cdf
-from ocfield.analytic import _count_law_terms, _poisson_split, _stirling_error
+from ocfield.analytic import (
+    _count_law_terms, _log_pmf, _poisson_split, _poisson_window, _stirling_error,
+)
 from ocfield.cli import ScenarioConfig, run_analytic
 
 from _frozen_field import conditional_outage_cdf
@@ -349,6 +352,55 @@ class TestTinyTail:
                 assert error <= relative * float(exact) + 1e-320
         else:
             assert _poisson_split(x, L)[1] == max(0.0, 1.0 - _poisson_split(x, L)[0])
+
+
+# The Poisson walks as they stood when each ended at a term below 2**-64 of
+# its running sum.  The package's walks end at 2**-54, where such a term is
+# under half an ulp of the sum and rounds away, as does every later, smaller
+# one; so both must give the same doubles.
+FINE_CUTOFF = 2.0**-64
+
+
+def window_to_fine_cutoff(x, count):
+    m = min(int(x), count - 1)
+    total = term = 1.0
+    for i in range(m, 0, -1):
+        term *= i / x
+        total += term
+        if term < FINE_CUTOFF * total:
+            break
+    term = 1.0
+    for i in range(m + 1, count):
+        term *= x / i
+        total += term
+        if term < FINE_CUTOFF * total:
+            break
+    return m, total
+
+
+def split_to_fine_cutoff(x, count):
+    # for 0 < x < inf
+    if x < count:
+        total = term = 1.0
+        for i in itertools.count(count + 1):
+            term *= x / i
+            total += term
+            if term < FINE_CUTOFF * total:
+                tail = total * math.exp(_log_pmf(count, x))
+                return 1.0 - tail, tail
+    m, s = window_to_fine_cutoff(x, count)
+    below = s * math.exp(_log_pmf(m, x))
+    return below, max(0.0, 1.0 - below)
+
+
+@pytest.mark.parametrize("count", [1, 2, 8, 64, 512, 10**4, 10**6])
+def test_walks_end_at_half_an_ulp_bit_for_bit(count):
+    # x from 1e-3 * count to 3 * count, log-spaced, and at count and either side of it
+    xs = [1e-3 * count * 3000.0 ** (k / 40) for k in range(41)]
+    xs += [math.nextafter(count, 0.0), float(count), math.nextafter(count, math.inf)]
+    for x in xs:
+        assert _poisson_window(x, count) == window_to_fine_cutoff(x, count), x
+        assert _poisson_split(x, count) == split_to_fine_cutoff(x, count), x
 
 
 class TestStirlingError:

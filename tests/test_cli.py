@@ -292,10 +292,10 @@ class TestOneCheckPerRun:
 
 class TestCountLawTermsPerRun:
     """The count law's terms are derived in one place, once per call: once
-    for the default grid's ends, once for all the rows of an `analytic` or
-    `simulate` call, whatever their number, and once per contention optimum.
-    Counted at `analytic.delta_const`, which `_count_law_terms` calls for the
-    first term."""
+    for the default grid's ends, once for all the rows of an `analytic`,
+    `simulate` or `optimize` call, whatever their number, and once for all
+    the optima of figure 3's preset.  Counted at `analytic.delta_const`,
+    which `_count_law_terms` calls for the first term."""
 
     GRID = ",".join(f"{k}e-4" for k in range(1, 21))
 
@@ -305,9 +305,15 @@ class TestCountLawTermsPerRun:
             (["analytic", "--L", "1,8,64", "--lambda-grid", GRID], 1),
             (["analytic", "--L", "1,8,64"], 2),
             (["simulate", "--L", "2", "--lambda-points", "3", "--n-trials", "64"], 2),
-            (["optimize", "--L", "1,2,3"], 3),
+            (["optimize", "--L", "1,2,3"], 1),
+            (["figure", "4"], 1),
+            # one for the preset's optima, one for its rows
+            (["figure", "3"], 2),
         ],
-        ids=["analytic-grid", "analytic-default", "simulate-default", "optimize"],
+        ids=[
+            "analytic-grid", "analytic-default", "simulate-default", "optimize", "figure-4",
+            "figure-3",
+        ],
     )
     def test_terms_derived_per_call(self, argv, derivations, monkeypatch):
         calls = []
@@ -860,7 +866,7 @@ class TestErrorPaths:
         def boom(*args, **kwargs):
             raise BracketViolation("forced")
 
-        monkeypatch.setattr(contention_module, "contention_optimum", boom)
+        monkeypatch.setattr(contention_module, "_optimum", boom)
         assert main(["optimize", "--sigma2", "0", "--L", "2"]) == 3
 
     def test_solver_failure_exits_three(self, monkeypatch, capsys):

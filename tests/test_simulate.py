@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import threading
 import time
@@ -709,7 +710,8 @@ class TestBatches:
             time.sleep(0.001)
             return len(blocks)
 
-        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", Counting)
+        # the pool's class, which `_map_blocks` imports only for a pooled run
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
         monkeypatch.setenv("OC_FIELD_THREADS", str(threads))
         assert _map_blocks(slow, lambda n: n, 200 * BLOCK, 58, 1) == [1] * 200
         assert 1 <= peak <= 4 * threads
